@@ -8,17 +8,15 @@ variants for fixed and moving spatial domains.
 from .assembly import (LinearSystem, ManufacturedCase, NormMatrices, SchemeParams,
                        StabilityWarning, apply_dirichlet, assemble_fixed,
                        assemble_moving, assemble_norm_matrices, boundary_l2_project)
-from .geometry import (GeometryMap, PhysicalMesh, SingularGeometryError, hessian,
-                       identity_geometry, jacobian, map_point, mesh_metrics,
-                       pullback_derivatives)
+from .geometry import (GeometryMap, PhysicalMesh, SingularGeometryError, eval_geometry,
+                       hessian, jacobian, map_point, mesh_metrics, pullback_derivatives)
 from .harness import (CaseConfig, CaseDefinition, builtin_cases, emit_csv, load_config,
                       run_case, run_verification, solution_space)
-from .linsolve import (ConvergenceError, SingularSystemError, SolveReport, matvec,
-                       solve_direct, solve_gmres)
-from .postproc import (ConvergenceReport, DiscreteField, FieldSample, LevelRecord,
-                       error_energy, error_l2, estimate_inverse_constant, eval_field,
-                       mesh_ratio, rates)
-from .quadrature import QuadratureRule, element_rule, face_rule, gauss_1d
+from .linsolve import (ConvergenceError, SingularSystemError, SolveReport, solve_direct,
+                       solve_gmres)
+from .postproc import (ConvergenceReport, DiscreteField, LevelRecord, error_energy, error_l2,
+                       estimate_inverse_constant, mesh_ratio, rates)
+from .quadrature import QuadratureRule, gauss_1d
 from .splines import (BasisEvalRow, KnotVector, eval_basis, find_span, refine_uniform,
                       single_span)
 from .tensor_space import (DiscreteSpace, DofMap, MultivariateBasis, build_space,

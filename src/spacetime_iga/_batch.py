@@ -1,9 +1,11 @@
-"""Vectorized per-element evaluation pipeline.
+"""Per-element iteration over a space under a geometry map.
 
-Internal machinery shared by assembly and postprocessing: univariate
-basis tables per knot span, tensor combination into multivariate rows at
-all quadrature points of an element at once, geometry evaluation and the
-pullback of derivatives.  Public modules re-export nothing from here.
+Internal machinery shared by assembly, mesh metrics and postprocessing:
+univariate basis tables per knot span and the loop over elements and
+boundary faces.  The tensor combination, the NURBS quotient rule, the
+geometry evaluation and the pullback are the batched kernels of
+:mod:`tensor_space` and :mod:`geometry`.  Public modules re-export
+nothing from here.
 """
 from __future__ import annotations
 
@@ -11,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometryMap, SingularGeometryError
+from .geometry import GeometryMap, eval_geometry, pullback_derivatives
 from .quadrature import gauss_1d
 from .splines import KnotVector, eval_basis, find_span
-from .tensor_space import DiscreteSpace
+from .tensor_space import DiscreteSpace, tensor_basis
 
 
 @dataclass(frozen=True)
@@ -34,47 +36,15 @@ class ElementData:
 
 
 @dataclass(frozen=True)
-class _DirRows:
-    """Per-span univariate data for one direction."""
+class _Table:
+    """Univariate rows of one direction, one table row per node row."""
 
-    nodes: np.ndarray        # (ns, q)
-    weights: np.ndarray      # (ns, q) scaled to span length
     ders: np.ndarray         # (ns, q, 3, p+1)
     first: np.ndarray        # (ns,) first active univariate index
 
 
-def _direction_table(kv: KnotVector, order: int) -> _DirRows:
-    spans = kv.spans
-    ns = spans.shape[0]
-    base = gauss_1d(order)
-    q = base.n_points
-    nodes = spans[:, :1] + np.diff(spans, axis=1) * base.nodes[:, 0][None, :]
-    weights = np.diff(spans, axis=1) * base.weights[None, :]
-    ders = np.empty((ns, q, 3, kv.degree + 1))
-    first = np.empty(ns, dtype=np.int64)
-    for s in range(ns):
-        for j in range(q):
-            row = eval_basis(kv, nodes[s, j])
-            ders[s, j, 0] = row.values
-            ders[s, j, 1] = row.first_derivs
-            ders[s, j, 2] = row.second_derivs
-            if j == 0:
-                first[s] = row.first_active
-    return _DirRows(nodes, weights, ders, first)
-
-
-def _pinned_rows(kv: KnotVector, value: float) -> _DirRows:
-    row = eval_basis(kv, value)
-    ders = np.empty((1, 1, 3, kv.degree + 1))
-    ders[0, 0, 0] = row.values
-    ders[0, 0, 1] = row.first_derivs
-    ders[0, 0, 2] = row.second_derivs
-    return _DirRows(np.array([[value]]), np.array([[1.0]]), ders,
-                    np.array([row.first_active], dtype=np.int64))
-
-
-def _foreign_table(kv: KnotVector, nodes: np.ndarray) -> _DirRows:
-    """Evaluate ``kv`` at another table's nodes (geometry under solution spans)."""
+def _table(kv: KnotVector, nodes: np.ndarray) -> _Table:
+    """Evaluate ``kv`` at ``nodes`` ``(ns, q)``; each node row must lie in one span."""
     ns, q = nodes.shape
     ders = np.empty((ns, q, 3, kv.degree + 1))
     first = np.empty(ns, dtype=np.int64)
@@ -88,67 +58,12 @@ def _foreign_table(kv: KnotVector, nodes: np.ndarray) -> _DirRows:
             ders[s, j, 1] = row.first_derivs
             ders[s, j, 2] = row.second_derivs
         first[s] = span - kv.degree
-    return _DirRows(nodes, None, ders, first)
+    return _Table(ders, first)
 
 
-def _outer2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    q0, m0 = a.shape
-    q1, m1 = b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(q0 * q1, m0 * m1)
-
-
-def _combine(rows, sig) -> np.ndarray:
-    out = rows[0][:, sig[0], :]
-    for a in range(1, len(rows)):
-        out = _outer2(out, rows[a][:, sig[a], :])
-    return out
-
-
-def _basis_block(rows, nd: int, need: int):
-    """Value/gradient/Hessian blocks ``(q, m[, ...])`` from univariate rows."""
-    val = _combine(rows, (0,) * nd)
-    q, m = val.shape
-    grad = hess = None
-    if need >= 1:
-        grad = np.empty((q, m, nd))
-        for a in range(nd):
-            sig = tuple(1 if c == a else 0 for c in range(nd))
-            grad[:, :, a] = _combine(rows, sig)
-    if need >= 2:
-        hess = np.empty((q, m, nd, nd))
-        for a in range(nd):
-            for b in range(a, nd):
-                sig = tuple((2 if c == a else 0) if a == b else (1 if c in (a, b) else 0)
-                            for c in range(nd))
-                block = _combine(rows, sig)
-                hess[:, :, a, b] = block
-                hess[:, :, b, a] = block
-    return val, grad, hess
-
-
-def _rationalize(val, grad, hess, w_act):
-    bw = val * w_act[None, :]
-    W = bw.sum(axis=1)
-    R = bw / W[:, None]
-    Rg = Rh = None
-    if grad is not None:
-        gw = grad * w_act[None, :, None]
-        Wg = gw.sum(axis=1)
-        Rg = (gw - R[:, :, None] * Wg[:, None, :]) / W[:, None, None]
-    if hess is not None:
-        hw = hess * w_act[None, :, None, None]
-        Wh = hw.sum(axis=1)
-        Rh = (hw
-              - Rg[:, :, :, None] * Wg[:, None, None, :]
-              - Rg[:, :, None, :] * Wg[:, None, :, None]
-              - R[:, :, None, None] * Wh[:, None, :, :]) / W[:, None, None, None]
-    return R, Rg, Rh
-
-
-def _active_flat(firsts, degrees, strides) -> np.ndarray:
-    idx = [f + np.arange(p + 1) for f, p in zip(firsts, degrees)]
-    grids = np.meshgrid(*idx, indexing='ij')
-    return sum(g.ravel() * s for g, s in zip(grids, strides)).astype(np.int64)
+def _rows(tables, multi):
+    return ([t.ders[i] for t, i in zip(tables, multi)],
+            [t.first[i] for t, i in zip(tables, multi)])
 
 
 class ElementBatcher:
@@ -169,43 +84,27 @@ class ElementBatcher:
         if orders is None:
             orders = [p + 1 for p in space.degrees]
         self.orders = [int(o) for o in orders]
-        self._tables = [_direction_table(kv, o)
-                        for kv, o in zip(space.knot_vectors, self.orders)]
-        self._geo_tables = [_foreign_table(kvg, t.nodes)
-                            for kvg, t in zip(geom.space.knot_vectors, self._tables)]
+        self._weights = []
+        self._tables = []
+        self._geo_tables = []
+        for kv, kvg, o in zip(space.knot_vectors, geom.space.knot_vectors, self.orders):
+            base = gauss_1d(o)
+            lengths = np.diff(kv.spans, axis=1)
+            nodes = kv.spans[:, :1] + lengths * base.nodes[:, 0][None, :]
+            self._weights.append(lengths * base.weights[None, :])
+            self._tables.append(_table(kv, nodes))
+            self._geo_tables.append(_table(kvg, nodes))
 
-    def _geometry_at(self, g_rows, g_firsts, need_hess: bool):
-        gs = self.geom.space
-        gval, ggrad, ghess = _basis_block(g_rows, self.nd, 2 if need_hess else 1)
-        g_active = _active_flat(g_firsts, gs.degrees, gs.strides)
-        if gs.weights is not None:
-            gval, ggrad, ghess = _rationalize(gval, ggrad, ghess, gs.weights[g_active])
-        P = self.geom.control_points[g_active]
-        x = gval @ P
-        J = np.einsum('qma,mk->qka', ggrad, P)
-        det = np.linalg.det(J)
-        if np.any(det <= 0.0):
-            raise SingularGeometryError('non-positive Jacobian determinant encountered')
-        H = np.einsum('qmab,mk->qkab', ghess, P) if need_hess else None
-        return x, J, det, H
+    def _shape(self):
+        return tuple(kv.spans.shape[0] for kv in self.space.knot_vectors)
 
     def _element(self, index, multi, tables, geo_tables, need, face_dir=None):
         nd = self.nd
-        rows = [tables[a].ders[multi[a]] for a in range(nd)]
-        g_rows = [geo_tables[a].ders[multi[a]] for a in range(nd)]
-        val, grad, hess = _basis_block(rows, nd, need)
-        if self.space.weights is not None:
-            dofs = _active_flat([tables[a].first[multi[a]] for a in range(nd)],
-                                self.space.degrees, self.space.strides)
-            val, grad, hess = _rationalize(val, grad, hess, self.space.weights[dofs])
-        else:
-            dofs = _active_flat([tables[a].first[multi[a]] for a in range(nd)],
-                                self.space.degrees, self.space.strides)
+        dofs, val, grad, hess = tensor_basis(self.space, *_rows(tables, multi), need)
+        x, J, det, Hg = eval_geometry(self.geom, *_rows(geo_tables, multi),
+                                      need=2 if need >= 2 else 1)
 
-        x, J, det, Hg = self._geometry_at(g_rows, [geo_tables[a].first[multi[a]] for a in range(nd)],
-                                          need_hess=need >= 2)
-
-        w_axes = [tables[a].weights[multi[a]] for a in range(nd) if a != face_dir]
+        w_axes = [self._weights[a][multi[a]] for a in range(nd) if a != face_dir]
         w = w_axes[0]
         for wa in w_axes[1:]:
             w = (w[:, None] * wa[None, :]).ravel()
@@ -217,23 +116,14 @@ class ElementBatcher:
             gram = np.einsum('qka,qkb->qab', G, G)
             w = w * np.sqrt(np.linalg.det(gram))
 
+        grad_phys = hess_phys = None
         if need >= 1:
-            grad_phys = np.linalg.solve(np.transpose(J, (0, 2, 1)),
-                                        np.transpose(grad, (0, 2, 1))).transpose(0, 2, 1)
-        else:
-            grad_phys = None
-        hess_phys = None
-        if need >= 2:
-            Jinv = np.linalg.inv(J)
-            corr = hess - np.einsum('qmk,qkab->qmab', grad_phys, Hg)
-            hess_phys = np.einsum('qia,qmij,qjb->qmab', Jinv, corr, Jinv, optimize=True)
-
+            grad_phys, hess_phys = pullback_derivatives(J, grad, hess, Hg)
         return ElementData(index, tuple(multi), dofs, x, w, val, grad_phys, hess_phys, J, det)
 
     def elements(self, need: int = 2):
         """Yield volume data for every element, C order, direction 0 slowest."""
-        shape = tuple(kv.spans.shape[0] for kv in self.space.knot_vectors)
-        for index, multi in enumerate(np.ndindex(*shape)):
+        for index, multi in enumerate(np.ndindex(*self._shape())):
             yield self._element(index, multi, self._tables, self._geo_tables, need)
 
     def faces(self, fixed_dir: int, side: int, need: int = 1):
@@ -242,26 +132,18 @@ class ElementBatcher:
         Weights carry the surface measure of the restricted map; basis
         derivatives are still pulled back with the full volume Jacobian.
         """
-        nd = self.nd
-        value = float(side)
+        pinned = np.array([[float(side)]])
         tables = list(self._tables)
         geo_tables = list(self._geo_tables)
-        kv = self.space.knot_vectors[fixed_dir]
-        kvg = self.geom.space.knot_vectors[fixed_dir]
-        tables[fixed_dir] = _pinned_rows(kv, value)
-        geo_tables[fixed_dir] = _pinned_rows(kvg, value)
-        shape = [kv.spans.shape[0] for kv in self.space.knot_vectors]
+        tables[fixed_dir] = _table(self.space.knot_vectors[fixed_dir], pinned)
+        geo_tables[fixed_dir] = _table(self.geom.space.knot_vectors[fixed_dir], pinned)
+        shape = list(self._shape())
         shape[fixed_dir] = 1
         for index, multi in enumerate(np.ndindex(*shape)):
             yield self._element(index, multi, tables, geo_tables, need, face_dir=fixed_dir)
 
-
-def jacobian_samples(space: DiscreteSpace, geom: GeometryMap, orders=None):
-    """Yield ``(multi, J, det)`` batches per element without basis pullback."""
-    batcher = ElementBatcher(space, geom, orders)
-    shape = tuple(kv.spans.shape[0] for kv in space.knot_vectors)
-    for multi in np.ndindex(*shape):
-        g_rows = [batcher._geo_tables[a].ders[multi[a]] for a in range(batcher.nd)]
-        g_firsts = [batcher._geo_tables[a].first[multi[a]] for a in range(batcher.nd)]
-        x, J, det, _ = batcher._geometry_at(g_rows, g_firsts, need_hess=False)
-        yield multi, J, det
+    def jacobians(self):
+        """Yield ``(multi, J)`` per element: geometry Jacobians ``(q, dim, dim)``
+        at the quadrature points, without evaluating the solution basis."""
+        for multi in np.ndindex(*self._shape()):
+            yield multi, eval_geometry(self.geom, *_rows(self._geo_tables, multi), need=1)[1]

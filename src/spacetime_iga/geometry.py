@@ -1,10 +1,12 @@
 """Spline/NURBS geometry maps from the parameter cube to space-time.
 
 The map ``Phi`` sends the open unit cube onto the space-time cylinder;
-its last component is the time coordinate.  Besides point evaluation and
-derivatives, this module provides the pullback of basis derivatives to
-physical coordinates and the mesh metrics (element sizes, global mesh
-size) that enter the stabilized scheme.
+its last component is the time coordinate.  One batched evaluation,
+:func:`eval_geometry`, gives the map and its first and second derivatives
+at a tensor grid of points; ``map_point``, ``jacobian`` and ``hessian``
+are one-point calls of it.  The module also provides the batched pullback
+of basis derivatives to physical coordinates and the mesh metrics
+(element sizes, global mesh size) that enter the stabilized scheme.
 """
 from __future__ import annotations
 
@@ -12,13 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_space import DiscreteSpace, eval_multivariate
+from .tensor_space import DiscreteSpace, point_rows, tensor_basis
 
 __all__ = [
     'GeometryMap',
     'PhysicalMesh',
     'SingularGeometryError',
-    'identity_geometry',
+    'eval_geometry',
     'map_point',
     'jacobian',
     'hessian',
@@ -98,22 +100,34 @@ class PhysicalMesh:
         return [tuple(self.span_arrays[a][i]) for a, i in enumerate(multi)]
 
 
-def identity_geometry(space: DiscreteSpace) -> GeometryMap:
-    """Geometry map fixing the parameter cube (Greville interpolation)."""
-    if space.weights is not None:
-        raise ValueError('identity geometry expects an unweighted space')
-    axes = [kv.greville() for kv in space.knot_vectors]
-    grids = np.meshgrid(*axes, indexing='ij')
-    # flat dof order runs direction 0 fastest
-    nd = space.ndim
-    cp = np.stack([np.transpose(g, axes=range(nd - 1, -1, -1)).ravel() for g in grids], axis=1)
-    return GeometryMap(space, cp)
+def eval_geometry(geom: GeometryMap, rows, firsts, need: int):
+    """Map, Jacobian and Hessian at a tensor grid of parameter points.
+
+    ``rows`` and ``firsts`` are univariate rows of ``geom.space`` as
+    :func:`tensor_basis` takes them.  Returns ``(x, J, det, H)`` with
+    ``x[i]`` the image of point ``i``, ``J[i, k, a] = d Phi_k / d xi_a``,
+    its determinant, and ``H[i, k, a, b] = d^2 Phi_k / d xi_a d xi_b``;
+    entries above ``need`` (0, 1 or 2) are None.  Raises
+    ``SingularGeometryError`` unless ``det J > 0`` at every point.
+    """
+    active, val, grad, hess = tensor_basis(geom.space, rows, firsts, need)
+    P = geom.control_points[active]
+    x = val @ P
+    if need < 1:
+        return x, None, None, None
+    J = np.einsum('qma,mk->qka', grad, P)
+    det = np.linalg.det(J)
+    if not np.all(det > 0.0):
+        k = int(np.argmin(det))
+        where = ', '.join(f'{c:.6g}' for c in x[k])
+        raise SingularGeometryError(f'non-positive Jacobian determinant {det[k]:.6g} at x = ({where})')
+    H = np.einsum('qmab,mk->qkab', hess, P) if need >= 2 else None
+    return x, J, det, H
 
 
 def map_point(geom: GeometryMap, xi) -> np.ndarray:
     """Physical image of the parameter point ``xi``."""
-    mb = eval_multivariate(geom.space, xi, max_deriv=0)
-    return mb.values @ geom.control_points[mb.active]
+    return eval_geometry(geom, *point_rows(geom.space, xi, 0), need=0)[0][0]
 
 
 def jacobian(geom: GeometryMap, xi):
@@ -121,49 +135,48 @@ def jacobian(geom: GeometryMap, xi):
 
     Raises ``SingularGeometryError`` unless ``det J > 0``.
     """
-    mb = eval_multivariate(geom.space, xi, max_deriv=1)
-    J = np.einsum('ma,mk->ka', mb.gradients, geom.control_points[mb.active])
-    det = float(np.linalg.det(J))
-    if not det > 0.0:
-        raise SingularGeometryError(f'non-positive Jacobian determinant {det} at xi={tuple(xi)}')
-    return J, det
+    _, J, det, _ = eval_geometry(geom, *point_rows(geom.space, xi, 1), need=1)
+    return J[0], float(det[0])
 
 
 def hessian(geom: GeometryMap, xi) -> np.ndarray:
-    """Second derivatives ``H[k, a, b] = d^2 Phi_k / d xi_a d xi_b``."""
-    mb = eval_multivariate(geom.space, xi, max_deriv=2)
-    return np.einsum('mab,mk->kab', mb.hessians, geom.control_points[mb.active])
+    """Second derivatives ``H[k, a, b] = d^2 Phi_k / d xi_a d xi_b``.
+
+    Raises ``SingularGeometryError`` unless ``det J > 0`` at ``xi``.
+    """
+    return eval_geometry(geom, *point_rows(geom.space, xi, 2), need=2)[3][0]
 
 
-def pullback_derivatives(jac, hess_geom, values, grads, hessians=None):
+def pullback_derivatives(jac, grads, hessians=None, hess_geom=None):
     """Push parameter-space basis derivatives to physical coordinates.
 
     Gradients solve ``J^T g = g_param``; Hessians use
     ``H = J^{-T} (H_param - sum_k g_k H_geom[k]) J^{-1}`` with the
-    physical gradient ``g``.  ``values`` pass through unchanged.
+    physical gradient ``g``.
 
     Parameters
     ----------
     jac : np.ndarray
-        Geometry Jacobian ``(dim, dim)`` at the point.
-    hess_geom : np.ndarray or None
-        Geometry second derivatives ``(dim, dim, dim)``; required when
-        ``hessians`` is given unless the map is affine (pass zeros).
-    values, grads, hessians : np.ndarray
-        Parameter-space rows ``(m,)``, ``(m, dim)`` and optionally
-        ``(m, dim, dim)`` for ``m`` basis functions.
+        Geometry Jacobians ``(q, dim, dim)`` at ``q`` points.
+    grads, hessians : np.ndarray
+        Parameter-space derivatives ``(q, m, dim)`` and optionally
+        ``(q, m, dim, dim)`` of ``m`` basis functions.
+    hess_geom : np.ndarray
+        Geometry second derivatives ``(q, dim, dim, dim)``; required
+        with ``hessians`` (zeros for an affine map).
 
     Returns
     -------
-    (values, grads_phys, hess_phys or None)
+    (grads_phys, hess_phys or None)
     """
-    g = np.linalg.solve(jac.T, grads.T).T
+    g = np.linalg.solve(np.transpose(jac, (0, 2, 1)),
+                        np.transpose(grads, (0, 2, 1))).transpose(0, 2, 1)
     if hessians is None:
-        return values, g, None
+        return g, None
     Jinv = np.linalg.inv(jac)
-    corr = hessians - np.einsum('mk,kab->mab', g, hess_geom)
-    h = np.einsum('ia,mij,jb->mab', Jinv, corr, Jinv)
-    return values, g, h
+    corr = hessians - np.einsum('qmk,qkab->qmab', g, hess_geom)
+    h = np.einsum('qia,qmij,qjb->qmab', Jinv, corr, Jinv, optimize=True)
+    return g, h
 
 
 def mesh_metrics(geom: GeometryMap, space: DiscreteSpace, orders=None) -> PhysicalMesh:
@@ -181,14 +194,14 @@ def mesh_metrics(geom: GeometryMap, space: DiscreteSpace, orders=None) -> Physic
         missing = np.setdiff1d(kv_g.breakpoints, kv_s.breakpoints)
         if missing.size:
             raise ValueError(f'geometry breakpoints {missing} not resolved by the space in direction {a}')
-    from ._batch import jacobian_samples
+    from ._batch import ElementBatcher
 
     span_arrays = tuple(kv.spans for kv in space.knot_vectors)
     shape = tuple(len(s) for s in span_arrays)
     n_el = int(np.prod(shape))
     h_param = np.empty(n_el)
     h_elem = np.empty(n_el)
-    for e, (multi, J, _) in enumerate(jacobian_samples(space, geom, orders)):
+    for e, (multi, J) in enumerate(ElementBatcher(space, geom, orders).jacobians()):
         sides = np.array([b - a for a, b in (span_arrays[a][i] for a, i in enumerate(multi))])
         h_param[e] = float(np.linalg.norm(sides))
         h_elem[e] = float(np.linalg.norm(J, ord=2, axis=(1, 2)).max()) * h_param[e]

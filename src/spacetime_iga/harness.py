@@ -18,8 +18,8 @@ import numpy as np
 from .assembly import (LinearSystem, ManufacturedCase, SchemeParams, StabilityWarning,
                        apply_dirichlet, assemble_fixed, assemble_moving,
                        assemble_norm_matrices)
-from .geometry import GeometryMap, mesh_metrics
-from .linsolve import solve_direct, solve_gmres
+from .geometry import GeometryMap, SingularGeometryError, mesh_metrics
+from .linsolve import ConvergenceError, SingularSystemError, solve_direct, solve_gmres
 from .postproc import (ConvergenceReport, DiscreteField, LevelRecord, error_energy,
                        error_l2, estimate_inverse_constant, mesh_ratio, rates)
 from .splines import KnotVector, refine_uniform, single_span
@@ -152,6 +152,10 @@ class CaseConfig:
     moving: bool | None = None
 
     def __post_init__(self):
+        for key in ('degree', 'levels'):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f'{key} must be an integer, got {value!r}')
         if self.degree < 1:
             raise ValueError(f'degree must be at least 1, got {self.degree}')
         if self.levels < 1:
@@ -565,7 +569,11 @@ def cli_main(argv=None) -> int:
         print(f'error: {exc}', file=sys.stderr)
         return 2
 
-    report = run_case(config)
+    try:
+        report = run_case(config)
+    except (SingularGeometryError, ConvergenceError, SingularSystemError) as exc:
+        print(f'error: {exc}', file=sys.stderr)
+        return 1
     print(f'case {report.case}, degree {report.degree}, theta {report.theta}')
     print(_format_table(report))
     if config.out:

@@ -20,7 +20,6 @@ __all__ = [
     'SolveReport',
     'SingularSystemError',
     'ConvergenceError',
-    'matvec',
     'solve_direct',
     'solve_gmres',
 ]
@@ -62,12 +61,6 @@ def _check(matrix, rhs):
     if rhs.shape != (n,):
         raise ValueError(f'rhs must have shape ({n},), got {rhs.shape}')
     return matrix.tocsr(), rhs
-
-
-def matvec(matrix, x) -> np.ndarray:
-    """Matrix-vector product with dimension checking."""
-    matrix, x = _check(matrix, x)
-    return matrix @ x
 
 
 def _relative_residual(matrix, rhs, x, scale) -> float:
@@ -122,8 +115,7 @@ def solve_gmres(matrix, rhs, tol: float = 1e-10, restart: int = 50,
     if jacobi:
         diag = matrix.diagonal()
         if np.all(diag != 0.0):
-            inv = 1.0 / diag
-            M = spla.LinearOperator(matrix.shape, matvec=lambda v: inv * v)
+            M = sp.diags(1.0 / diag)
 
     x = np.zeros_like(rhs) if x0 is None else np.asarray(x0, dtype=float)
     inner = 0

@@ -13,16 +13,14 @@ import scipy.linalg
 
 from ._batch import ElementBatcher
 from .assembly import ManufacturedCase, SchemeParams
-from .geometry import GeometryMap, PhysicalMesh, jacobian, pullback_derivatives
+from .geometry import GeometryMap, PhysicalMesh
 from .linsolve import SolveReport
-from .tensor_space import DiscreteSpace, eval_multivariate
+from .tensor_space import DiscreteSpace
 
 __all__ = [
     'DiscreteField',
-    'FieldSample',
     'LevelRecord',
     'ConvergenceReport',
-    'eval_field',
     'error_l2',
     'error_energy',
     'rates',
@@ -44,29 +42,6 @@ class DiscreteField:
         if c.shape != (self.space.dim,):
             raise ValueError(f'coefficients must have shape ({self.space.dim},), got {c.shape}')
         object.__setattr__(self, 'coefficients', c)
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    """Value, spatial gradient and time derivative at one point."""
-
-    value: float
-    grad_x: np.ndarray
-    u_t: float
-
-
-def eval_field(field: DiscreteField, xi) -> FieldSample:
-    """Evaluate a discrete field at a parameter point, physically.
-
-    The gradient is split into its spatial part and the time derivative
-    according to the geometry's space-time axes.
-    """
-    mb = eval_multivariate(field.space, xi, max_deriv=1)
-    J, _ = jacobian(field.geom, xi)
-    _, g, _ = pullback_derivatives(J, None, mb.values, mb.gradients)
-    c = field.coefficients[mb.active]
-    grad = c @ g
-    return FieldSample(float(c @ mb.values), grad[:-1], float(grad[-1]))
 
 
 def _error_orders(space, orders):

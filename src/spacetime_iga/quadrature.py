@@ -1,7 +1,7 @@
-"""Tensor-product Gauss-Legendre quadrature on knot spans.
+"""Gauss-Legendre quadrature on the unit interval.
 
-Rules are expressed in parameter space; the physical Jacobian factor is
-applied by the caller.  An ``n``-point univariate rule is exact for
+The element loop scales the rule to each knot span and tensorizes it;
+the physical Jacobian factor is applied there too.  An ``n``-point univariate rule is exact for
 polynomials of degree ``2n - 1``, so ``p + 1`` points per direction
 integrate the stiffness integrands of degree-``p`` splines on affine
 geometry exactly.
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ['QuadratureRule', 'gauss_1d', 'element_rule', 'face_rule']
+__all__ = ['QuadratureRule', 'gauss_1d']
 
 _MAX_POINTS = 16
 
@@ -35,65 +35,3 @@ def gauss_1d(n: int) -> QuadratureRule:
         raise ValueError(f'point count must be in [1, {_MAX_POINTS}], got {n}')
     x, w = np.polynomial.legendre.leggauss(n)
     return QuadratureRule(0.5 * (x[:, None] + 1.0), 0.5 * w)
-
-
-def _scaled_axes(spans, orders):
-    nodes, weights = [], []
-    for (a, b), n in zip(spans, orders):
-        r = gauss_1d(int(n))
-        nodes.append(a + (b - a) * r.nodes[:, 0])
-        weights.append((b - a) * r.weights)
-    return nodes, weights
-
-
-def _tensorize(axis_nodes, axis_weights):
-    grids = np.meshgrid(*axis_nodes, indexing='ij')
-    nodes = np.column_stack([g.ravel() for g in grids])
-    w = axis_weights[0]
-    for wa in axis_weights[1:]:
-        w = (w[:, None] * wa[None, :]).ravel()
-    return QuadratureRule(nodes, w)
-
-
-def element_rule(spans, orders) -> QuadratureRule:
-    """Tensor rule on the cell ``span_0 x ... x span_{dim-1}``.
-
-    ``orders[a]`` is the univariate point count in direction ``a``; the
-    weights carry the cell measure, so plain summation integrates over
-    the parameter cell.  Flattening runs with direction 0 slowest.
-    """
-    spans = [tuple(s) for s in spans]
-    if len(orders) != len(spans):
-        raise ValueError('one point count per direction required')
-    nodes, weights = _scaled_axes(spans, orders)
-    return _tensorize(nodes, weights)
-
-
-def face_rule(fixed_dir: int, fixed_value: float, spans, orders) -> QuadratureRule:
-    """Tensor rule on a cell face with one coordinate pinned.
-
-    The pinned direction contributes a single node at ``fixed_value``
-    with unit weight; the remaining directions are tensorized as in
-    ``element_rule``.  Weights carry the parameter measure of the face
-    cell only; surface metric factors are the caller's business.
-    """
-    spans = [tuple(s) for s in spans]
-    dim = len(spans)
-    if not 0 <= fixed_dir < dim:
-        raise ValueError(f'fixed_dir {fixed_dir} out of range for dimension {dim}')
-    a, b = spans[fixed_dir]
-    if not a <= fixed_value <= b:
-        raise ValueError(f'pinned value {fixed_value} outside span [{a}, {b}]')
-    free = [d for d in range(dim) if d != fixed_dir]
-    nodes, weights = _scaled_axes([spans[d] for d in free], [orders[d] for d in free])
-    axis_nodes, axis_weights = [], []
-    k = 0
-    for d in range(dim):
-        if d == fixed_dir:
-            axis_nodes.append(np.array([fixed_value]))
-            axis_weights.append(np.array([1.0]))
-        else:
-            axis_nodes.append(nodes[k])
-            axis_weights.append(weights[k])
-            k += 1
-    return _tensorize(axis_nodes, axis_weights)

@@ -130,12 +130,88 @@ def build_space(knot_vectors, weights=None) -> DiscreteSpace:
     return DiscreteSpace(tuple(knot_vectors), weights)
 
 
-def _tensor_outer(mats):
-    # mats[a]: (m_a,) univariate rows; returns flat product, direction 0 slowest
-    out = mats[0]
-    for m in mats[1:]:
-        out = (out[:, None] * m[None, :]).ravel()
+def point_rows(space: DiscreteSpace, xi, max_deriv: int):
+    """Univariate rows of every direction at the single point ``xi``.
+
+    Returns ``(rows, firsts)`` in the form :func:`tensor_basis` takes:
+    ``rows[a]`` has shape ``(1, 3, p_a + 1)``.
+    """
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape != (space.ndim,):
+        raise ValueError(f'expected point of length {space.ndim}, got shape {xi.shape}')
+    evals = [eval_basis(kv, x, max_deriv) for kv, x in zip(space.knot_vectors, xi)]
+    rows = [np.stack((r.values, r.first_derivs, r.second_derivs))[None] for r in evals]
+    return rows, [r.first_active for r in evals]
+
+
+def _outer2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    q0, m0 = a.shape
+    q1, m1 = b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(q0 * q1, m0 * m1)
+
+
+def _combine(rows, sig) -> np.ndarray:
+    out = rows[0][:, sig[0], :]
+    for a in range(1, len(rows)):
+        out = _outer2(out, rows[a][:, sig[a], :])
     return out
+
+
+def _rationalize(val, grad, hess, w_act):
+    bw = val * w_act[None, :]
+    W = bw.sum(axis=1)
+    R = bw / W[:, None]
+    Rg = Rh = None
+    if grad is not None:
+        gw = grad * w_act[None, :, None]
+        Wg = gw.sum(axis=1)
+        Rg = (gw - R[:, :, None] * Wg[:, None, :]) / W[:, None, None]
+    if hess is not None:
+        hw = hess * w_act[None, :, None, None]
+        Wh = hw.sum(axis=1)
+        Rh = (hw
+              - Rg[:, :, :, None] * Wg[:, None, None, :]
+              - Rg[:, :, None, :] * Wg[:, None, :, None]
+              - R[:, :, None, None] * Wh[:, None, :, :]) / W[:, None, None, None]
+    return R, Rg, Rh
+
+
+def tensor_basis(space: DiscreteSpace, rows, firsts, need: int):
+    """Active dofs and basis blocks at a tensor grid of points.
+
+    ``rows[a]`` holds the univariate values and first and second
+    derivatives ``(q_a, 3, p_a + 1)`` of direction ``a`` at ``q_a``
+    points, and ``firsts[a]`` its first active index.  The grid of
+    ``q = prod q_a`` points and the ``m`` active functions both run with
+    direction 0 slowest.  Returns ``(active, val, grad, hess)`` with
+    shapes ``(m,)``, ``(q, m)``, ``(q, m, dim)`` and ``(q, m, dim, dim)``
+    in parameter space; derivatives above ``need`` (0, 1 or 2) are None.
+    For NURBS spaces the quotient rule is applied through second order.
+    """
+    nd = space.ndim
+    idx = [f + np.arange(p + 1) for f, p in zip(firsts, space.degrees)]
+    grids = np.meshgrid(*idx, indexing='ij')
+    active = sum(g.ravel() * s for g, s in zip(grids, space.strides)).astype(np.int64)
+    val = _combine(rows, (0,) * nd)
+    q, m = val.shape
+    grad = hess = None
+    if need >= 1:
+        grad = np.empty((q, m, nd))
+        for a in range(nd):
+            sig = [0] * nd
+            sig[a] = 1
+            grad[:, :, a] = _combine(rows, sig)
+    if need >= 2:
+        hess = np.empty((q, m, nd, nd))
+        for a in range(nd):
+            for b in range(a, nd):
+                sig = [0] * nd
+                sig[a] += 1
+                sig[b] += 1
+                hess[:, :, a, b] = hess[:, :, b, a] = _combine(rows, sig)
+    if space.weights is not None:
+        val, grad, hess = _rationalize(val, grad, hess, space.weights[active])
+    return active, val, grad, hess
 
 
 def eval_multivariate(space: DiscreteSpace, xi, max_deriv: int = 2) -> MultivariateBasis:
@@ -154,55 +230,12 @@ def eval_multivariate(space: DiscreteSpace, xi, max_deriv: int = 2) -> Multivari
         Highest derivative order needed (0, 1 or 2); higher rows are
         zero-filled.
     """
-    xi = np.asarray(xi, dtype=float)
-    nd = space.ndim
-    if xi.shape != (nd,):
-        raise ValueError(f'expected point of length {nd}, got shape {xi.shape}')
-    rows = [eval_basis(kv, x, max_deriv) for kv, x in zip(space.knot_vectors, xi)]
-
-    idx = [np.arange(r.first_active, r.span + 1) for r in rows]
-    grids = np.meshgrid(*idx, indexing='ij')
-    active = sum(g.ravel() * s for g, s in zip(grids, space.strides)).astype(np.int64)
-
-    vals = [r.values for r in rows]
-    d1 = [r.first_derivs for r in rows]
-    d2 = [r.second_derivs for r in rows]
-
-    m = active.size
-    values = _tensor_outer(vals)
-    gradients = np.zeros((m, nd))
-    hessians = np.zeros((m, nd, nd))
-    if max_deriv >= 1:
-        for a in range(nd):
-            gradients[:, a] = _tensor_outer([d1[b] if b == a else vals[b] for b in range(nd)])
-    if max_deriv >= 2:
-        for a in range(nd):
-            for b in range(a, nd):
-                if a == b:
-                    h = _tensor_outer([d2[c] if c == a else vals[c] for c in range(nd)])
-                else:
-                    h = _tensor_outer([d1[c] if c in (a, b) else vals[c] for c in range(nd)])
-                hessians[:, a, b] = h
-                hessians[:, b, a] = h
-
-    if space.weights is not None:
-        w = space.weights[active]
-        bw = values * w
-        gw = gradients * w[:, None]
-        hw = hessians * w[:, None, None]
-        W = bw.sum()
-        Wg = gw.sum(axis=0)
-        Wh = hw.sum(axis=0)
-        values = bw / W
-        if max_deriv >= 1:
-            gradients = (gw - values[:, None] * Wg[None, :]) / W
-        if max_deriv >= 2:
-            hessians = (hw
-                        - gradients[:, :, None] * Wg[None, None, :]
-                        - gradients[:, None, :] * Wg[None, :, None]
-                        - values[:, None, None] * Wh[None, :, :]) / W
-
-    return MultivariateBasis(active, values, gradients, hessians)
+    rows, firsts = point_rows(space, xi, max_deriv)
+    active, val, grad, hess = tensor_basis(space, rows, firsts, max_deriv)
+    m, nd = active.size, space.ndim
+    gradients = np.zeros((m, nd)) if grad is None else grad[0]
+    hessians = np.zeros((m, nd, nd)) if hess is None else hess[0]
+    return MultivariateBasis(active, val[0], gradients, hessians)
 
 
 def classify_dirichlet(space: DiscreteSpace) -> DofMap:

@@ -16,12 +16,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from geometries import identity_geometry
 from spacetime_iga._batch import ElementBatcher
 from spacetime_iga.assembly import (ManufacturedCase, SchemeParams,
                                     StabilityWarning, apply_dirichlet,
                                     assemble_fixed, assemble_moving,
                                     assemble_norm_matrices, boundary_l2_project)
-from spacetime_iga.geometry import identity_geometry, mesh_metrics
+from spacetime_iga.geometry import mesh_metrics
 from spacetime_iga.harness import builtin_cases, solution_space
 from spacetime_iga.linsolve import solve_direct
 from spacetime_iga.postproc import (DiscreteField, error_energy,

@@ -3,9 +3,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from geometries import identity_geometry
+from spacetime_iga._batch import ElementBatcher
 from spacetime_iga.geometry import (GeometryMap, SingularGeometryError, hessian,
-                                    identity_geometry, jacobian, map_point,
-                                    mesh_metrics, pullback_derivatives)
+                                    jacobian, map_point, mesh_metrics,
+                                    pullback_derivatives)
 from spacetime_iga.harness import builtin_cases, solution_space
 from spacetime_iga.splines import KnotVector, refine_uniform, single_span
 from spacetime_iga.tensor_space import build_space
@@ -134,18 +136,24 @@ def test_pullback_recovers_physical_derivatives():
     for name in ('moving-simple-1d', 'moving-curvi-1d'):
         geom = builtin_cases()[name].geometry
         rng = np.random.default_rng(25)
+        J, Hg, g_param, h_param, g_exact, H_exact = [], [], [], [], [], []
         for _ in range(10):
             xi = rng.uniform(0.05, 0.95, 2)
             x = map_point(geom, xi)
-            J, _ = jacobian(geom, xi)
-            Hg = hessian(geom, xi)
+            Jq, _ = jacobian(geom, xi)
+            Hq = hessian(geom, xi)
             g, H = u_grad_hess(x)
-            g_param = J.T @ g
-            h_param = J.T @ H @ J + np.einsum('k,kab->ab', g, Hg)
-            vals, g_back, h_back = pullback_derivatives(
-                J, Hg, np.array([1.0]), g_param[None, :], h_param[None, :, :])
-            assert_allclose(g_back[0], g, atol=1e-12)
-            assert_allclose(h_back[0], H, atol=1e-11)
+            J.append(Jq)
+            Hg.append(Hq)
+            g_param.append(Jq.T @ g)
+            h_param.append(Jq.T @ H @ Jq + np.einsum('k,kab->ab', g, Hq))
+            g_exact.append(g)
+            H_exact.append(H)
+        # one basis function at ten points: (q, m=1, dim[, dim])
+        g_back, h_back = pullback_derivatives(
+            np.array(J), np.array(g_param)[:, None], np.array(h_param)[:, None], np.array(Hg))
+        assert_allclose(g_back[:, 0], g_exact, atol=1e-12)
+        assert_allclose(h_back[:, 0], H_exact, atol=1e-11)
 
 
 def test_pullback_gradient_only_path():
@@ -153,9 +161,42 @@ def test_pullback_gradient_only_path():
     xi = np.array([0.3, 0.6])
     J, _ = jacobian(geom, xi)
     grads = np.array([[1.0, 0.0], [0.0, 1.0]])
-    vals, g, h = pullback_derivatives(J, None, np.array([1.0, 1.0]), grads)
+    g, h = pullback_derivatives(J[None], grads[None])
     assert h is None
-    assert_allclose(J.T @ g[0], grads[0], atol=1e-14)
+    assert_allclose(J.T @ g[0, 0], grads[0], atol=1e-14)
+
+
+def quarter_annulus_cylinder():
+    """Quarter annulus ``1 <= r <= 2`` times ``0 <= t <= 1``, exact in NURBS.
+
+    Directions: radius (linear), angle (quadratic arc with weights
+    ``[1, sqrt(1/2), 1]``), time (linear).
+    """
+    arc = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    cp, w = [], []
+    for t in (0.0, 1.0):
+        for j, wj in enumerate((1.0, np.sqrt(0.5), 1.0)):
+            for r in (1.0, 2.0):
+                cp.append([*(r * arc[j]), t])
+                w.append(wj)
+    space = build_space([single_span(1), single_span(2), single_span(1)], np.array(w))
+    return GeometryMap(space, np.array(cp))
+
+
+def test_quarter_annulus_exact_measures():
+    """Exact oracle for the rational geometry path of both entry points."""
+    geom = quarter_annulus_cylinder()
+    rng = np.random.default_rng(26)
+    for xi in rng.uniform(0.0, 1.0, (20, 3)):
+        x = map_point(geom, xi)
+        assert abs(np.hypot(x[0], x[1]) - (1.0 + xi[0])) < 1e-14
+        assert abs(x[2] - xi[2]) < 1e-14
+    space = solution_space(geom, 2, 2)
+    batcher = ElementBatcher(space, geom, [p + 3 for p in space.degrees])
+    volume = sum(el.w.sum() for el in batcher.elements(need=0))
+    assert abs(volume - 0.75 * np.pi) < 1e-12
+    outer = sum(el.w.sum() for el in batcher.faces(0, 1, need=0))
+    assert abs(outer - np.pi) < 1e-12
 
 
 def test_mesh_metrics_identity_map():

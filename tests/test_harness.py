@@ -180,6 +180,24 @@ def test_cli_config_errors(tmp_path, capsys):
     bad.write_text(json.dumps({'case': 'fixed-1d', 'bogus': 1}))
     assert cli_main(['run', '--config', str(bad)]) == 2
     capsys.readouterr()
+    # non-integer degree and level counts, bools included, are config errors
+    for key, value in (('degree', 2.5), ('levels', 2.0), ('degree', True)):
+        bad.write_text(json.dumps({'case': 'fixed-1d', 'levels': 1, key: value}))
+        assert cli_main(['run', '--config', str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err == f'error: {key} must be an integer, got {value!r}\n'
+
+
+def test_cli_singular_geometry_is_one_line(tmp_path, capsys):
+    # swapping the last two control points folds the map
+    geometry = dict(IDENTITY_GEOMETRY, control_points=[[0, 0], [1, 0], [1, 1], [0, 1]])
+    cfg = tmp_path / 'folded.json'
+    cfg.write_text(json.dumps({'case': 'custom', 'moving': False, 'levels': 1,
+                               'geometry': geometry}))
+    assert cli_main(['run', '--config', str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith('error: non-positive Jacobian determinant -')
+    assert err.count('\n') == 1
 
 
 def test_cli_requires_subcommand():

@@ -5,8 +5,7 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from spacetime_iga.linsolve import (ConvergenceError, SingularSystemError,
-                                    SolveReport, matvec, solve_direct,
-                                    solve_gmres)
+                                    SolveReport, solve_direct, solve_gmres)
 
 
 def random_spd(n, seed, density=0.3):
@@ -92,12 +91,6 @@ def test_input_validation():
         solve_direct(A, np.ones(4))
     with pytest.raises(ValueError):
         solve_direct(sp.eye(3).tocsr()[:, :2], np.ones(3))
-
-
-def test_matvec_consistency():
-    A = random_nonsymmetric(30, 21)
-    x = np.random.default_rng(22).standard_normal(30)
-    assert_allclose(matvec(A, x), A.toarray() @ x, rtol=1e-13)
 
 
 def test_report_is_frozen():

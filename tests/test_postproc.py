@@ -4,15 +4,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spacetime_iga.assembly import ManufacturedCase, SchemeParams
-from spacetime_iga.geometry import identity_geometry, jacobian, mesh_metrics
+from geometries import identity_geometry
+from spacetime_iga.geometry import mesh_metrics
 from spacetime_iga.harness import builtin_cases, solution_space
 from spacetime_iga.linsolve import SolveReport
 from spacetime_iga.postproc import (ConvergenceReport, DiscreteField,
-                                    FieldSample, LevelRecord, error_energy,
-                                    error_l2, estimate_inverse_constant,
-                                    eval_field, mesh_ratio, rates)
+                                    LevelRecord, error_energy, error_l2,
+                                    estimate_inverse_constant, mesh_ratio, rates)
 from spacetime_iga.splines import KnotVector, refine_uniform
-from spacetime_iga.tensor_space import build_space, eval_multivariate
+from spacetime_iga.tensor_space import build_space
 
 
 def unit_space(degree=2, level=2):
@@ -70,39 +70,6 @@ def test_constant_error_integrates_exactly():
     assert_allclose(error_energy(field, case, params), np.sqrt(0.5), rtol=1e-13)
     assert_allclose(error_energy(field, case, params, moving=True), np.sqrt(0.5),
                     rtol=1e-13)
-
-
-def test_eval_field_identity_geometry():
-    space = unit_space()
-    geom = identity_geometry(space)
-    rng = np.random.default_rng(41)
-    coeffs = rng.standard_normal(space.dim)
-    field = DiscreteField(space, geom, coeffs)
-    xi = np.array([0.37, 0.61])
-    mb = eval_multivariate(space, xi, max_deriv=1)
-    sample = eval_field(field, xi)
-    assert isinstance(sample, FieldSample)
-    c = coeffs[mb.active]
-    assert_allclose(sample.value, c @ mb.values, rtol=1e-13)
-    assert_allclose(sample.grad_x, [c @ mb.gradients[:, 0]], rtol=1e-13)
-    assert_allclose(sample.u_t, c @ mb.gradients[:, 1], rtol=1e-13)
-
-
-def test_eval_field_mapped_geometry():
-    # linear-in-parameter field: physical gradient via the inverse Jacobian
-    definition = builtin_cases()['moving-simple-1d']
-    geom = definition.geometry
-    space = solution_space(geom, 2, 2)
-    coeffs = greville_linear_coeffs(space, 2.0, 3.0, 1.0)
-    field = DiscreteField(space, geom, coeffs)
-    xi = np.array([0.3, 0.8])
-    sample = eval_field(field, xi)
-    J, _ = jacobian(geom, xi)
-    grad_param = np.array([2.0, 3.0])
-    grad_phys = np.linalg.solve(J.T, grad_param)
-    assert_allclose(sample.value, 2.0 * 0.3 + 3.0 * 0.8 + 1.0, rtol=1e-12)
-    assert_allclose(sample.grad_x, grad_phys[:1], rtol=1e-12)
-    assert_allclose(sample.u_t, grad_phys[1], rtol=1e-12)
 
 
 def test_rates_dyadic():

@@ -1,9 +1,7 @@
-"""Gauss-Legendre rules: exactness degrees and tensor/face measures."""
-import numpy as np
+"""Gauss-Legendre rules: exactness degrees, nodes and weights."""
 import pytest
-from numpy.testing import assert_allclose
 
-from spacetime_iga.quadrature import element_rule, face_rule, gauss_1d
+from spacetime_iga.quadrature import gauss_1d
 
 
 @pytest.mark.parametrize('n', range(1, 9))
@@ -38,45 +36,3 @@ def test_gauss_point_count_bounds():
         gauss_1d(0)
     with pytest.raises(ValueError):
         gauss_1d(17)
-
-
-def test_element_rule_separable_monomials():
-    spans = [(0.25, 0.5), (0.0, 0.75)]
-    rule = element_rule(spans, (3, 4))
-    for kx, kt in ((0, 0), (2, 1), (5, 3), (4, 7)):
-        val = float(rule.weights @ (rule.nodes[:, 0] ** kx * rule.nodes[:, 1] ** kt))
-        exact = ((0.5 ** (kx + 1) - 0.25 ** (kx + 1)) / (kx + 1)
-                 * 0.75 ** (kt + 1) / (kt + 1))
-        assert abs(val - exact) < 1e-14
-
-
-def test_element_rule_measure():
-    spans = [(0.1, 0.2), (0.3, 0.7), (0.0, 1.0)]
-    rule = element_rule(spans, (2, 2, 2))
-    assert abs(rule.weights.sum() - 0.1 * 0.4 * 1.0) < 1e-15
-    assert rule.n_points == 8
-
-
-def test_element_rule_validation():
-    with pytest.raises(ValueError):
-        element_rule([(0, 1), (0, 1)], (2,))
-
-
-def test_face_rule_pins_coordinate():
-    spans = [(0.0, 0.5), (0.5, 1.0)]
-    rule = face_rule(0, 0.5, spans, (3, 3))
-    assert np.all(rule.nodes[:, 0] == 0.5)
-    assert rule.n_points == 3
-    # face measure: only the running direction contributes
-    assert abs(rule.weights.sum() - 0.5) < 1e-15
-    val = float(rule.weights @ rule.nodes[:, 1] ** 3)
-    exact = (1.0 ** 4 - 0.5 ** 4) / 4
-    assert abs(val - exact) < 1e-15
-
-
-def test_face_rule_validation():
-    spans = [(0.0, 0.5), (0.5, 1.0)]
-    with pytest.raises(ValueError):
-        face_rule(2, 0.5, spans, (2, 2))
-    with pytest.raises(ValueError):
-        face_rule(0, 0.9, spans, (2, 2))  # pinned value outside span
