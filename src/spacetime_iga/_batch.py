@@ -54,9 +54,7 @@ def _table(kv: KnotVector, nodes: np.ndarray) -> _Table:
             row = eval_basis(kv, nodes[s, j])
             if row.span != span:
                 raise ValueError('solution spans must refine geometry spans')
-            ders[s, j, 0] = row.values
-            ders[s, j, 1] = row.first_derivs
-            ders[s, j, 2] = row.second_derivs
+            ders[s, j] = row.values, row.first_derivs, row.second_derivs
         first[s] = span - kv.degree
     return _Table(ders, first)
 

@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spacetime_iga.assembly import ManufacturedCase, SchemeParams
 from geometries import identity_geometry
+from spacetime_iga.assembly import ManufacturedCase, SchemeParams
 from spacetime_iga.geometry import mesh_metrics
 from spacetime_iga.harness import builtin_cases, solution_space
 from spacetime_iga.linsolve import SolveReport
