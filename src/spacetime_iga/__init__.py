@@ -19,7 +19,7 @@ from .postproc import (ConvergenceReport, DiscreteField, LevelRecord, error_ener
 from .quadrature import QuadratureRule, gauss_1d
 from .splines import (BasisEvalRow, KnotVector, eval_basis, find_span, refine_uniform,
                       single_span)
-from .tensor_space import (DiscreteSpace, DofMap, MultivariateBasis, build_space,
-                           classify_dirichlet, eval_multivariate)
+from .tensor_space import (DiscreteSpace, DofMap, build_space, classify_dirichlet,
+                           point_rows, tensor_basis)
 
 __version__ = '0.1.0'

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from ._batch import ElementBatcher
+from ._batch import ElementBatcher, at_points
 from .geometry import GeometryMap
 from .tensor_space import DiscreteSpace, DofMap
 
@@ -119,7 +119,15 @@ class NormMatrices:
 
 
 class _Accumulator:
-    """Per-element triplets, merged into CSR in bounded chunks."""
+    """COO triplets of blocks of local matrices, merged into CSR in bounded chunks.
+
+    Triplets are kept in element order, each local matrix row by row, and
+    scipy sums the duplicates of a chunk when it converts it to CSR.  That
+    fixes the order of every floating-point sum and with it the last bits
+    of the matrix, which the direct solve amplifies: at level 6 of the d = 1
+    regression sweeps, summing in element order onto a precomputed pattern
+    moved the L2 error by up to 5.7e-10 relative.
+    """
 
     def __init__(self, n: int, flush_at: int = 4_000_000):
         self.n = n
@@ -129,11 +137,13 @@ class _Accumulator:
         self._acc = None
 
     def add(self, dofs: np.ndarray, local: np.ndarray):
-        m = dofs.size
-        self._rows.append(np.repeat(dofs, m))
-        self._cols.append(np.tile(dofs, m))
+        """Add the local matrices ``(E, m, m)`` of the elements with ``dofs`` ``(E, m)``."""
+        E, m = dofs.shape
+        dofs = dofs.astype(np.int32 if self.n < 2**31 else np.int64)
+        self._rows.append(np.repeat(dofs, m, axis=1).ravel())
+        self._cols.append(np.tile(dofs, (1, m)).ravel())
         self._vals.append(local.ravel())
-        self._pending += m * m
+        self._pending += E * m * m
         if self._pending >= self.flush_at:
             self._merge()
 
@@ -156,22 +166,24 @@ class _Accumulator:
         return self._acc
 
 
-def _volume_terms(el, th: float, d: int, moving: bool):
-    w = el.w
-    val = el.val
-    dt = el.grad[:, :, d]
-    gx = el.grad[:, :, :d]
-    mx = el.hess[:, :, :d, d]
-    valw = val * w[:, None]
-    dtw = dt * w[:, None]
-    gxw = gx * w[:, None, None]
-    local = valw.T @ dt
-    local += th * (dtw.T @ dt)
-    local += np.einsum('qia,qja->ij', gxw, gx)
+def _gram(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``sum_q sum_a left[e, q, i, a] right[e, q, j, a]`` for every element of a block."""
+    return np.einsum('eqia,eqja->eij', left, right)
+
+
+def _volume_terms(blk, th: float, d: int, moving: bool):
+    w = blk.w[:, :, None]
+    dt = blk.grad[..., d]
+    gx = blk.grad[..., :d]
+    mx = blk.hess[..., :d, d]
+    gxw = gx * w[..., None]
+    local = np.swapaxes(blk.val * w, 1, 2) @ dt
+    local += th * (np.swapaxes(dt * w, 1, 2) @ dt)
+    local += _gram(gxw, gx)
     if moving:
-        local -= th * np.einsum('qia,qja->ij', gxw, mx)
+        local -= th * _gram(gxw, mx)
     else:
-        local += th * np.einsum('qia,qja->ij', np.einsum('qia,q->qia', mx, w), gx)
+        local += th * _gram(mx * w[..., None], gx)
     return local
 
 
@@ -181,16 +193,15 @@ def _assemble_form(space, geom, case, params, orders, moving) -> LinearSystem:
     batcher = ElementBatcher(space, geom, orders)
     acc = _Accumulator(space.dim)
     rhs = np.zeros(space.dim)
-    for el in batcher.elements(need=2):
-        local = _volume_terms(el, th, d, moving)
-        acc.add(el.dofs, local)
-        fv = case.f(el.x)
-        test = el.val + th * el.grad[:, :, d]
-        rhs[el.dofs] += test.T @ (el.w * fv)
+    for blk in batcher.blocks(need=2):
+        acc.add(blk.dofs, _volume_terms(blk, th, d, moving))
+        test = blk.val + th * blk.grad[..., d]
+        fw = blk.w * at_points(case.f, blk.x)
+        np.add.at(rhs, blk.dofs, (np.swapaxes(test, 1, 2) @ fw[..., None])[..., 0])
     if moving:
-        for el in batcher.faces(d, 1, need=1):
-            gxw = el.grad[:, :, :d] * el.w[:, None, None]
-            acc.add(el.dofs, th * np.einsum('qia,qja->ij', gxw, el.grad[:, :, :d]))
+        for blk in batcher.face_blocks(d, 1, need=1):
+            gx = blk.grad[..., :d]
+            acc.add(blk.dofs, th * _gram(gx * blk.w[:, :, None, None], gx))
     return LinearSystem(acc.result(), rhs)
 
 
@@ -233,17 +244,18 @@ def assemble_norm_matrices(space: DiscreteSpace, geom: GeometryMap,
     batcher = ElementBatcher(space, geom, orders)
     acc_n = _Accumulator(space.dim)
     acc_g = _Accumulator(space.dim)
-    for el in batcher.elements(need=1):
-        dt = el.grad[:, :, d]
-        gx = el.grad[:, :, :d]
-        local = np.einsum('qia,qja->ij', gx * el.w[:, None, None], gx)
-        local += th * ((dt * el.w[:, None]).T @ dt)
-        acc_n.add(el.dofs, local)
-    for el in batcher.faces(d, 1, need=1):
-        valw = el.val * el.w[:, None]
-        acc_n.add(el.dofs, 0.5 * (valw.T @ el.val))
-        gxw = el.grad[:, :, :d] * el.w[:, None, None]
-        acc_g.add(el.dofs, np.einsum('qia,qja->ij', gxw, el.grad[:, :, :d]))
+    for blk in batcher.blocks(need=1):
+        w = blk.w[:, :, None]
+        dt = blk.grad[..., d]
+        gx = blk.grad[..., :d]
+        local = _gram(gx * w[..., None], gx)
+        local += th * (np.swapaxes(dt * w, 1, 2) @ dt)
+        acc_n.add(blk.dofs, local)
+    for blk in batcher.face_blocks(d, 1, need=1):
+        w = blk.w[:, :, None]
+        acc_n.add(blk.dofs, 0.5 * (np.swapaxes(blk.val * w, 1, 2) @ blk.val))
+        gx = blk.grad[..., :d]
+        acc_g.add(blk.dofs, _gram(gx * w[..., None], gx))
     n_fixed = acc_n.result()
     face_gradient = acc_g.result()
     return NormMatrices(n_fixed, (n_fixed + th * face_gradient).tocsr(), face_gradient)
@@ -266,10 +278,10 @@ def boundary_l2_project(space: DiscreteSpace, geom: GeometryMap, g,
     load = np.zeros(space.dim)
     faces = [(a, side) for a in range(d) for side in (0, 1)] + [(d, 0)]
     for fixed_dir, side in faces:
-        for el in batcher.faces(fixed_dir, side, need=0):
-            valw = el.val * el.w[:, None]
-            acc.add(el.dofs, valw.T @ el.val)
-            load[el.dofs] += valw.T @ g(el.x)
+        for blk in batcher.face_blocks(fixed_dir, side, need=0):
+            valw_t = np.swapaxes(blk.val * blk.w[:, :, None], 1, 2)
+            acc.add(blk.dofs, valw_t @ blk.val)
+            np.add.at(load, blk.dofs, (valw_t @ at_points(g, blk.x)[..., None])[..., 0])
     mass = acc.result()
     idx = np.flatnonzero(dirichlet_mask)
     mdd = mass[idx][:, idx].tocsr()

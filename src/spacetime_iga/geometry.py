@@ -101,33 +101,35 @@ class PhysicalMesh:
 
 
 def eval_geometry(geom: GeometryMap, rows, firsts, need: int):
-    """Map, Jacobian and Hessian at a tensor grid of parameter points.
+    """Map, Jacobian and Hessian on a block of ``E`` elements.
 
     ``rows`` and ``firsts`` are univariate rows of ``geom.space`` as
     :func:`tensor_basis` takes them.  Returns ``(x, J, det, H)`` with
-    ``x[i]`` the image of point ``i``, ``J[i, k, a] = d Phi_k / d xi_a``,
-    its determinant, and ``H[i, k, a, b] = d^2 Phi_k / d xi_a d xi_b``;
-    entries above ``need`` (0, 1 or 2) are None.  Raises
-    ``SingularGeometryError`` unless ``det J > 0`` at every point.
+    ``x[e, i]`` the image of point ``i`` of element ``e``,
+    ``J[e, i, k, a] = d Phi_k / d xi_a``, its determinant, and
+    ``H[e, i, k, a, b] = d^2 Phi_k / d xi_a d xi_b``; entries above
+    ``need`` (0, 1 or 2) are None.  Raises ``SingularGeometryError``
+    unless ``det J > 0`` at every point of the block.
     """
     active, val, grad, hess = tensor_basis(geom.space, rows, firsts, need)
-    P = geom.control_points[active]
+    P = geom.control_points[active]                               # (E, m, dim)
     x = val @ P
     if need < 1:
         return x, None, None, None
-    J = np.einsum('qma,mk->qka', grad, P)
+    J = np.einsum('eqma,emk->eqka', grad, P)
     det = np.linalg.det(J)
     if not np.all(det > 0.0):
         k = int(np.argmin(det))
-        where = ', '.join(f'{c:.6g}' for c in x[k])
-        raise SingularGeometryError(f'non-positive Jacobian determinant {det[k]:.6g} at x = ({where})')
-    H = np.einsum('qmab,mk->qkab', hess, P) if need >= 2 else None
+        where = ', '.join(f'{c:.6g}' for c in x.reshape(-1, x.shape[-1])[k])
+        raise SingularGeometryError(
+            f'non-positive Jacobian determinant {det.ravel()[k]:.6g} at x = ({where})')
+    H = np.einsum('eqmab,emk->eqkab', hess, P) if need >= 2 else None
     return x, J, det, H
 
 
 def map_point(geom: GeometryMap, xi) -> np.ndarray:
     """Physical image of the parameter point ``xi``."""
-    return eval_geometry(geom, *point_rows(geom.space, xi, 0), need=0)[0][0]
+    return eval_geometry(geom, *point_rows(geom.space, xi, 0), need=0)[0][0, 0]
 
 
 def jacobian(geom: GeometryMap, xi):
@@ -136,7 +138,7 @@ def jacobian(geom: GeometryMap, xi):
     Raises ``SingularGeometryError`` unless ``det J > 0``.
     """
     _, J, det, _ = eval_geometry(geom, *point_rows(geom.space, xi, 1), need=1)
-    return J[0], float(det[0])
+    return J[0, 0], float(det[0, 0])
 
 
 def hessian(geom: GeometryMap, xi) -> np.ndarray:
@@ -144,7 +146,7 @@ def hessian(geom: GeometryMap, xi) -> np.ndarray:
 
     Raises ``SingularGeometryError`` unless ``det J > 0`` at ``xi``.
     """
-    return eval_geometry(geom, *point_rows(geom.space, xi, 2), need=2)[3][0]
+    return eval_geometry(geom, *point_rows(geom.space, xi, 2), need=2)[3][0, 0]
 
 
 def pullback_derivatives(jac, grads, hessians=None, hess_geom=None):
@@ -152,17 +154,18 @@ def pullback_derivatives(jac, grads, hessians=None, hess_geom=None):
 
     Gradients solve ``J^T g = g_param``; Hessians use
     ``H = J^{-T} (H_param - sum_k g_k H_geom[k]) J^{-1}`` with the
-    physical gradient ``g``.
+    physical gradient ``g``.  A block of ``E`` elements with ``q``
+    points each is passed as ``E * q`` points.
 
     Parameters
     ----------
     jac : np.ndarray
-        Geometry Jacobians ``(q, dim, dim)`` at ``q`` points.
+        Geometry Jacobians ``(n, dim, dim)`` at ``n`` points.
     grads, hessians : np.ndarray
-        Parameter-space derivatives ``(q, m, dim)`` and optionally
-        ``(q, m, dim, dim)`` of ``m`` basis functions.
+        Parameter-space derivatives ``(n, m, dim)`` and optionally
+        ``(n, m, dim, dim)`` of ``m`` basis functions.
     hess_geom : np.ndarray
-        Geometry second derivatives ``(q, dim, dim, dim)``; required
+        Geometry second derivatives ``(n, dim, dim, dim)``; required
         with ``hessians`` (zeros for an affine map).
 
     Returns
@@ -174,9 +177,8 @@ def pullback_derivatives(jac, grads, hessians=None, hess_geom=None):
     if hessians is None:
         return g, None
     Jinv = np.linalg.inv(jac)
-    corr = hessians - np.einsum('qmk,qkab->qmab', g, hess_geom)
-    h = np.einsum('qia,qmij,qjb->qmab', Jinv, corr, Jinv, optimize=True)
-    return g, h
+    corr = hessians - np.einsum('nmk,nkab->nmab', g, hess_geom)
+    return g, np.einsum('nia,nmij,njb->nmab', Jinv, corr, Jinv, optimize=True)
 
 
 def mesh_metrics(geom: GeometryMap, space: DiscreteSpace, orders=None) -> PhysicalMesh:
@@ -197,12 +199,9 @@ def mesh_metrics(geom: GeometryMap, space: DiscreteSpace, orders=None) -> Physic
     from ._batch import ElementBatcher
 
     span_arrays = tuple(kv.spans for kv in space.knot_vectors)
-    shape = tuple(len(s) for s in span_arrays)
-    n_el = int(np.prod(shape))
-    h_param = np.empty(n_el)
-    h_elem = np.empty(n_el)
-    for e, (multi, J) in enumerate(ElementBatcher(space, geom, orders).jacobians()):
-        sides = np.array([b - a for a, b in (span_arrays[a][i] for a, i in enumerate(multi))])
-        h_param[e] = float(np.linalg.norm(sides))
-        h_elem[e] = float(np.linalg.norm(J, ord=2, axis=(1, 2)).max()) * h_param[e]
+    sides = np.meshgrid(*[np.diff(s, axis=1)[:, 0] for s in span_arrays], indexing='ij')
+    h_param = np.sqrt(sum(s**2 for s in sides)).ravel()
+    h_elem = np.empty_like(h_param)
+    for index, J in ElementBatcher(space, geom, orders).jacobian_blocks():
+        h_elem[index] = np.linalg.norm(J, ord=2, axis=(2, 3)).max(axis=1) * h_param[index]
     return PhysicalMesh(span_arrays, h_param, h_elem)

@@ -39,6 +39,7 @@ __all__ = [
 
 CSV_HEADER = 'level,dofs,h,error_l2,rate_l2,error_energy,rate_energy,solver,iters,residual,time_s'
 DIRECT_DOF_LIMIT = 200_000
+_RUN_ERRORS = (SingularGeometryError, ConvergenceError, SingularSystemError)
 
 
 # ---------------------------------------------------------------------------
@@ -241,50 +242,55 @@ def _solve(system: LinearSystem, config: CaseConfig):
                        restart=config.gmres_restart, max_iter=config.gmres_max_iter)
 
 
+def _report(config: CaseConfig, case, levels) -> ConvergenceReport:
+    """Attach dyadic rates to the finished ``(level, dofs, h, e_l2, e_energy, solve)`` tuples."""
+    r2 = rates([lv[3] for lv in levels])
+    re = rates([lv[4] for lv in levels])
+    records = tuple(LevelRecord(level, dofs, h, e2, float(r2[k]), ee, float(re[k]), report)
+                    for k, (level, dofs, h, e2, ee, report) in enumerate(levels))
+    return ConvergenceReport(case.name, config.degree, config.theta, case.moving, records)
+
+
 def run_case(config: CaseConfig) -> ConvergenceReport:
     """Run the refinement sweep described by ``config``.
 
     Levels 0 .. levels-1 halve every knot span in turn; each level
     assembles the scheme, applies Dirichlet data by boundary projection,
-    solves, and records errors.  Rates are attached afterwards.
+    solves, and records errors.  Rates are attached afterwards.  When a
+    level raises ``SingularGeometryError``, ``ConvergenceError`` or
+    ``SingularSystemError``, the error propagates with a ``report``
+    attribute: the :class:`ConvergenceReport` of the levels before it.
     """
     definition = resolve_case(config)
     case, geom = definition.case, definition.geometry
-    d = case.d
-    records = []
-    errs_l2, errs_en, raw = [], [], []
+    levels = []
     c_inv = None
     for level in range(config.levels):
-        space = solution_space(geom, config.degree, level)
-        dofmap = classify_dirichlet(space)
-        mesh = mesh_metrics(geom, space)
-        theta_bound = None
-        if case.moving:
-            if c_inv is None or level <= 2:
-                c_inv = estimate_inverse_constant(space, geom, mesh)
-            theta_bound = 1.0 / (2.0 * c_inv * mesh_ratio(mesh))
-        params = SchemeParams(config.theta, mesh.h_hat, theta_bound)
-        if case.moving:
-            full = assemble_moving(space, geom, case, params)
-        else:
-            full = assemble_fixed(space, geom, case, params)
-        reduced = apply_dirichlet(full, dofmap, case, space, geom)
-        x, report = _solve(reduced, config)
-        coeffs = reduced.dirichlet_values.copy()
-        coeffs[dofmap.free] = x
-        field = DiscreteField(space, geom, coeffs)
-        e2 = error_l2(field, case)
-        ee = error_energy(field, case, params, moving=case.moving)
-        errs_l2.append(e2)
-        errs_en.append(ee)
-        raw.append((level, space.dim, params.h, report))
-    r2 = rates(errs_l2)
-    re = rates(errs_en)
-    for k, (level, dofs, h, report) in enumerate(raw):
-        records.append(LevelRecord(level, dofs, h, errs_l2[k], float(r2[k]),
-                                   errs_en[k], float(re[k]), report))
-    return ConvergenceReport(case.name, config.degree, config.theta, case.moving,
-                             tuple(records))
+        try:
+            space = solution_space(geom, config.degree, level)
+            dofmap = classify_dirichlet(space)
+            mesh = mesh_metrics(geom, space)
+            theta_bound = None
+            if case.moving:
+                if c_inv is None or level <= 2:
+                    c_inv = estimate_inverse_constant(space, geom, mesh)
+                theta_bound = 1.0 / (2.0 * c_inv * mesh_ratio(mesh))
+            params = SchemeParams(config.theta, mesh.h_hat, theta_bound)
+            if case.moving:
+                full = assemble_moving(space, geom, case, params)
+            else:
+                full = assemble_fixed(space, geom, case, params)
+            reduced = apply_dirichlet(full, dofmap, case, space, geom)
+            x, report = _solve(reduced, config)
+            coeffs = reduced.dirichlet_values.copy()
+            coeffs[dofmap.free] = x
+            field = DiscreteField(space, geom, coeffs)
+            levels.append((level, space.dim, params.h, error_l2(field, case),
+                           error_energy(field, case, params, moving=case.moving), report))
+        except _RUN_ERRORS as exc:
+            exc.report = _report(config, case, levels)
+            raise
+    return _report(config, case, levels)
 
 
 def emit_csv(report: ConvergenceReport, path: str, deterministic: bool = False):
@@ -305,6 +311,11 @@ def emit_csv(report: ConvergenceReport, path: str, deterministic: bool = False):
         ]))
     with open(path, 'w', newline='\n') as fh:
         fh.write('\n'.join(lines) + '\n')
+
+
+def _print_report(report: ConvergenceReport):
+    print(f'case {report.case}, degree {report.degree}, theta {report.theta}')
+    print(_format_table(report))
 
 
 def _format_table(report: ConvergenceReport) -> str:
@@ -571,11 +582,12 @@ def cli_main(argv=None) -> int:
 
     try:
         report = run_case(config)
-    except (SingularGeometryError, ConvergenceError, SingularSystemError) as exc:
+    except _RUN_ERRORS as exc:
+        if exc.report.records:
+            _print_report(exc.report)
         print(f'error: {exc}', file=sys.stderr)
         return 1
-    print(f'case {report.case}, degree {report.degree}, theta {report.theta}')
-    print(_format_table(report))
+    _print_report(report)
     if config.out:
         emit_csv(report, config.out, deterministic=config.deterministic)
         print(f'wrote {config.out}')

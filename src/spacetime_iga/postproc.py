@@ -9,9 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from ._batch import ElementBatcher
+from ._batch import ElementBatcher, at_points
 from .assembly import ManufacturedCase, SchemeParams
 from .geometry import GeometryMap, PhysicalMesh
 from .linsolve import SolveReport
@@ -54,9 +53,10 @@ def error_l2(field: DiscreteField, case: ManufacturedCase, orders=None) -> float
     """L2(Q) distance between the field and the exact solution."""
     batcher = ElementBatcher(field.space, field.geom, _error_orders(field.space, orders))
     total = 0.0
-    for el in batcher.elements(need=0):
-        diff = el.val @ field.coefficients[el.dofs] - case.u(el.x)
-        total += float(el.w @ diff**2)
+    for blk in batcher.blocks(need=0):
+        uh = np.einsum('eqm,em->eq', blk.val, field.coefficients[blk.dofs])
+        diff = uh - at_points(case.u, blk.x)
+        total += float(np.sum(blk.w * diff**2))
     return np.sqrt(total)
 
 
@@ -76,20 +76,19 @@ def error_energy(field: DiscreteField, case: ManufacturedCase, params: SchemePar
     c = field.coefficients
     batcher = ElementBatcher(field.space, field.geom, _error_orders(field.space, orders))
     total = 0.0
-    for el in batcher.elements(need=1):
-        ca = c[el.dofs]
-        e_grad = np.einsum('qma,m->qa', el.grad, ca)
-        e_grad[:, :d] -= case.grad_u(el.x)
-        e_grad[:, d] -= case.u_t(el.x)
-        total += float(el.w @ (e_grad[:, :d] ** 2).sum(axis=1))
-        total += th * float(el.w @ e_grad[:, d] ** 2)
-    for el in batcher.faces(d, 1, need=1):
-        ca = c[el.dofs]
-        diff = el.val @ ca - case.u(el.x)
-        total += 0.5 * float(el.w @ diff**2)
+    for blk in batcher.blocks(need=1):
+        e_grad = np.einsum('eqma,em->eqa', blk.grad, c[blk.dofs])
+        e_grad[..., :d] -= at_points(case.grad_u, blk.x)
+        e_grad[..., d] -= at_points(case.u_t, blk.x)
+        density = (e_grad[..., :d] ** 2).sum(axis=2) + th * e_grad[..., d] ** 2
+        total += float(np.sum(blk.w * density))
+    for blk in batcher.face_blocks(d, 1, need=1):
+        ca = c[blk.dofs]
+        diff = np.einsum('eqm,em->eq', blk.val, ca) - at_points(case.u, blk.x)
+        total += 0.5 * float(np.sum(blk.w * diff**2))
         if moving:
-            e_gx = np.einsum('qma,m->qa', el.grad[:, :, :d], ca) - case.grad_u(el.x)
-            total += th * float(el.w @ (e_gx**2).sum(axis=1))
+            e_gx = np.einsum('eqma,em->eqa', blk.grad[..., :d], ca) - at_points(case.grad_u, blk.x)
+            total += th * float(np.sum(blk.w * (e_gx**2).sum(axis=2)))
     return np.sqrt(total)
 
 
@@ -119,12 +118,15 @@ def estimate_inverse_constant(space: DiscreteSpace, geom: GeometryMap,
     """
     batcher = ElementBatcher(space, geom, _error_orders(space, orders))
     worst = 0.0
-    for el in batcher.elements(need=1):
-        gw = el.grad * el.w[:, None, None]
-        stiff = np.einsum('qia,qja->ij', gw, el.grad)
-        mass = (el.val * el.w[:, None]).T @ el.val
-        lam = scipy.linalg.eigh(stiff, mass, eigvals_only=True)[-1]
-        worst = max(worst, mesh.h_elem[el.index] * np.sqrt(max(lam, 0.0)))
+    for blk in batcher.blocks(need=1):
+        E, q, m, nd = blk.grad.shape
+        gw = (blk.grad * blk.w[:, :, None, None]).transpose(0, 2, 1, 3).reshape(E, m, q * nd)
+        stiff = gw @ blk.grad.transpose(0, 1, 3, 2).reshape(E, q * nd, m)
+        chol = np.linalg.cholesky(np.swapaxes(blk.val * blk.w[:, :, None], 1, 2) @ blk.val)
+        # L^{-1} K L^{-T} has the eigenvalues of the pencil (K, M = L L^T)
+        half = np.linalg.solve(chol, stiff)
+        lam = np.linalg.eigvalsh(np.linalg.solve(chol, np.swapaxes(half, 1, 2)))[:, -1]
+        worst = max(worst, float(np.max(mesh.h_elem[blk.index] * np.sqrt(np.maximum(lam, 0.0)))))
     return float(worst)
 
 

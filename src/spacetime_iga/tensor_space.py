@@ -16,10 +16,10 @@ from .splines import KnotVector, eval_basis
 
 __all__ = [
     'DiscreteSpace',
-    'MultivariateBasis',
     'DofMap',
     'build_space',
-    'eval_multivariate',
+    'point_rows',
+    'tensor_basis',
     'classify_dirichlet',
 ]
 
@@ -80,30 +80,6 @@ class DiscreteSpace:
             s *= n
         return tuple(out)
 
-    def flat_index(self, multi) -> int:
-        return int(sum(i * s for i, s in zip(multi, self.strides)))
-
-    def multi_index(self, flat: int) -> tuple:
-        out = []
-        for n in self.dims:
-            out.append(flat % n)
-            flat //= n
-        return tuple(out)
-
-
-@dataclass(frozen=True)
-class MultivariateBasis:
-    """Active basis functions at one parameter point.
-
-    ``active[m]`` is the flat dof index of the m-th non-vanishing
-    function; ``values``, ``gradients`` and ``hessians`` are its value
-    and parameter-space derivatives there.
-    """
-
-    active: np.ndarray
-    values: np.ndarray
-    gradients: np.ndarray
-    hessians: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -133,109 +109,88 @@ def build_space(knot_vectors, weights=None) -> DiscreteSpace:
 def point_rows(space: DiscreteSpace, xi, max_deriv: int):
     """Univariate rows of every direction at the single point ``xi``.
 
-    Returns ``(rows, firsts)`` in the form :func:`tensor_basis` takes:
-    ``rows[a]`` has shape ``(1, 3, p_a + 1)``.
+    Returns ``(rows, firsts)`` in the form :func:`tensor_basis` takes, a
+    block of one element with one point: ``rows[a]`` has shape
+    ``(1, 1, 3, p_a + 1)`` and ``firsts[a]`` shape ``(1,)``.
     """
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (space.ndim,):
         raise ValueError(f'expected point of length {space.ndim}, got shape {xi.shape}')
     evals = [eval_basis(kv, x, max_deriv) for kv, x in zip(space.knot_vectors, xi)]
-    rows = [np.stack((r.values, r.first_derivs, r.second_derivs))[None] for r in evals]
-    return rows, [r.first_active for r in evals]
+    rows = [np.stack((r.values, r.first_derivs, r.second_derivs))[None, None] for r in evals]
+    return rows, [np.array([r.first_active]) for r in evals]
 
 
 def _outer2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    q0, m0 = a.shape
-    q1, m1 = b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(q0 * q1, m0 * m1)
+    E, q0, m0 = a.shape
+    _, q1, m1 = b.shape
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(E, q0 * q1, m0 * m1)
 
 
 def _combine(rows, sig) -> np.ndarray:
-    out = rows[0][:, sig[0], :]
+    out = rows[0][:, :, sig[0], :]
     for a in range(1, len(rows)):
-        out = _outer2(out, rows[a][:, sig[a], :])
+        out = _outer2(out, rows[a][:, :, sig[a], :])
     return out
 
 
 def _rationalize(val, grad, hess, w_act):
-    bw = val * w_act[None, :]
-    W = bw.sum(axis=1)
-    R = bw / W[:, None]
+    bw = val * w_act[:, None, :]
+    W = bw.sum(axis=2, keepdims=True)
+    R = bw / W
     Rg = Rh = None
     if grad is not None:
-        gw = grad * w_act[None, :, None]
-        Wg = gw.sum(axis=1)
-        Rg = (gw - R[:, :, None] * Wg[:, None, :]) / W[:, None, None]
+        gw = grad * w_act[:, None, :, None]
+        Wg = gw.sum(axis=2, keepdims=True)
+        Rg = (gw - R[..., None] * Wg) / W[..., None]
     if hess is not None:
-        hw = hess * w_act[None, :, None, None]
-        Wh = hw.sum(axis=1)
+        hw = hess * w_act[:, None, :, None, None]
+        Wh = hw.sum(axis=2, keepdims=True)
         Rh = (hw
-              - Rg[:, :, :, None] * Wg[:, None, None, :]
-              - Rg[:, :, None, :] * Wg[:, None, :, None]
-              - R[:, :, None, None] * Wh[:, None, :, :]) / W[:, None, None, None]
+              - Rg[..., :, None] * Wg[..., None, :]
+              - Rg[..., None, :] * Wg[..., :, None]
+              - R[..., None, None] * Wh) / W[..., None, None]
     return R, Rg, Rh
 
 
 def tensor_basis(space: DiscreteSpace, rows, firsts, need: int):
-    """Active dofs and basis blocks at a tensor grid of points.
+    """Active dofs and basis blocks of ``E`` elements at tensor grids of points.
 
     ``rows[a]`` holds the univariate values and first and second
-    derivatives ``(q_a, 3, p_a + 1)`` of direction ``a`` at ``q_a``
-    points, and ``firsts[a]`` its first active index.  The grid of
-    ``q = prod q_a`` points and the ``m`` active functions both run with
-    direction 0 slowest.  Returns ``(active, val, grad, hess)`` with
-    shapes ``(m,)``, ``(q, m)``, ``(q, m, dim)`` and ``(q, m, dim, dim)``
-    in parameter space; derivatives above ``need`` (0, 1 or 2) are None.
-    For NURBS spaces the quotient rule is applied through second order.
+    derivatives ``(E, q_a, 3, p_a + 1)`` of direction ``a`` at ``q_a``
+    points per element, and ``firsts[a]`` ``(E,)`` their first active
+    indices.  The grid of ``q = prod q_a`` points and the ``m`` active
+    functions both run with direction 0 slowest.  Returns
+    ``(active, val, grad, hess)`` with shapes ``(E, m)``, ``(E, q, m)``,
+    ``(E, q, m, dim)`` and ``(E, q, m, dim, dim)`` in parameter space;
+    derivatives above ``need`` (0, 1 or 2) are None.  For NURBS spaces
+    the quotient rule is applied through second order.
     """
     nd = space.ndim
-    idx = [f + np.arange(p + 1) for f, p in zip(firsts, space.degrees)]
-    grids = np.meshgrid(*idx, indexing='ij')
-    active = sum(g.ravel() * s for g, s in zip(grids, space.strides)).astype(np.int64)
+    active = np.zeros((len(firsts[0]), 1), dtype=np.int64)
+    for f, p, s in zip(firsts, space.degrees, space.strides):
+        idx = (np.asarray(f, dtype=np.int64)[:, None] + np.arange(p + 1)) * s
+        active = (active[:, :, None] + idx[:, None, :]).reshape(active.shape[0], -1)
     val = _combine(rows, (0,) * nd)
-    q, m = val.shape
+    E, q, m = val.shape
     grad = hess = None
     if need >= 1:
-        grad = np.empty((q, m, nd))
+        grad = np.empty((E, q, m, nd))
         for a in range(nd):
             sig = [0] * nd
             sig[a] = 1
-            grad[:, :, a] = _combine(rows, sig)
+            grad[..., a] = _combine(rows, sig)
     if need >= 2:
-        hess = np.empty((q, m, nd, nd))
+        hess = np.empty((E, q, m, nd, nd))
         for a in range(nd):
             for b in range(a, nd):
                 sig = [0] * nd
                 sig[a] += 1
                 sig[b] += 1
-                hess[:, :, a, b] = hess[:, :, b, a] = _combine(rows, sig)
+                hess[..., a, b] = hess[..., b, a] = _combine(rows, sig)
     if space.weights is not None:
         val, grad, hess = _rationalize(val, grad, hess, space.weights[active])
     return active, val, grad, hess
-
-
-def eval_multivariate(space: DiscreteSpace, xi, max_deriv: int = 2) -> MultivariateBasis:
-    """Evaluate all non-vanishing multivariate basis functions at ``xi``.
-
-    Returns parameter-space values, gradients and Hessians of the active
-    functions.  For NURBS spaces the rational quotient rule is applied
-    through second order; the active set is unchanged by weighting.
-
-    Parameters
-    ----------
-    space : DiscreteSpace
-    xi : array_like
-        Point in the closed parameter cube, length ``space.ndim``.
-    max_deriv : int
-        Highest derivative order needed (0, 1 or 2); higher rows are
-        zero-filled.
-    """
-    rows, firsts = point_rows(space, xi, max_deriv)
-    active, val, grad, hess = tensor_basis(space, rows, firsts, max_deriv)
-    m, nd = active.size, space.ndim
-    gradients = np.zeros((m, nd)) if grad is None else grad[0]
-    hessians = np.zeros((m, nd, nd)) if hess is None else hess[0]
-    return MultivariateBasis(active, val[0], gradients, hessians)
 
 
 def classify_dirichlet(space: DiscreteSpace) -> DofMap:

@@ -17,7 +17,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from geometries import identity_geometry
-from spacetime_iga._batch import ElementBatcher
+from spacetime_iga._batch import ElementBatcher, at_points
 from spacetime_iga.assembly import (ManufacturedCase, SchemeParams,
                                     StabilityWarning, apply_dirichlet,
                                     assemble_fixed, assemble_moving,
@@ -27,7 +27,7 @@ from spacetime_iga.harness import builtin_cases, solution_space
 from spacetime_iga.linsolve import solve_direct
 from spacetime_iga.postproc import (DiscreteField, error_energy,
                                     estimate_inverse_constant, mesh_ratio)
-from spacetime_iga.tensor_space import classify_dirichlet, eval_multivariate
+from spacetime_iga.tensor_space import classify_dirichlet, point_rows, tensor_basis
 
 
 def setup(name, degree=2, level=2):
@@ -53,13 +53,13 @@ def lateral_time_normal_matrix(space, geom, orders=None):
     for a in range(d):
         for side in (0, 1):
             sign = 1.0 if side == 1 else -1.0
-            for el in batcher.faces(a, side, need=1):
-                Jinv = np.linalg.inv(el.jac)
-                nanson = sign * el.det[:, None] * Jinv[:, a, :]
-                w_nt = el.w * nanson[:, d] / np.linalg.norm(nanson, axis=1)
-                gx = el.grad[:, :, :d]
-                local = np.einsum('q,qia,qja->ij', w_nt, gx, gx)
-                L[np.ix_(el.dofs, el.dofs)] += local
+            for blk in batcher.face_blocks(a, side, need=1):
+                Jinv = np.linalg.inv(blk.jac)
+                nanson = sign * blk.det[..., None] * Jinv[..., a, :]
+                w_nt = blk.w * nanson[..., d] / np.linalg.norm(nanson, axis=-1)
+                gx = blk.grad[..., :d]
+                local = np.einsum('eq,eqia,eqja->eij', w_nt, gx, gx)
+                np.add.at(L, (blk.dofs[:, :, None], blk.dofs[:, None, :]), local)
     return L
 
 
@@ -135,38 +135,41 @@ def ramp_solution(d):
 def moving_form_rows(space, geom, params, trial, orders, terminal_face=True):
     """Rows ``b_h(w, phi_i)`` of the moving-domain form for a trial ``w``.
 
-    ``trial(el)`` returns ``dt w``, ``grad_x w`` and ``dt grad_x w`` at the
-    quadrature points of a volume element or terminal face, so ``w`` may
-    be an analytic function outside the discrete space.
+    ``trial(blk)`` returns ``dt w``, ``grad_x w`` and ``dt grad_x w`` at the
+    quadrature points of a block of volume elements or terminal faces,
+    shaped ``(E, q)``, ``(E, q, d)`` and ``(E, q, d)``, so ``w`` may be an
+    analytic function outside the discrete space.
     """
     d = space.ndim - 1
     th = params.theta * params.h
     rows = np.zeros(space.dim)
     batcher = ElementBatcher(space, geom, orders)
-    for el in batcher.elements(need=2):
-        w_t, w_gx, w_gxt = trial(el)
-        dt = el.grad[:, :, d]
-        gx = el.grad[:, :, :d]
-        rows[el.dofs] += (el.val + th * dt).T @ (el.w * w_t)
-        rows[el.dofs] += np.einsum('qia,qa->i', gx,
-                                   el.w[:, None] * (w_gx - th * w_gxt))
+    for blk in batcher.blocks(need=2):
+        w_t, w_gx, w_gxt = trial(blk)
+        dt = blk.grad[..., d]
+        gx = blk.grad[..., :d]
+        np.add.at(rows, blk.dofs, np.einsum('eqi,eq->ei', blk.val + th * dt, blk.w * w_t))
+        np.add.at(rows, blk.dofs, np.einsum('eqia,eqa->ei', gx,
+                                            blk.w[..., None] * (w_gx - th * w_gxt)))
     if terminal_face:
-        for el in batcher.faces(d, 1, need=2):
-            _, w_gx, _ = trial(el)
-            rows[el.dofs] += th * np.einsum('qia,qa->i', el.grad[:, :, :d],
-                                            el.w[:, None] * w_gx)
+        for blk in batcher.face_blocks(d, 1, need=2):
+            _, w_gx, _ = trial(blk)
+            np.add.at(rows, blk.dofs, th * np.einsum('eqia,eqa->ei', blk.grad[..., :d],
+                                                     blk.w[..., None] * w_gx))
     return rows
 
 
 def analytic_trial(case, grad_u_t):
-    return lambda el: (case.u_t(el.x), case.grad_u(el.x), grad_u_t(el.x))
+    return lambda blk: (at_points(case.u_t, blk.x), at_points(case.grad_u, blk.x),
+                        at_points(grad_u_t, blk.x))
 
 
 def discrete_trial(coeffs, d):
-    def trial(el):
-        c = coeffs[el.dofs]
-        return (el.grad[:, :, d] @ c, np.einsum('qma,m->qa', el.grad[:, :, :d], c),
-                np.einsum('qma,m->qa', el.hess[:, :, :d, d], c))
+    def trial(blk):
+        c = coeffs[blk.dofs]
+        return (np.einsum('eqm,em->eq', blk.grad[..., d], c),
+                np.einsum('eqma,em->eqa', blk.grad[..., :d], c),
+                np.einsum('eqma,em->eqa', blk.hess[..., :d, d], c))
     return trial
 
 
@@ -355,8 +358,8 @@ def test_boundary_projection_reproduces_trace_data():
     def g(x):
         out = np.empty(x.shape[0])
         for q, pt in enumerate(x):
-            mb = eval_multivariate(space, pt, max_deriv=0)
-            out[q] = mb.values @ coeffs[mb.active]
+            active, val, _, _ = tensor_basis(space, *point_rows(space, pt, 0), 0)
+            out[q] = val[0, 0] @ coeffs[active[0]]
         return out
 
     values = boundary_l2_project(space, geom_id, g, dofmap.dirichlet_mask)
@@ -390,9 +393,9 @@ def test_boundary_values_interpolate_exact_solution():
         batcher = ElementBatcher(space, geom)
         worst = 0.0
         for side in (0, 1):
-            for el in batcher.faces(0, side, need=0):
-                vals = el.val @ reduced.dirichlet_values[el.dofs]
-                worst = max(worst, float(np.abs(vals - case.u(el.x)).max()))
+            for blk in batcher.face_blocks(0, side, need=0):
+                vals = np.einsum('eqm,em->eq', blk.val, reduced.dirichlet_values[blk.dofs])
+                worst = max(worst, float(np.abs(vals - at_points(case.u, blk.x)).max()))
         return worst
 
     coarse, fine = trace_error(3), trace_error(4)

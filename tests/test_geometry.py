@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from geometries import identity_geometry
+from geometries import identity_geometry, quarter_annulus_cylinder
 from spacetime_iga._batch import ElementBatcher
 from spacetime_iga.geometry import (GeometryMap, SingularGeometryError, hessian,
                                     jacobian, map_point, mesh_metrics,
@@ -166,23 +166,6 @@ def test_pullback_gradient_only_path():
     assert_allclose(J.T @ g[0, 0], grads[0], atol=1e-14)
 
 
-def quarter_annulus_cylinder():
-    """Quarter annulus ``1 <= r <= 2`` times ``0 <= t <= 1``, exact in NURBS.
-
-    Directions: radius (linear), angle (quadratic arc with weights
-    ``[1, sqrt(1/2), 1]``), time (linear).
-    """
-    arc = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    cp, w = [], []
-    for t in (0.0, 1.0):
-        for j, wj in enumerate((1.0, np.sqrt(0.5), 1.0)):
-            for r in (1.0, 2.0):
-                cp.append([*(r * arc[j]), t])
-                w.append(wj)
-    space = build_space([single_span(1), single_span(2), single_span(1)], np.array(w))
-    return GeometryMap(space, np.array(cp))
-
-
 def test_quarter_annulus_exact_measures():
     """Exact oracle for the rational geometry path of both entry points."""
     geom = quarter_annulus_cylinder()
@@ -193,9 +176,9 @@ def test_quarter_annulus_exact_measures():
         assert abs(x[2] - xi[2]) < 1e-14
     space = solution_space(geom, 2, 2)
     batcher = ElementBatcher(space, geom, [p + 3 for p in space.degrees])
-    volume = sum(el.w.sum() for el in batcher.elements(need=0))
+    volume = sum(blk.w.sum() for blk in batcher.blocks(need=0))
     assert abs(volume - 0.75 * np.pi) < 1e-12
-    outer = sum(el.w.sum() for el in batcher.faces(0, 1, need=0))
+    outer = sum(blk.w.sum() for blk in batcher.face_blocks(0, 1, need=0))
     assert abs(outer - np.pi) < 1e-12
 
 

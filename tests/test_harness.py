@@ -11,6 +11,7 @@ from spacetime_iga.harness import (CSV_HEADER, CaseConfig, builtin_cases,
                                    cli_main, emit_csv, load_config, run_case,
                                    solution_space)
 from spacetime_iga.harness import _coercivity_defect
+from spacetime_iga.linsolve import ConvergenceError
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), 'data')
 
@@ -198,6 +199,27 @@ def test_cli_singular_geometry_is_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith('error: non-positive Jacobian determinant -')
     assert err.count('\n') == 1
+
+
+def test_cli_failed_level_keeps_finished_levels(tmp_path, capsys):
+    # two GMRES iterations solve L0 (two free dofs) but not L1 (six)
+    cfg = tmp_path / 'gmres.json'
+    cfg.write_text(json.dumps({'case': 'fixed-1d', 'degree': 2, 'levels': 3,
+                               'solver': 'gmres', 'gmres_restart': 2, 'gmres_max_iter': 2}))
+    assert cli_main(['run', '--config', str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith('error: GMRES did not reach tol=1e-10 within 2 iterations')
+    assert captured.err.count('\n') == 1
+    table = captured.out.strip().split('\n')
+    assert table[0] == 'case fixed-1d, degree 2, theta 0.1'
+    assert len(table) == 3 and table[2].split()[:2] == ['0', '9']
+    # the error run_case raises carries the same finished level
+    with pytest.raises(ConvergenceError) as excinfo:
+        run_case(load_config(str(cfg)))
+    report = excinfo.value.report
+    assert [r.level for r in report.records] == [0]
+    reference = run_case(CaseConfig(case='fixed-1d', degree=2, levels=1))
+    assert_allclose(report.errors_energy, reference.errors_energy, rtol=1e-8)
 
 
 def test_cli_requires_subcommand():

@@ -4,8 +4,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spacetime_iga.splines import KnotVector, eval_basis, refine_uniform, single_span
-from spacetime_iga.tensor_space import (DiscreteSpace, build_space,
-                                        classify_dirichlet, eval_multivariate)
+from spacetime_iga.tensor_space import (build_space, classify_dirichlet, point_rows,
+                                        tensor_basis)
 
 
 def make_space(degrees=(2, 2), levels=(1, 1), weights=None):
@@ -18,26 +18,46 @@ def make_space(degrees=(2, 2), levels=(1, 1), weights=None):
     return build_space(kvs, weights)
 
 
+def eval_point(space, xi, max_deriv=2):
+    """Active dofs and parameter-space values, gradients and Hessians at ``xi``.
+
+    Derivatives above ``max_deriv`` come back zero-filled.
+    """
+    active, val, grad, hess = tensor_basis(space, *point_rows(space, xi, max_deriv), max_deriv)
+    m, nd = active.shape[1], space.ndim
+    grad = np.zeros((1, 1, m, nd)) if grad is None else grad
+    hess = np.zeros((1, 1, m, nd, nd)) if hess is None else hess
+    return active[0], val[0, 0], grad[0, 0], hess[0, 0]
+
+
 def dense_point(space, xi, max_deriv=2):
-    """Scatter eval_multivariate to full-length arrays for comparison."""
-    mb = eval_multivariate(space, xi, max_deriv)
+    """Scatter the active functions at ``xi`` to full-length arrays for comparison."""
+    active, values, gradients, hessians = eval_point(space, xi, max_deriv)
     n = space.dim
     vals = np.zeros(n)
     grads = np.zeros((n, space.ndim))
     hess = np.zeros((n, space.ndim, space.ndim))
-    vals[mb.active] = mb.values
-    grads[mb.active] = mb.gradients
-    hess[mb.active] = mb.hessians
+    vals[active] = values
+    grads[active] = gradients
+    hess[active] = hessians
     return vals, grads, hess
 
 
 def test_flat_multi_roundtrip():
+    # the active dofs of a point are its univariate active ranges, combined
+    # with direction 0 slowest in the local order and fastest in the flat index
     space = make_space((1, 2, 2), (1, 1, 0))
-    for flat in range(space.dim):
-        assert space.flat_index(space.multi_index(flat)) == flat
-    # direction 0 is fastest
-    assert space.flat_index((1, 0, 0)) == 1
-    assert space.flat_index((0, 1, 0)) == space.dims[0]
+    rng = np.random.default_rng(10)
+    for xi in rng.uniform(0, 1, (10, 3)):
+        active = eval_point(space, xi)[0]
+        firsts = [eval_basis(kv, float(x)).first_active for kv, x in zip(space.knot_vectors, xi)]
+        ranges = [f + np.arange(kv.degree + 1) for f, kv in zip(firsts, space.knot_vectors)]
+        local = np.stack([g.ravel() for g in np.meshgrid(*ranges, indexing='ij')])
+        assert np.array_equal(np.ravel_multi_index(local, space.dims, order='F'), active)
+        assert np.array_equal(np.unravel_index(active, space.dims, order='F'), local)
+        # direction 0 is fastest: flat = i0 + n0 * (i1 + n1 * i2)
+        n0, n1 = space.dims[:2]
+        assert np.array_equal(active, local[0] + n0 * (local[1] + n1 * local[2]))
 
 
 def test_dims_and_strides():
@@ -98,10 +118,10 @@ def test_partition_of_unity_multivariate():
         rng = np.random.default_rng(14)
         for _ in range(15):
             xi = rng.uniform(0, 1, 2)
-            mb = eval_multivariate(space, xi)
-            assert abs(mb.values.sum() - 1.0) < 1e-12
-            assert np.abs(mb.gradients.sum(axis=0)).max() < 1e-10
-            assert np.abs(mb.hessians.sum(axis=0)).max() < 1e-8
+            _, values, gradients, hessians = eval_point(space, xi)
+            assert abs(values.sum() - 1.0) < 1e-12
+            assert np.abs(gradients.sum(axis=0)).max() < 1e-10
+            assert np.abs(hessians.sum(axis=0)).max() < 1e-8
 
 
 def test_unit_weights_reduce_to_bspline():
@@ -110,11 +130,11 @@ def test_unit_weights_reduce_to_bspline():
     rng = np.random.default_rng(15)
     for _ in range(10):
         xi = rng.uniform(0, 1, 2)
-        a = eval_multivariate(plain, xi)
-        b = eval_multivariate(weighted, xi)
-        assert_allclose(a.values, b.values, atol=1e-14)
-        assert_allclose(a.gradients, b.gradients, atol=1e-13)
-        assert_allclose(a.hessians, b.hessians, atol=1e-12)
+        a = eval_point(plain, xi)
+        b = eval_point(weighted, xi)
+        assert_allclose(a[1], b[1], atol=1e-14)
+        assert_allclose(a[2], b[2], atol=1e-13)
+        assert_allclose(a[3], b[3], atol=1e-12)
 
 
 def test_nurbs_derivatives_match_finite_differences():
@@ -124,28 +144,14 @@ def test_nurbs_derivatives_match_finite_differences():
     e = 1e-5
     for _ in range(8):
         xi = rng.uniform(0.1, 0.9, 2)
-        mb = eval_multivariate(space, xi)
-        vals = np.zeros(space.dim)
-        vals[mb.active] = mb.values
-        grads = np.zeros((space.dim, 2))
-        grads[mb.active] = mb.gradients
-        hess = np.zeros((space.dim, 2, 2))
-        hess[mb.active] = mb.hessians
+        vals, grads, hess = dense_point(space, xi)
         for a in range(2):
             dp, dm = xi.copy(), xi.copy()
             dp[a] += e
             dm[a] -= e
-            vp = np.zeros(space.dim)
-            vm = np.zeros(space.dim)
-            rp = eval_multivariate(space, dp, 1)
-            rm = eval_multivariate(space, dm, 1)
-            vp[rp.active] = rp.values
-            vm[rm.active] = rm.values
+            vp, gp, _ = dense_point(space, dp, 1)
+            vm, gm, _ = dense_point(space, dm, 1)
             assert np.abs(grads[:, a] - (vp - vm) / (2 * e)).max() < 1e-5
-            gp = np.zeros((space.dim, 2))
-            gm = np.zeros((space.dim, 2))
-            gp[rp.active] = rp.gradients
-            gm[rm.active] = rm.gradients
             assert np.abs(hess[:, :, a] - (gp - gm) / (2 * e)).max() < 1e-4
 
 
@@ -155,7 +161,7 @@ def test_classify_dirichlet_hand_mask():
     n0, n1 = space.dims
     dm = classify_dirichlet(space)
     for flat in range(space.dim):
-        i, j = space.multi_index(flat)
+        i, j = np.unravel_index(flat, space.dims, order='F')
         expect = i in (0, n0 - 1) or j == 0
         assert dm.dirichlet_mask[flat] == expect
     assert dm.n_free == (n0 - 2) * (n1 - 1)
@@ -171,7 +177,7 @@ def test_classify_dirichlet_terminal_face_free():
     n0, n1 = space.dims
     # interior-in-x dofs on the last time layer stay free
     for i in range(1, n0 - 1):
-        assert not dm.dirichlet_mask[space.flat_index((i, n1 - 1))]
+        assert not dm.dirichlet_mask[np.ravel_multi_index((i, n1 - 1), space.dims, order='F')]
 
 
 def test_classify_dirichlet_3d_counts():
@@ -190,4 +196,4 @@ def test_space_validation():
     with pytest.raises(ValueError):
         build_space(kvs, weights=np.array([1.0, 1.0, -1.0, 1.0]))  # nonpositive
     with pytest.raises(ValueError):
-        eval_multivariate(build_space(kvs), np.array([0.5]))  # wrong point size
+        point_rows(build_space(kvs), np.array([0.5]), 2)  # wrong point size
