@@ -92,16 +92,15 @@ class ManufacturedCase:
 class LinearSystem:
     """Sparse system ``matrix @ x = rhs``.
 
-    As assembled, the system ranges over all dofs and ``free`` is None.
-    After :func:`apply_dirichlet` it ranges over the free dofs listed in
-    ``free``, and ``dirichlet_values`` holds the full-length lifting
-    vector (boundary coefficients on Dirichlet dofs, zero elsewhere).
+    As assembled, the system ranges over all dofs.  After
+    :func:`apply_dirichlet` it ranges over the free dofs, and
+    ``dirichlet_values`` holds the full-length lifting vector (boundary
+    coefficients on Dirichlet dofs, zero elsewhere).
     """
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
     dirichlet_values: np.ndarray | None = None
-    free: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -301,4 +300,4 @@ def apply_dirichlet(system: LinearSystem, dofmap: DofMap, case: ManufacturedCase
     free = dofmap.free
     lifted = system.rhs[free] - (system.matrix @ values)[free]
     reduced = system.matrix[free][:, free].tocsr()
-    return LinearSystem(reduced, lifted, values, free)
+    return LinearSystem(reduced, lifted, values)

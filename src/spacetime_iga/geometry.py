@@ -70,17 +70,12 @@ class PhysicalMesh:
     element's quadrature points, and ``h`` the global mesh size.
     """
 
-    span_arrays: tuple
     h_param: np.ndarray
     h_elem: np.ndarray
 
     @property
     def n_elements(self) -> int:
         return self.h_elem.size
-
-    @property
-    def shape(self) -> tuple:
-        return tuple(len(s) for s in self.span_arrays)
 
     @property
     def h(self) -> float:
@@ -95,9 +90,6 @@ class PhysicalMesh:
         the quasi-uniformity ratio.
         """
         return float(self.h_param.max())
-
-    def element_spans(self, multi):
-        return [tuple(self.span_arrays[a][i]) for a, i in enumerate(multi)]
 
 
 def eval_geometry(geom: GeometryMap, rows, firsts, need: int):
@@ -198,10 +190,10 @@ def mesh_metrics(geom: GeometryMap, space: DiscreteSpace, orders=None) -> Physic
             raise ValueError(f'geometry breakpoints {missing} not resolved by the space in direction {a}')
     from ._batch import ElementBatcher
 
-    span_arrays = tuple(kv.spans for kv in space.knot_vectors)
-    sides = np.meshgrid(*[np.diff(s, axis=1)[:, 0] for s in span_arrays], indexing='ij')
+    sides = np.meshgrid(*[np.diff(kv.spans, axis=1)[:, 0] for kv in space.knot_vectors],
+                        indexing='ij')
     h_param = np.sqrt(sum(s**2 for s in sides)).ravel()
     h_elem = np.empty_like(h_param)
     for index, J in ElementBatcher(space, geom, orders).jacobian_blocks():
         h_elem[index] = np.linalg.norm(J, ord=2, axis=(2, 3)).max(axis=1) * h_param[index]
-    return PhysicalMesh(span_arrays, h_param, h_elem)
+    return PhysicalMesh(h_param, h_elem)

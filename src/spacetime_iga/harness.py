@@ -4,6 +4,11 @@ Ships the manufactured model problems (fixed and moving space-time
 cylinders with a smooth exact solution), runs refinement sweeps that
 report errors in the L2 and discrete energy norms, writes CSV, and
 hosts the self-verification suite behind ``spacetime-iga verify``.
+Each structural identity of the scheme is coded once, and ``verify``
+and the acceptance tests both call it: the fixed-cylinder coercivity
+identity (:func:`coercivity_identity_defect`), the agreement of the
+fixed and moving forms (:func:`fixed_forms_gap`) and the moving-domain
+coercivity margin (:func:`moving_coercivity`).
 """
 from __future__ import annotations
 
@@ -11,18 +16,20 @@ import argparse
 import json
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .assembly import (LinearSystem, ManufacturedCase, SchemeParams, StabilityWarning,
                        apply_dirichlet, assemble_fixed, assemble_moving,
                        assemble_norm_matrices)
-from .geometry import GeometryMap, SingularGeometryError, mesh_metrics
+from .geometry import (GeometryMap, SingularGeometryError, hessian, jacobian, map_point,
+                       mesh_metrics)
 from .linsolve import ConvergenceError, SingularSystemError, solve_direct, solve_gmres
 from .postproc import (ConvergenceReport, DiscreteField, LevelRecord, error_energy,
                        error_l2, estimate_inverse_constant, mesh_ratio, rates)
-from .splines import KnotVector, refine_uniform, single_span
+from .quadrature import gauss_1d
+from .splines import KnotVector, eval_basis, refine_uniform, single_span
 from .tensor_space import build_space, classify_dirichlet
 
 __all__ = [
@@ -32,6 +39,9 @@ __all__ = [
     'load_config',
     'run_case',
     'emit_csv',
+    'coercivity_identity_defect',
+    'fixed_forms_gap',
+    'moving_coercivity',
     'run_verification',
     'cli_main',
     'main',
@@ -174,9 +184,7 @@ class CaseConfig:
                 raise ValueError("case 'custom' needs 'moving': true|false")
 
 
-_CONFIG_KEYS = {'case', 'degree', 'levels', 'theta', 'solver', 'solver_tol',
-                'gmres_restart', 'gmres_max_iter', 'out', 'deterministic',
-                'geometry', 'moving'}
+_CONFIG_KEYS = {f.name for f in fields(CaseConfig)}
 
 
 def load_config(path: str) -> CaseConfig:
@@ -231,6 +239,12 @@ def solution_space(geom: GeometryMap, degree: int, level: int):
     return build_space(kvs)
 
 
+def _setup_level(geom: GeometryMap, degree: int, level: int):
+    """``(space, dofmap, mesh)`` of refinement ``level``."""
+    space = solution_space(geom, degree, level)
+    return space, classify_dirichlet(space), mesh_metrics(geom, space)
+
+
 def _solve(system: LinearSystem, config: CaseConfig):
     n = system.rhs.size
     method = config.solver
@@ -267,9 +281,7 @@ def run_case(config: CaseConfig) -> ConvergenceReport:
     c_inv = None
     for level in range(config.levels):
         try:
-            space = solution_space(geom, config.degree, level)
-            dofmap = classify_dirichlet(space)
-            mesh = mesh_metrics(geom, space)
+            space, dofmap, mesh = _setup_level(geom, config.degree, level)
             theta_bound = None
             if case.moving:
                 if c_inv is None or level <= 2:
@@ -315,16 +327,10 @@ def emit_csv(report: ConvergenceReport, path: str, deterministic: bool = False):
 
 def _print_report(report: ConvergenceReport):
     print(f'case {report.case}, degree {report.degree}, theta {report.theta}')
-    print(_format_table(report))
-
-
-def _format_table(report: ConvergenceReport) -> str:
-    head = f'{"level":>5} {"dofs":>8} {"h":>12} {"L2 error":>12} {"rate":>6} {"energy":>12} {"rate":>6}'
-    rows = [head]
+    print(f'{"level":>5} {"dofs":>8} {"h":>12} {"L2 error":>12} {"rate":>6} {"energy":>12} {"rate":>6}')
     for r in report.records:
-        rows.append(f'{r.level:>5} {r.dofs:>8} {r.h:>12.5e} {r.error_l2:>12.5e} '
-                    f'{r.rate_l2:>6.2f} {r.error_energy:>12.5e} {r.rate_energy:>6.2f}')
-    return '\n'.join(rows)
+        print(f'{r.level:>5} {r.dofs:>8} {r.h:>12.5e} {r.error_l2:>12.5e} '
+              f'{r.rate_l2:>6.2f} {r.error_energy:>12.5e} {r.rate_energy:>6.2f}')
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +339,6 @@ def _format_table(report: ConvergenceReport) -> str:
 def _check_partition_of_unity():
     rng = np.random.default_rng(7)
     kv = KnotVector(np.array([0, 0, 0, 0.2, 0.5, 0.5, 0.8, 1, 1, 1.]), 2)
-    from .splines import eval_basis
     worst = 0.0
     for xi in rng.uniform(0.0, 1.0, 500):
         row = eval_basis(kv, float(xi))
@@ -344,7 +349,6 @@ def _check_partition_of_unity():
 
 
 def _check_quadrature():
-    from .quadrature import gauss_1d
     worst = 0.0
     for n in range(1, 9):
         rule = gauss_1d(n)
@@ -355,7 +359,6 @@ def _check_quadrature():
 
 
 def _check_geometry_derivatives():
-    from .geometry import hessian, jacobian, map_point
     rng = np.random.default_rng(11)
     worst = 0.0
     for name in ('moving-simple-1d', 'moving-curvi-1d', 'moving-curvi-2d'):
@@ -381,60 +384,81 @@ def _check_geometry_derivatives():
     return worst < 1e-8, f'max FD defect {worst:.2e}'
 
 
-def _coercivity_defect(name: str, degree: int, level: int, theta_skew: float) -> float:
+def coercivity_identity_defect(name: str, degree: int, level: int,
+                               theta_skew: float = 1.0) -> float | None:
+    """Largest defect of ``a_h(v, v) = |||v|||_h^2 + theta h/2 |grad_x v|^2_{Sigma_T}``.
+
+    Relative to ``|||v|||_h^2``, over 20 random free vectors (seed 23) on a
+    fixed built-in case; ``theta_skew`` scales theta on the norm side only.
+    None when the level has no free dofs."""
     definition = builtin_cases()[name]
-    case, geom = definition.case, definition.geometry
-    space = solution_space(geom, degree, level)
-    dofmap = classify_dirichlet(space)
-    mesh = mesh_metrics(geom, space)
-    params = SchemeParams(0.1, mesh.h_hat)
-    system = assemble_fixed(space, geom, case, params)
+    geom = definition.geometry
+    space, dofmap, mesh = _setup_level(geom, degree, level)
+    free = dofmap.free
+    if free.size == 0:
+        return None
+    K = assemble_fixed(space, geom, definition.case, SchemeParams(0.1, mesh.h_hat)).matrix
     norm_params = SchemeParams(0.1 * theta_skew, mesh.h_hat)
     norms = assemble_norm_matrices(space, geom, norm_params)
-    free = dofmap.free
-    K = system.matrix[free][:, free]
-    N = norms.n_fixed[free][:, free]
-    G = norms.face_gradient[free][:, free]
+    K, N, G = (m[free][:, free] for m in (K, norms.n_fixed, norms.face_gradient))
     th = norm_params.theta * norm_params.h
-    rng = np.random.default_rng(23)
     worst = 0.0
-    for _ in range(20):
-        v = rng.standard_normal(free.size)
-        lhs = float(v @ (K @ v))
-        rhs = float(v @ (N @ v)) + 0.5 * th * float(v @ (G @ v))
-        worst = max(worst, abs(lhs - rhs) / rhs)
+    for v in np.random.default_rng(23).standard_normal((20, free.size)):
+        ref = float(v @ (N @ v))
+        worst = max(worst, abs(float(v @ (K @ v)) - ref - 0.5 * th * float(v @ (G @ v))) / ref)
     return worst
 
 
+def fixed_forms_gap(name: str, degree: int, level: int) -> float:
+    """Largest entry of ``a_h - b_h`` on the free rows, and of the load gap, on a fixed case."""
+    definition = builtin_cases()[name]
+    case, geom = definition.case, definition.geometry
+    space, dofmap, mesh = _setup_level(geom, degree, level)
+    params = SchemeParams(0.1, mesh.h_hat)
+    a_sys = assemble_fixed(space, geom, case, params)
+    b_sys = assemble_moving(space, geom, case, params)
+    gap = abs(a_sys.matrix - b_sys.matrix)[dofmap.free].max()
+    return max(float(gap), float(np.abs(a_sys.rhs - b_sys.rhs).max()))
+
+
+def moving_coercivity(name: str, degree: int, level: int) -> tuple[float, bool, float]:
+    """``(bound, warned, margin)`` of ``b_h`` on a moving built-in case at theta = 0.1.
+
+    ``bound`` is the a-priori theta bound, ``warned`` whether assembly raised
+    :class:`StabilityWarning`, and ``margin`` the least ``vT B v / vT N v``
+    over 20 random free vectors (seed 5)."""
+    definition = builtin_cases()[name]
+    case, geom = definition.case, definition.geometry
+    space, dofmap, mesh = _setup_level(geom, degree, level)
+    bound = 1.0 / (2.0 * estimate_inverse_constant(space, geom, mesh) * mesh_ratio(mesh))
+    params = SchemeParams(0.1, mesh.h_hat, bound)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter('always')
+        B = assemble_moving(space, geom, case, params).matrix
+    warned = any(issubclass(w.category, StabilityWarning) for w in caught)
+    free = dofmap.free
+    B = B[free][:, free]
+    N = assemble_norm_matrices(space, geom, params).n_moving[free][:, free]
+    margin = min(float(v @ (B @ v)) / float(v @ (N @ v))
+                 for v in np.random.default_rng(5).standard_normal((20, free.size)))
+    return bound, warned, margin
+
+
 def _check_coercivity_identity(theta_skew: float):
-    worst = max(_coercivity_defect('fixed-1d', 1, 2, theta_skew),
-                _coercivity_defect('fixed-1d', 2, 2, theta_skew),
-                _coercivity_defect('fixed-2d', 1, 1, theta_skew))
+    worst = max(coercivity_identity_defect(*combo, theta_skew)
+                for combo in (('fixed-1d', 1, 2), ('fixed-1d', 2, 2), ('fixed-2d', 1, 1)))
     return worst < 1e-10, f'max relative defect {worst:.2e}'
 
 
 def _check_forms_agree():
-    definition = builtin_cases()['fixed-1d']
-    case, geom = definition.case, definition.geometry
-    space = solution_space(geom, 2, 2)
-    dofmap = classify_dirichlet(space)
-    mesh = mesh_metrics(geom, space)
-    params = SchemeParams(0.1, mesh.h_hat)
-    a_sys = assemble_fixed(space, geom, case, params)
-    b_sys = assemble_moving(space, geom, case, params)
-    free = dofmap.free
-    diff = (a_sys.matrix[free][:, free] - b_sys.matrix[free][:, free]).toarray()
-    worst = float(np.abs(diff).max())
+    worst = fixed_forms_gap('fixed-1d', 2, 2)
     return worst < 1e-12, f'max entry difference {worst:.2e}'
 
 
 def _check_solvers_agree():
-    config = CaseConfig(case='fixed-1d', degree=1, levels=1)
-    definition = resolve_case(config)
+    definition = builtin_cases()['fixed-1d']
     case, geom = definition.case, definition.geometry
-    space = solution_space(geom, 1, 4)
-    dofmap = classify_dirichlet(space)
-    mesh = mesh_metrics(geom, space)
+    space, dofmap, mesh = _setup_level(geom, 1, 4)
     params = SchemeParams(0.1, mesh.h_hat)
     system = apply_dirichlet(assemble_fixed(space, geom, case, params),
                              dofmap, case, space, geom)
@@ -447,35 +471,11 @@ def _check_solvers_agree():
 def _check_moving_coercivity():
     details = []
     ok = True
-    for name in ('moving-simple-1d', 'moving-curvi-1d', 'moving-curvi-2d'):
-        definition = builtin_cases()[name]
-        case, geom = definition.case, definition.geometry
-        level = 1 if case.d == 2 else 2
-        space = solution_space(geom, 2, level)
-        dofmap = classify_dirichlet(space)
-        mesh = mesh_metrics(geom, space)
-        c_inv = estimate_inverse_constant(space, geom, mesh)
-        bound = 1.0 / (2.0 * c_inv * mesh_ratio(mesh))
-        params = SchemeParams(0.1, mesh.h_hat, bound)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter('always')
-            system = assemble_moving(space, geom, case, params)
-        warned = any(issubclass(w.category, StabilityWarning) for w in caught)
-        if params.theta >= bound:
-            ok &= warned
-            details.append(f'{name}: bound {bound:.3f} violated, warning {"raised" if warned else "MISSING"}')
-            continue
-        norms = assemble_norm_matrices(space, geom, params)
-        free = dofmap.free
-        B = system.matrix[free][:, free]
-        N = norms.n_moving[free][:, free]
-        rng = np.random.default_rng(5)
-        margin = np.inf
-        for _ in range(20):
-            v = rng.standard_normal(free.size)
-            margin = min(margin, float(v @ (B @ v)) / float(v @ (N @ v)))
-        ok &= margin >= 0.5 - 1e-12
-        details.append(f'{name}: bound {bound:.3f}, min ratio {margin:.3f}')
+    for name, level in (('moving-simple-1d', 2), ('moving-curvi-1d', 2), ('moving-curvi-2d', 1)):
+        bound, warned, margin = moving_coercivity(name, 2, level)
+        ok &= margin >= 0.5 - 1e-12 and warned == (0.1 >= bound)
+        details.append(f'{name}: bound {bound:.3f}, '
+                       f'{"warned" if warned else "quiet"}, min margin {margin:.3f}')
     return ok, '; '.join(details)
 
 

@@ -93,15 +93,14 @@ def solve_direct(matrix, rhs):
                           time.perf_counter() - t0)
 
 
-def solve_gmres(matrix, rhs, tol: float = 1e-10, restart: int = 50,
-                max_iter: int = 5000, jacobi: bool = True, x0=None):
+def solve_gmres(matrix, rhs, tol: float = 1e-10, restart: int = 50, max_iter: int = 5000):
     """Restarted GMRES with the stopping test on the true residual.
 
     One scipy restart cycle at a time; after each cycle the unpreconditioned
     relative residual is recomputed and iteration continues until it drops
     to ``tol`` or the inner-iteration budget ``max_iter`` is spent, which
-    raises :class:`ConvergenceError`.  ``jacobi`` enables diagonal
-    preconditioning (skipped if the diagonal has zeros).
+    raises :class:`ConvergenceError`.  The system is Jacobi-preconditioned
+    unless its diagonal has zeros.
 
     Returns ``(x, SolveReport)`` with one residual-history entry per cycle.
     """
@@ -111,13 +110,9 @@ def solve_gmres(matrix, rhs, tol: float = 1e-10, restart: int = 50,
     if scale == 0.0:
         return np.zeros_like(rhs), SolveReport('gmres', 0, 0.0, time.perf_counter() - t0)
 
-    M = None
-    if jacobi:
-        diag = matrix.diagonal()
-        if np.all(diag != 0.0):
-            M = sp.diags(1.0 / diag)
-
-    x = np.zeros_like(rhs) if x0 is None else np.asarray(x0, dtype=float)
+    diag = matrix.diagonal()
+    M = sp.diags(1.0 / diag) if np.all(diag != 0.0) else None
+    x = np.zeros_like(rhs)
     inner = 0
     history = []
     counter = [0]

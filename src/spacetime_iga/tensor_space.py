@@ -86,15 +86,12 @@ class DiscreteSpace:
 class DofMap:
     """Partition of the dofs of a space into Dirichlet and free sets.
 
-    ``dirichlet_mask`` flags the boundary-condition carriers, ``free``
-    lists the remaining flat indices in increasing order, and
-    ``free_inverse[flat]`` gives the position within ``free`` (-1 on
-    Dirichlet dofs).
+    ``dirichlet_mask`` flags the boundary-condition carriers and ``free``
+    lists the remaining flat indices in increasing order.
     """
 
     dirichlet_mask: np.ndarray
     free: np.ndarray
-    free_inverse: np.ndarray
 
     @property
     def n_free(self) -> int:
@@ -220,7 +217,4 @@ def classify_dirichlet(space: DiscreteSpace) -> DofMap:
 
     # axes are (slowest ... fastest); flat order wants direction 0 fastest
     dirichlet_mask = mask_nd.ravel(order='C')
-    free = np.flatnonzero(~dirichlet_mask)
-    free_inverse = np.full(space.dim, -1, dtype=np.int64)
-    free_inverse[free] = np.arange(free.size)
-    return DofMap(dirichlet_mask, free, free_inverse)
+    return DofMap(dirichlet_mask, np.flatnonzero(~dirichlet_mask))

@@ -186,7 +186,6 @@ def test_mesh_metrics_identity_map():
     kv = refine_uniform(refine_uniform(single_span(2)))
     space = build_space([kv, kv])
     mesh = mesh_metrics(identity_geometry(space), space)
-    assert mesh.shape == (4, 4)
     assert mesh.n_elements == 16
     expected = np.sqrt(2.0) * 0.25
     assert_allclose(mesh.h_param, expected, atol=1e-14)
@@ -224,12 +223,3 @@ def test_mesh_metrics_requires_nested_breakpoints():
     space = build_space([single_span(1), single_span(1)])
     with pytest.raises(ValueError):
         mesh_metrics(geom, space)
-
-
-def test_element_spans_lookup():
-    kv = refine_uniform(single_span(1))
-    space = build_space([kv, kv])
-    mesh = mesh_metrics(identity_geometry(space), space)
-    spans = mesh.element_spans((1, 0))
-    assert_allclose(spans[0], [0.5, 1.0], atol=1e-15)
-    assert_allclose(spans[1], [0.0, 0.5], atol=1e-15)

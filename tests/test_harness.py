@@ -1,16 +1,18 @@
 """Configuration, driver, CSV output and command line."""
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from spacetime_iga import harness
+from spacetime_iga.assembly import NormMatrices
 from spacetime_iga.geometry import map_point
 from spacetime_iga.harness import (CSV_HEADER, CaseConfig, builtin_cases,
-                                   cli_main, emit_csv, load_config, run_case,
-                                   solution_space)
-from spacetime_iga.harness import _coercivity_defect
+                                   cli_main, coercivity_identity_defect, emit_csv,
+                                   load_config, run_case, solution_space)
 from spacetime_iga.linsolve import ConvergenceError
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), 'data')
@@ -229,8 +231,8 @@ def test_cli_requires_subcommand():
 
 def test_coercivity_check_rejects_skewed_theta():
     # fault injection: scaling theta on the norm side must be detected
-    honest = _coercivity_defect('fixed-1d', 1, 1, 1.0)
-    skewed = _coercivity_defect('fixed-1d', 1, 1, 1.5)
+    honest = coercivity_identity_defect('fixed-1d', 1, 1)
+    skewed = coercivity_identity_defect('fixed-1d', 1, 1, theta_skew=1.5)
     assert honest < 1e-10
     assert skewed > 1e-3
 
@@ -240,3 +242,25 @@ def test_cli_verify_detects_fault_injection(capsys):
     assert cli_main(['verify', '--theta-skew', '1.01']) == 1
     out = capsys.readouterr().out
     assert 'FAIL coercivity-identity' in out
+
+
+def test_cli_verify_measures_moving_margins(capsys):
+    assert cli_main(['verify']) == 0
+    line = next(line for line in capsys.readouterr().out.splitlines()
+                if line.startswith('PASS moving-coercivity'))
+    margins = dict(re.findall(r'([\w-]+): bound [\d.]+, (?:warned|quiet), min margin ([\d.]+)', line))
+    assert sorted(margins) == ['moving-curvi-1d', 'moving-curvi-2d', 'moving-simple-1d']
+    assert all(0.5 <= float(m) <= 1.0 for m in margins.values()), line
+
+
+def test_cli_verify_fails_on_scaled_norms(monkeypatch, capsys):
+    # negative control: norms three times too large push every margin below 1/2
+    assemble = harness.assemble_norm_matrices
+
+    def scaled(*args, **kwargs):
+        norms = assemble(*args, **kwargs)
+        return NormMatrices(3 * norms.n_fixed, 3 * norms.n_moving, 3 * norms.face_gradient)
+
+    monkeypatch.setattr(harness, 'assemble_norm_matrices', scaled)
+    assert cli_main(['verify']) == 1
+    assert 'FAIL moving-coercivity' in capsys.readouterr().out
