@@ -12,10 +12,10 @@ from .geometry import (GeometryMap, PhysicalMesh, SingularGeometryError, eval_ge
                        hessian, jacobian, map_point, mesh_metrics, pullback_derivatives)
 from .harness import (CaseConfig, CaseDefinition, builtin_cases, emit_csv, load_config,
                       run_case, run_verification, solution_space)
-from .linsolve import (ConvergenceError, SingularSystemError, SolveReport, solve_direct,
-                       solve_gmres)
-from .postproc import (ConvergenceReport, DiscreteField, LevelRecord, error_energy, error_l2,
-                       estimate_inverse_constant, mesh_ratio, rates)
+from .linsolve import (ConvergenceError, SingularSystemError, SolveReport,
+                       cylinder_matrices, cylinder_preconditioner, solve_direct, solve_gmres)
+from .postproc import (ConvergenceReport, DiscreteField, LevelRecord, a_priori_theta_bound,
+                       error_energy, error_l2, estimate_inverse_constant, mesh_ratio, rates)
 from .quadrature import QuadratureRule, gauss_1d
 from .splines import (BasisEvalRow, KnotVector, eval_basis, find_span, refine_uniform,
                       single_span)

@@ -25,6 +25,7 @@ __all__ = [
     'rates',
     'estimate_inverse_constant',
     'mesh_ratio',
+    'a_priori_theta_bound',
 ]
 
 
@@ -133,6 +134,15 @@ def estimate_inverse_constant(space: DiscreteSpace, geom: GeometryMap,
 def mesh_ratio(mesh: PhysicalMesh) -> float:
     """Quasi-uniformity ratio ``h / min_K h_K``."""
     return float(mesh.h / mesh.h_elem.min())
+
+
+def a_priori_theta_bound(c_inv: float, mesh: PhysicalMesh) -> float:
+    """Admissible theta ``1 / (2 C_inv C_u)`` of the moving-domain form.
+
+    ``c_inv`` is an inverse-constant estimate (:func:`estimate_inverse_constant`),
+    possibly of a coarser level, and ``C_u`` the mesh ratio of ``mesh``.
+    """
+    return 1.0 / (2.0 * c_inv * mesh_ratio(mesh))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from spacetime_iga.assembly import (ManufacturedCase, SchemeParams,
 from spacetime_iga.geometry import mesh_metrics
 from spacetime_iga.harness import builtin_cases, solution_space
 from spacetime_iga.linsolve import solve_direct
-from spacetime_iga.postproc import (DiscreteField, error_energy,
+from spacetime_iga.postproc import (DiscreteField, a_priori_theta_bound, error_energy,
                                     estimate_inverse_constant, mesh_ratio)
 from spacetime_iga.tensor_space import classify_dirichlet, point_rows, tensor_basis
 
@@ -211,8 +211,7 @@ def test_moving_form_is_consistent(name, degree, level):
 
 def test_theta_threshold_is_positive_and_conservative():
     case, geom, space, mesh, params = setup('moving-simple-1d', 2, 2)
-    c_inv = estimate_inverse_constant(space, geom, mesh)
-    bound = 1.0 / (2.0 * c_inv * mesh_ratio(mesh))
+    bound = a_priori_theta_bound(estimate_inverse_constant(space, geom, mesh), mesh)
     assert 0.0 < bound < 0.1
     assert mesh_ratio(mesh) >= 1.0
 

@@ -204,23 +204,24 @@ def test_cli_singular_geometry_is_one_line(tmp_path, capsys):
 
 
 def test_cli_failed_level_keeps_finished_levels(tmp_path, capsys):
-    # two GMRES iterations solve L0 (two free dofs) but not L1 (six)
+    # two GMRES iterations solve L0 (two free dofs) but not L1 (six); the
+    # preconditioner is exact on fixed cylinders, so the case must move
     cfg = tmp_path / 'gmres.json'
-    cfg.write_text(json.dumps({'case': 'fixed-1d', 'degree': 2, 'levels': 3,
+    cfg.write_text(json.dumps({'case': 'moving-curvi-1d', 'degree': 2, 'levels': 3,
                                'solver': 'gmres', 'gmres_restart': 2, 'gmres_max_iter': 2}))
     assert cli_main(['run', '--config', str(cfg)]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith('error: GMRES did not reach tol=1e-10 within 2 iterations')
     assert captured.err.count('\n') == 1
     table = captured.out.strip().split('\n')
-    assert table[0] == 'case fixed-1d, degree 2, theta 0.1'
+    assert table[0] == 'case moving-curvi-1d, degree 2, theta 0.1'
     assert len(table) == 3 and table[2].split()[:2] == ['0', '9']
     # the error run_case raises carries the same finished level
     with pytest.raises(ConvergenceError) as excinfo:
         run_case(load_config(str(cfg)))
     report = excinfo.value.report
     assert [r.level for r in report.records] == [0]
-    reference = run_case(CaseConfig(case='fixed-1d', degree=2, levels=1))
+    reference = run_case(CaseConfig(case='moving-curvi-1d', degree=2, levels=1))
     assert_allclose(report.errors_energy, reference.errors_energy, rtol=1e-8)
 
 
