@@ -13,7 +13,7 @@ from .geometry import (GeometryMap, PhysicalMesh, SingularGeometryError, eval_ge
 from .harness import (CaseConfig, CaseDefinition, builtin_cases, emit_csv, load_config,
                       run_case, run_verification, solution_space)
 from .linsolve import (ConvergenceError, SingularSystemError, SolveReport,
-                       cylinder_matrices, cylinder_preconditioner, solve_direct, solve_gmres)
+                       cylinder_preconditioner, solve_direct, solve_gmres)
 from .postproc import (ConvergenceReport, DiscreteField, LevelRecord, a_priori_theta_bound,
                        error_energy, error_l2, estimate_inverse_constant, mesh_ratio, rates)
 from .quadrature import QuadratureRule, gauss_1d
