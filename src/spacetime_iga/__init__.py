@@ -19,7 +19,6 @@ from .postproc import (ConvergenceReport, DiscreteField, LevelRecord, a_priori_t
 from .quadrature import QuadratureRule, gauss_1d
 from .splines import (BasisEvalRow, KnotVector, eval_basis, find_span, refine_uniform,
                       single_span)
-from .tensor_space import (DiscreteSpace, DofMap, build_space, classify_dirichlet,
-                           point_rows, tensor_basis)
+from .tensor_space import DiscreteSpace, DofMap, classify_dirichlet, point_rows, tensor_basis
 
 __version__ = '0.1.0'

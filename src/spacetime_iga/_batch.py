@@ -65,6 +65,13 @@ def _table(kv: KnotVector, nodes: np.ndarray) -> _Table:
     return _Table(ders, first)
 
 
+def _span_rule(kv: KnotVector, n: int):
+    """Nodes and weights ``(ns, n)`` of the ``n``-point Gauss rule on every span of ``kv``."""
+    base = gauss_1d(n)
+    lengths = np.diff(kv.spans, axis=1)
+    return kv.spans[:, :1] + lengths * base.nodes[:, 0][None, :], lengths * base.weights[None, :]
+
+
 def _rows(tables, multi):
     return [t.ders[i] for t, i in zip(tables, multi)], [t.first[i] for t, i in zip(tables, multi)]
 
@@ -97,10 +104,8 @@ class ElementBatcher:
         self._tables = []
         self._geo_tables = []
         for kv, kvg, o in zip(space.knot_vectors, geom.space.knot_vectors, self.orders):
-            base = gauss_1d(o)
-            lengths = np.diff(kv.spans, axis=1)
-            nodes = kv.spans[:, :1] + lengths * base.nodes[:, 0][None, :]
-            self._weights.append(lengths * base.weights[None, :])
+            nodes, weights = _span_rule(kv, o)
+            self._weights.append(weights)
             self._tables.append(_table(kv, nodes))
             self._geo_tables.append(_table(kvg, nodes))
 

@@ -39,9 +39,9 @@ class GeometryMap:
 
     ``control_points[i]`` is the physical position (spatial coordinates
     followed by time) attached to flat dof ``i`` of ``space``.  The time
-    component must reproduce the parameter time linearly for the shipped
-    cylinders, but that is a property of the data, not a constraint
-    enforced here.
+    component must equal the parameter time, ``t = tau``.  The built-in
+    cylinders do; the harness checks custom geometries when it builds
+    their case, and this class checks nothing.
     """
 
     space: DiscreteSpace

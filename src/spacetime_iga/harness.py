@@ -20,18 +20,19 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from ._batch import _rows, _span_rule, _table
 from .assembly import (LinearSystem, ManufacturedCase, SchemeParams, StabilityWarning,
                        apply_dirichlet, assemble_fixed, assemble_moving,
                        assemble_norm_matrices)
-from .geometry import (GeometryMap, SingularGeometryError, hessian, jacobian, map_point,
-                       mesh_metrics)
+from .geometry import (GeometryMap, SingularGeometryError, eval_geometry, hessian, jacobian,
+                       map_point, mesh_metrics)
 from .linsolve import (ConvergenceError, SingularSystemError, cylinder_preconditioner,
                        solve_direct, solve_gmres)
 from .postproc import (ConvergenceReport, DiscreteField, LevelRecord, a_priori_theta_bound,
                        error_energy, error_l2, estimate_inverse_constant, rates)
 from .quadrature import gauss_1d
 from .splines import KnotVector, eval_basis, refine_uniform, single_span
-from .tensor_space import build_space, classify_dirichlet
+from .tensor_space import DiscreteSpace, classify_dirichlet
 
 __all__ = [
     'CaseConfig',
@@ -98,10 +99,8 @@ class CaseDefinition:
     description: str
 
 
-def _make_geometry(degrees, control_points, weights=None) -> GeometryMap:
-    kvs = [single_span(p) for p in degrees]
-    space = build_space(kvs, weights)
-    return GeometryMap(space, np.asarray(control_points, dtype=float))
+def _make_geometry(degrees, control_points) -> GeometryMap:
+    return GeometryMap(DiscreteSpace([single_span(p) for p in degrees]), control_points)
 
 
 def _make_case(name, d, moving) -> ManufacturedCase:
@@ -202,26 +201,39 @@ def load_config(path: str) -> CaseConfig:
     return CaseConfig(**raw)
 
 
-def _custom_definition(config: CaseConfig) -> CaseDefinition:
+def _check_time_is_tau(gmap: GeometryMap):
+    """Raise ``ValueError`` unless the time coordinate of ``gmap`` is ``tau``.
+
+    On a span the numerator of ``t - tau`` has degree at most ``p_a + 1`` in
+    direction ``a``, so a grid of ``p_a + 2`` points per span decides it."""
+    kvs = gmap.space.knot_vectors
+    axes = [_span_rule(kv, kv.degree + 2)[0].reshape(-1, 1) for kv in kvs]
+    multi = np.unravel_index(np.arange(np.prod([a.size for a in axes])), [a.size for a in axes])
+    xi = np.stack([a[i, 0] for a, i in zip(axes, multi)], axis=1)
+    x = eval_geometry(gmap, *_rows([_table(kv, a) for kv, a in zip(kvs, axes)], multi), need=0)[0]
+    gap = x[:, 0, -1] - xi[:, -1]
+    k = int(np.argmax(np.abs(gap)))
+    if abs(gap[k]) > 1e-12:
+        where = ', '.join(f'{c:.6g}' for c in xi[k])
+        raise ValueError(f'custom geometry must keep t = tau, but t - tau = {gap[k]:.6g} '
+                         f'at parameter point ({where})')
+
+
+def resolve_case(config: CaseConfig) -> CaseDefinition:
+    if config.case != 'custom':
+        return builtin_cases()[config.case]
     geo = config.geometry
     try:
         kvs = [KnotVector(np.asarray(k, dtype=float), int(p))
                for k, p in zip(geo['knots'], geo['degrees'], strict=True)]
-        cp = np.asarray(geo['control_points'], dtype=float)
+        cp = geo['control_points']
         weights = geo.get('weights')
     except (KeyError, TypeError) as exc:
         raise ValueError(f'bad custom geometry block: {exc}') from exc
-    space = build_space(kvs, None if weights is None else np.asarray(weights, dtype=float))
-    gmap = GeometryMap(space, cp)
-    d = space.ndim - 1
-    case = _make_case('custom', d, bool(config.moving))
+    gmap = GeometryMap(DiscreteSpace(kvs, weights), cp)
+    _check_time_is_tau(gmap)
+    case = _make_case('custom', gmap.ndim - 1, bool(config.moving))
     return CaseDefinition(case, gmap, 'user-supplied geometry, standard sine solution')
-
-
-def resolve_case(config: CaseConfig) -> CaseDefinition:
-    if config.case == 'custom':
-        return _custom_definition(config)
-    return builtin_cases()[config.case]
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +249,7 @@ def solution_space(geom: GeometryMap, degree: int, level: int):
         for _ in range(level):
             kv = refine_uniform(kv)
         kvs.append(kv)
-    return build_space(kvs)
+    return DiscreteSpace(kvs)
 
 
 def _setup_level(geom: GeometryMap, degree: int, level: int):
@@ -588,6 +600,7 @@ def cli_main(argv=None) -> int:
             overrides['deterministic'] = True
         if overrides:
             config = replace(config, **overrides)
+        resolve_case(config)  # a malformed custom geometry is a config error
     except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
         print(f'error: {exc}', file=sys.stderr)
         return 2

@@ -14,7 +14,9 @@ CAMWA 80, 2020).  On the free dofs that form is the Kronecker sum
 ``(C_t + theta h K_t) (x) M_x + (M_t + theta h C_t^T) (x) K_x`` of the
 univariate mass ``M``, stiffness ``K`` and advection
 ``C[i, j] = int phi_j' phi_i`` matrices, so it is exact on affine fixed
-cylinders and a level-robust preconditioner on moving ones.
+cylinders and a level-robust preconditioner on moving ones.  The spatial
+directions are diagonalized by generalized eigenvectors, and the banded
+time systems that remain are factored together as one sparse LU.
 """
 from __future__ import annotations
 
@@ -27,8 +29,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ._batch import _table
-from .quadrature import gauss_1d
+from ._batch import _span_rule, _table
 from .splines import KnotVector
 from .tensor_space import DiscreteSpace
 
@@ -164,17 +165,10 @@ def solve_gmres(matrix, rhs, tol: float = 1e-10, restart: int = 50, max_iter: in
 # ---------------------------------------------------------------------------
 # fast diagonalization on the parametric cylinder
 
-# Per-eigenvalue time inverses are built this many at a time, which bounds
-# the temporary stack of time matrices next to the stored inverses.
-_INVERSE_CHUNK = 64
-
-
 def _univariate_matrices(kv: KnotVector):
     """Dense mass, stiffness and advection ``C[i, j] = int phi_j' phi_i`` on [0, 1]."""
-    rule = gauss_1d(kv.degree + 1)
-    lengths = np.diff(kv.spans, axis=1)
-    table = _table(kv, kv.spans[:, :1] + lengths * rule.nodes[:, 0][None, :])
-    w = lengths * rule.weights[None, :]                    # (ns, q)
+    nodes, w = _span_rule(kv, kv.degree + 1)               # (ns, q)
+    table = _table(kv, nodes)
     val, der = table.ders[:, :, 0, :], table.ders[:, :, 1, :]
     local = [np.einsum('sq,sqi,sqj->sij', w, a, b)
              for a, b in ((val, val), (der, der), (val, der))]
@@ -216,9 +210,10 @@ def cylinder_preconditioner(space: DiscreteSpace, n_free: int, theta_h: float):
 
     Each spatial pencil gives ``K_a U_a = M_a U_a diag(lam_a)`` with
     ``U_a^T M_a U_a = I``.  In that basis the operator splits into one
-    time system ``(C_t + s K_t) + lam (M_t + s C_t^T)`` per spatial
-    eigenvalue ``lam``; their inverses are stored and applied as one
-    batched product.
+    banded time system ``(C_t + s K_t) + lam (M_t + s C_t^T)`` per spatial
+    eigenvalue ``lam``.  Their block-diagonal sum is factored once as one
+    sparse LU, about ``6 n_free`` stored numbers at degree 2, and each
+    application is one solve with it.
     """
     *spatial, (m_t, k_t, c_t) = cylinder_matrices(space)
     # flat order runs direction 0 fastest, time slowest
@@ -229,11 +224,9 @@ def cylinder_preconditioner(space: DiscreteSpace, n_free: int, theta_h: float):
                          f'time), got {n_free} free dofs')
     pairs = [sla.eigh(k, m) for m, k, _ in spatial]
     lam = reduce(np.add.outer, [ev for ev, _ in pairs[::-1]]).ravel()
-    lhs, rhs = c_t + theta_h * k_t, m_t + theta_h * c_t.T
-    inverses = np.empty((lam.size,) + lhs.shape)
-    for start in range(0, lam.size, _INVERSE_CHUNK):
-        part = lam[start:start + _INVERSE_CHUNK, None, None]
-        inverses[start:start + part.shape[0]] = np.linalg.inv(lhs + part * rhs)
+    time_systems = (sp.kron(sp.identity(lam.size), c_t + theta_h * k_t)
+                    + sp.kron(sp.diags(lam), m_t + theta_h * c_t.T))
+    lu = spla.splu(time_systems.tocsc())
 
     def spatial_transform(x, transpose: bool):
         for a, (_, u) in enumerate(pairs):
@@ -243,7 +236,8 @@ def cylinder_preconditioner(space: DiscreteSpace, n_free: int, theta_h: float):
 
     def apply(r):
         y = spatial_transform(np.reshape(r, shape), transpose=True).reshape(shape[0], -1)
-        y = np.matmul(inverses, y.T[:, :, None])[:, :, 0].T
+        # one time column per spatial eigenvalue, in the block order of the LU
+        y = lu.solve(y.ravel(order='F')).reshape(y.shape, order='F')
         return spatial_transform(y.reshape(shape), transpose=False).reshape(r.shape)
 
     return spla.LinearOperator((n_free, n_free), matvec=apply, dtype=float)

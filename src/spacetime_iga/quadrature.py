@@ -24,10 +24,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
 
-    @property
-    def n_points(self) -> int:
-        return self.weights.size
-
 
 def gauss_1d(n: int) -> QuadratureRule:
     """Gauss-Legendre rule with ``n`` points on the unit interval."""

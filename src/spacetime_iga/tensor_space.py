@@ -17,7 +17,6 @@ from .splines import KnotVector, eval_basis
 __all__ = [
     'DiscreteSpace',
     'DofMap',
-    'build_space',
     'point_rows',
     'tensor_basis',
     'classify_dirichlet',
@@ -81,7 +80,6 @@ class DiscreteSpace:
         return tuple(out)
 
 
-
 @dataclass(frozen=True)
 class DofMap:
     """Partition of the dofs of a space into Dirichlet and free sets.
@@ -92,15 +90,6 @@ class DofMap:
 
     dirichlet_mask: np.ndarray
     free: np.ndarray
-
-    @property
-    def n_free(self) -> int:
-        return self.free.size
-
-
-def build_space(knot_vectors, weights=None) -> DiscreteSpace:
-    """Construct a tensor-product space from univariate knot vectors."""
-    return DiscreteSpace(tuple(knot_vectors), weights)
 
 
 def point_rows(space: DiscreteSpace, xi, max_deriv: int):

@@ -3,7 +3,7 @@ import numpy as np
 
 from spacetime_iga.geometry import GeometryMap
 from spacetime_iga.splines import single_span
-from spacetime_iga.tensor_space import DiscreteSpace, build_space
+from spacetime_iga.tensor_space import DiscreteSpace
 
 
 def identity_geometry(space: DiscreteSpace) -> GeometryMap:
@@ -31,5 +31,5 @@ def quarter_annulus_cylinder():
             for r in (1.0, 2.0):
                 cp.append([*(r * arc[j]), t])
                 w.append(wj)
-    space = build_space([single_span(1), single_span(2), single_span(1)], np.array(w))
+    space = DiscreteSpace([single_span(1), single_span(2), single_span(1)], np.array(w))
     return GeometryMap(space, np.array(cp))

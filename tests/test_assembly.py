@@ -311,7 +311,7 @@ def test_apply_dirichlet_shapes_and_lifting():
     dofmap = classify_dirichlet(space)
     full = assemble_moving(space, geom, case, params)
     reduced = apply_dirichlet(full, dofmap, case, space, geom)
-    n_free = dofmap.n_free
+    n_free = dofmap.free.size
     assert reduced.matrix.shape == (n_free, n_free)
     assert reduced.rhs.shape == (n_free,)
     assert reduced.dirichlet_values.shape == (space.dim,)

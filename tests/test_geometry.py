@@ -10,7 +10,7 @@ from spacetime_iga.geometry import (GeometryMap, SingularGeometryError, hessian,
                                     pullback_derivatives)
 from spacetime_iga.harness import builtin_cases, solution_space
 from spacetime_iga.splines import KnotVector, refine_uniform, single_span
-from spacetime_iga.tensor_space import build_space
+from spacetime_iga.tensor_space import DiscreteSpace
 
 GEOMETRY_NAMES = ('fixed-1d', 'moving-simple-1d', 'moving-curvi-1d', 'moving-curvi-2d')
 
@@ -20,7 +20,7 @@ def arc_geometry():
     kvs = [single_span(1), single_span(2)]
     cp = np.array([[0, 0], [1, 0], [0.25, 0.5], [0.75, 0.5], [0, 1], [1, 1]], float)
     w = np.array([1.0, 1.0, 15 / 17, 15 / 17, 1.0, 1.0])
-    return GeometryMap(build_space(kvs, w), cp)
+    return GeometryMap(DiscreteSpace(kvs, w), cp)
 
 
 @pytest.mark.parametrize('name', GEOMETRY_NAMES)
@@ -83,7 +83,7 @@ def test_rational_map_derivatives():
 
 def test_identity_geometry_is_identity():
     kv = refine_uniform(single_span(2))
-    space = build_space([kv, kv])
+    space = DiscreteSpace([kv, kv])
     geom = identity_geometry(space)
     rng = np.random.default_rng(24)
     for _ in range(10):
@@ -115,7 +115,7 @@ def test_singular_geometry_raises():
     # both walls overshoot mid-domain, so the map folds near tau = 1/2
     kvs = [single_span(1), single_span(2)]
     cp = np.array([[0, 0], [1, 0], [1.2, 0.5], [-0.2, 0.5], [0, 1], [1, 1]], float)
-    geom = GeometryMap(build_space(kvs), cp)
+    geom = GeometryMap(DiscreteSpace(kvs), cp)
     with pytest.raises(SingularGeometryError):
         jacobian(geom, np.array([0.5, 0.5]))
 
@@ -184,7 +184,7 @@ def test_quarter_annulus_exact_measures():
 
 def test_mesh_metrics_identity_map():
     kv = refine_uniform(refine_uniform(single_span(2)))
-    space = build_space([kv, kv])
+    space = DiscreteSpace([kv, kv])
     mesh = mesh_metrics(identity_geometry(space), space)
     assert mesh.n_elements == 16
     expected = np.sqrt(2.0) * 0.25
@@ -218,8 +218,8 @@ def test_mesh_metrics_halving():
 
 def test_mesh_metrics_requires_nested_breakpoints():
     kv_g = KnotVector(np.array([0, 0, 0.3, 1, 1.]), 1)
-    geom_space = build_space([kv_g, single_span(1)])
+    geom_space = DiscreteSpace([kv_g, single_span(1)])
     geom = identity_geometry(geom_space)
-    space = build_space([single_span(1), single_span(1)])
+    space = DiscreteSpace([single_span(1), single_span(1)])
     with pytest.raises(ValueError):
         mesh_metrics(geom, space)

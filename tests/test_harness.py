@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from geometries import quarter_annulus_cylinder
 from spacetime_iga import harness
 from spacetime_iga.assembly import NormMatrices
 from spacetime_iga.geometry import map_point
 from spacetime_iga.harness import (CSV_HEADER, CaseConfig, builtin_cases,
                                    cli_main, coercivity_identity_defect, emit_csv,
-                                   load_config, run_case, solution_space)
+                                   load_config, resolve_case, run_case, solution_space)
 from spacetime_iga.linsolve import ConvergenceError
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), 'data')
@@ -201,6 +202,57 @@ def test_cli_singular_geometry_is_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith('error: non-positive Jacobian determinant -')
     assert err.count('\n') == 1
+
+
+def _geometry_block(geom):
+    """The config ``geometry`` block of a geometry map."""
+    space = geom.space
+    return {'knots': [kv.knots.tolist() for kv in space.knot_vectors],
+            'degrees': list(space.degrees),
+            'control_points': geom.control_points.tolist(),
+            'weights': None if space.weights is None else space.weights.tolist()}
+
+
+def _run_custom(tmp_path, geometry):
+    cfg = tmp_path / 'custom.json'
+    cfg.write_text(json.dumps({'case': 'custom', 'moving': False, 'levels': 1,
+                               'geometry': geometry}))
+    return cli_main(['run', '--config', str(cfg)])
+
+
+@pytest.mark.parametrize('geometry,message', [
+    (dict(IDENTITY_GEOMETRY, knots=[[0, 0, 0, 1, 1], [0, 0, 1, 1]]), 'open knot vector'),
+    (dict(IDENTITY_GEOMETRY, control_points=IDENTITY_GEOMETRY['control_points'][:3]),
+     'control points must have shape (4, 2)'),
+    (dict(IDENTITY_GEOMETRY, weights=[1.0, 1.0, 1.0]), 'weights must have shape (4,)'),
+], ids=['non-open-knots', 'control-point-count', 'weight-count'])
+def test_cli_malformed_custom_geometry_is_one_line(tmp_path, capsys, geometry, message):
+    assert _run_custom(tmp_path, geometry) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith('error: ') and message in captured.err
+    assert captured.err.count('\n') == 1
+    assert captured.out == ''
+
+
+def test_cli_rejects_a_custom_map_that_moves_time(tmp_path, capsys):
+    # lifting one terminal control point makes t - tau = xi tau / 2, largest at
+    # the last of the three Gauss points per direction, 0.887298
+    geometry = dict(IDENTITY_GEOMETRY, control_points=[[0, 0], [1, 0], [0, 1], [1, 1.5]])
+    assert _run_custom(tmp_path, geometry) == 2
+    assert capsys.readouterr().err == ('error: custom geometry must keep t = tau, but '
+                                       't - tau = 0.393649 at parameter point '
+                                       '(0.887298, 0.887298)\n')
+
+
+@pytest.mark.parametrize('block', [
+    *(_geometry_block(d.geometry) for d in builtin_cases().values()),
+    _geometry_block(quarter_annulus_cylinder()),
+    IDENTITY_GEOMETRY,
+], ids=[*builtin_cases(), 'quarter-annulus-nurbs', 'identity'])
+def test_custom_geometries_that_keep_time_pass(block):
+    definition = resolve_case(CaseConfig(case='custom', moving=True, geometry=block))
+    assert definition.geometry.space.degrees == tuple(block['degrees'])
+    assert_allclose(definition.geometry.control_points, block['control_points'])
 
 
 def test_cli_failed_level_keeps_finished_levels(tmp_path, capsys):

@@ -1,11 +1,14 @@
 """Solver wrappers: agreement with dense references, reporting, failure modes,
 and the fast diagonalization preconditioner of the parametric cylinder."""
 import warnings
+from collections import Counter
 from functools import reduce
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spacetime_iga.assembly import SchemeParams, apply_dirichlet, assemble_fixed
@@ -13,6 +16,8 @@ from spacetime_iga.harness import CaseConfig, _setup_level, builtin_cases, run_c
 from spacetime_iga.linsolve import (ConvergenceError, SingularSystemError, SolveReport,
                                     cylinder_matrices, cylinder_preconditioner,
                                     solve_direct, solve_gmres)
+from spacetime_iga.splines import KnotVector
+from spacetime_iga.tensor_space import DiscreteSpace
 
 
 def random_spd(n, seed, density=0.3):
@@ -128,16 +133,38 @@ def test_kronecker_form_is_the_assembled_fixed_operator(name, level):
     assert np.linalg.norm(kron - reduced) <= 1e-13 * np.linalg.norm(reduced)
 
     # the fast diagonalization inverts that operator
-    solve = cylinder_preconditioner(space, dofmap.n_free, params.theta * params.h)
-    v = np.random.default_rng(31).standard_normal(dofmap.n_free)
+    solve = cylinder_preconditioner(space, dofmap.free.size, params.theta * params.h)
+    v = np.random.default_rng(31).standard_normal(dofmap.free.size)
     assert np.linalg.norm(solve @ (kron @ v) - v) <= 1e-12 * np.linalg.norm(v)
     assert np.linalg.norm(kron @ (solve @ v) - v) <= 1e-12 * np.linalg.norm(v)
+
+
+@st.composite
+def open_knot_vectors(draw):
+    """Degree 1-3, 1-5 interior knots on a 1/16 grid, multiplicity at most the degree."""
+    p = draw(st.integers(1, 3))
+    ticks = draw(st.lists(st.integers(1, 15), min_size=1, max_size=5)
+                 .filter(lambda t: max(Counter(t).values()) <= p))
+    return KnotVector(np.concatenate((np.zeros(p + 1), np.sort(ticks) / 16, np.ones(p + 1))), p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kvs=st.integers(1, 2).flatmap(lambda d: st.lists(open_knot_vectors(), min_size=d + 1,
+                                                          max_size=d + 1)),
+       theta_h=st.floats(1e-3, 1.0))
+def test_fast_diagonalization_inverts_on_nonuniform_knots(kvs, theta_h):
+    space = DiscreteSpace(kvs)
+    kron = kronecker_operator(space, theta_h)
+    solve = cylinder_preconditioner(space, kron.shape[0], theta_h)
+    v = np.random.default_rng(37).standard_normal(kron.shape[0])
+    assert np.linalg.norm(solve @ (kron @ v) - v) <= 1e-10 * np.linalg.norm(v)
+    assert np.linalg.norm(kron @ (solve @ v) - v) <= 1e-10 * np.linalg.norm(v)
 
 
 def test_fast_diagonalization_rejects_a_mismatched_free_set():
     space, dofmap, mesh = _setup_level(builtin_cases()['fixed-1d'].geometry, 2, 1)
     with pytest.raises(ValueError, match='tensor-product free set of 6 dofs'):
-        cylinder_preconditioner(space, dofmap.n_free + 1, 0.1 * mesh.h_hat)
+        cylinder_preconditioner(space, dofmap.free.size + 1, 0.1 * mesh.h_hat)
 
 
 def _gmres_iterations(name, levels):

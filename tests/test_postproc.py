@@ -12,7 +12,7 @@ from spacetime_iga.postproc import (ConvergenceReport, DiscreteField,
                                     LevelRecord, error_energy, error_l2,
                                     estimate_inverse_constant, mesh_ratio, rates)
 from spacetime_iga.splines import KnotVector, refine_uniform
-from spacetime_iga.tensor_space import build_space
+from spacetime_iga.tensor_space import DiscreteSpace
 
 
 def unit_space(degree=2, level=2):
@@ -20,7 +20,7 @@ def unit_space(degree=2, level=2):
                     degree)
     for _ in range(level):
         kv = refine_uniform(kv)
-    return build_space([kv, kv])
+    return DiscreteSpace([kv, kv])
 
 
 def linear_case(a, b, c):

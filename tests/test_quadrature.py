@@ -25,7 +25,7 @@ def test_degree_2n_not_exact(n):
 def test_nodes_inside_weights_positive():
     for n in (1, 4, 9, 16):
         rule = gauss_1d(n)
-        assert rule.n_points == n
+        assert rule.weights.size == n
         assert rule.nodes.min() > 0.0 and rule.nodes.max() < 1.0
         assert rule.weights.min() > 0.0
         assert abs(rule.weights.sum() - 1.0) < 1e-14

@@ -4,7 +4,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spacetime_iga.splines import KnotVector, eval_basis, refine_uniform, single_span
-from spacetime_iga.tensor_space import (build_space, classify_dirichlet, point_rows,
+from spacetime_iga.tensor_space import (DiscreteSpace, classify_dirichlet, point_rows,
                                         tensor_basis)
 
 
@@ -15,7 +15,7 @@ def make_space(degrees=(2, 2), levels=(1, 1), weights=None):
         for _ in range(lv):
             kv = refine_uniform(kv)
         kvs.append(kv)
-    return build_space(kvs, weights)
+    return DiscreteSpace(kvs, weights)
 
 
 def eval_point(space, xi, max_deriv=2):
@@ -164,7 +164,7 @@ def test_classify_dirichlet_hand_mask():
         i, j = np.unravel_index(flat, space.dims, order='F')
         expect = i in (0, n0 - 1) or j == 0
         assert dm.dirichlet_mask[flat] == expect
-    assert dm.n_free == (n0 - 2) * (n1 - 1)
+    assert dm.free.size == (n0 - 2) * (n1 - 1)
     # partition: free and dirichlet are complementary and consistent
     assert np.array_equal(np.flatnonzero(~dm.dirichlet_mask), dm.free)
 
@@ -182,16 +182,16 @@ def test_classify_dirichlet_3d_counts():
     space = make_space((1, 1, 2), (1, 1, 1))
     n0, n1, n2 = space.dims
     dm = classify_dirichlet(space)
-    assert dm.n_free == (n0 - 2) * (n1 - 2) * (n2 - 1)
+    assert dm.free.size == (n0 - 2) * (n1 - 2) * (n2 - 1)
 
 
 def test_space_validation():
     with pytest.raises(ValueError):
-        build_space([single_span(2)])  # needs space + time
+        DiscreteSpace([single_span(2)])  # needs space + time
     kvs = [single_span(1), single_span(1)]
     with pytest.raises(ValueError):
-        build_space(kvs, weights=np.ones(3))  # wrong length
+        DiscreteSpace(kvs, weights=np.ones(3))  # wrong length
     with pytest.raises(ValueError):
-        build_space(kvs, weights=np.array([1.0, 1.0, -1.0, 1.0]))  # nonpositive
+        DiscreteSpace(kvs, weights=np.array([1.0, 1.0, -1.0, 1.0]))  # nonpositive
     with pytest.raises(ValueError):
-        point_rows(build_space(kvs), np.array([0.5]), 2)  # wrong point size
+        point_rows(DiscreteSpace(kvs), np.array([0.5]), 2)  # wrong point size
