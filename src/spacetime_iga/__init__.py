@@ -9,11 +9,12 @@ from .assembly import (LinearSystem, ManufacturedCase, NormMatrices, SchemeParam
                        StabilityWarning, apply_dirichlet, assemble_fixed,
                        assemble_moving, assemble_norm_matrices, boundary_l2_project)
 from .geometry import (GeometryMap, PhysicalMesh, SingularGeometryError, eval_geometry,
-                       hessian, jacobian, map_point, mesh_metrics, pullback_derivatives)
+                       greville_grid, hessian, jacobian, map_point, mesh_metrics,
+                       pullback_derivatives)
 from .harness import (CaseConfig, CaseDefinition, builtin_cases, emit_csv, load_config,
                       run_case, run_verification, solution_space)
 from .linsolve import (ConvergenceError, SingularSystemError, SolveReport,
-                       cylinder_preconditioner, solve_direct, solve_gmres)
+                       cylinder_preconditioner, solve_direct, solve_fd, solve_gmres)
 from .postproc import (ConvergenceReport, DiscreteField, LevelRecord, a_priori_theta_bound,
                        error_energy, error_l2, estimate_inverse_constant, mesh_ratio, rates)
 from .quadrature import QuadratureRule, gauss_1d

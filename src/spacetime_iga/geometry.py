@@ -26,6 +26,7 @@ __all__ = [
     'hessian',
     'pullback_derivatives',
     'mesh_metrics',
+    'greville_grid',
 ]
 
 
@@ -57,6 +58,24 @@ class GeometryMap:
     @property
     def ndim(self) -> int:
         return self.space.ndim
+
+    @property
+    def is_identity(self) -> bool:
+        """Whether the map is the identity of the parameter cube: a B-spline
+        map (no weights) whose control points are the Greville grid of its
+        own knot vectors, to 1e-12."""
+        return (self.space.weights is None
+                and np.allclose(self.control_points, greville_grid(self.space),
+                                rtol=0.0, atol=1e-12))
+
+
+def greville_grid(space: DiscreteSpace) -> np.ndarray:
+    """Greville point of every dof of ``space``, shape ``(dim, ndim)``.
+
+    These are the control points of the identity map in ``space``."""
+    grids = np.meshgrid(*[kv.greville() for kv in space.knot_vectors], indexing='ij')
+    # flat dof order runs direction 0 fastest
+    return np.stack([g.ravel(order='F') for g in grids], axis=1)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .assembly import (LinearSystem, ManufacturedCase, SchemeParams, StabilityWa
 from .geometry import (GeometryMap, SingularGeometryError, eval_geometry, hessian, jacobian,
                        map_point, mesh_metrics)
 from .linsolve import (ConvergenceError, SingularSystemError, cylinder_preconditioner,
-                       solve_direct, solve_gmres)
+                       solve_direct, solve_fd, solve_gmres)
 from .postproc import (ConvergenceReport, DiscreteField, LevelRecord, a_priori_theta_bound,
                        error_energy, error_l2, estimate_inverse_constant, rates)
 from .quadrature import gauss_1d
@@ -51,6 +51,9 @@ __all__ = [
 
 CSV_HEADER = 'level,dofs,h,error_l2,rate_l2,error_energy,rate_energy,solver,iters,residual,time_s'
 DIRECT_DOF_LIMIT = 200_000
+# Free dofs from which ``auto`` solves a fixed identity-geometry cylinder by
+# the exact fast diagonalization; below it sparse LU is as fast or faster.
+FD_MIN_DOFS = 500
 _RUN_ERRORS = (SingularGeometryError, ConvergenceError, SingularSystemError)
 
 
@@ -258,16 +261,27 @@ def _setup_level(geom: GeometryMap, degree: int, level: int):
     return space, classify_dirichlet(space), mesh_metrics(geom, space)
 
 
-def _solve(system: LinearSystem, config: CaseConfig, space, params: SchemeParams):
-    """Solve the reduced system; GMRES is preconditioned by the fast
-    diagonalization of the parametric cylinder of ``space``."""
+def _solve(system: LinearSystem, config: CaseConfig, space, params: SchemeParams,
+           exact_fd: bool):
+    """Solve the reduced system with ``config.solver``.
+
+    ``exact_fd`` says that the system is the fixed form on an identity-geometry
+    cylinder, which the fast diagonalization of the parametric cylinder of
+    ``space`` inverts exactly.  Under ``auto`` such a system of at least
+    ``FD_MIN_DOFS`` free dofs is solved by it (method ``'fd'``); any other
+    system solves by sparse LU up to ``DIRECT_DOF_LIMIT`` free dofs and by
+    GMRES beyond.  GMRES is always preconditioned by the fast diagonalization.
+    """
     n = system.rhs.size
+    theta_h = params.theta * params.h
     method = config.solver
     if method == 'auto':
+        if exact_fd and n >= FD_MIN_DOFS:
+            return solve_fd(system.matrix, system.rhs, space, theta_h)
         method = 'direct' if n <= DIRECT_DOF_LIMIT else 'gmres'
     if method == 'direct':
         return solve_direct(system.matrix, system.rhs)
-    preconditioner = cylinder_preconditioner(space, n, params.theta * params.h)
+    preconditioner = cylinder_preconditioner(space, n, theta_h)
     return solve_gmres(system.matrix, system.rhs, tol=config.solver_tol,
                        restart=config.gmres_restart, max_iter=config.gmres_max_iter,
                        preconditioner=preconditioner)
@@ -294,6 +308,7 @@ def run_case(config: CaseConfig) -> ConvergenceReport:
     """
     definition = resolve_case(config)
     case, geom = definition.case, definition.geometry
+    exact_fd = not case.moving and geom.is_identity
     levels = []
     c_inv = None
     for level in range(config.levels):
@@ -310,7 +325,7 @@ def run_case(config: CaseConfig) -> ConvergenceReport:
             else:
                 full = assemble_fixed(space, geom, case, params)
             reduced = apply_dirichlet(full, dofmap, case, space, geom)
-            x, report = _solve(reduced, config, space, params)
+            x, report = _solve(reduced, config, space, params, exact_fd)
             coeffs = reduced.dirichlet_values.copy()
             coeffs[dofmap.free] = x
             field = DiscreteField(space, geom, coeffs)
@@ -473,11 +488,16 @@ def _check_forms_agree():
 
 
 def _check_solvers_agree():
-    # the preconditioner is exact on the fixed cylinder, so the moving case
-    # is the one where GMRES really iterates
+    # each solver against sparse LU: GMRES, whose preconditioner is exact on
+    # the fixed cylinder (one iteration) and really iterates on the moving
+    # case, and the exact fast diagonalization that ``auto`` picks on a fixed
+    # cylinder above FD_MIN_DOFS free dofs
     details = []
     worst = 0.0
-    for name, degree, level in (('fixed-1d', 1, 4), ('moving-curvi-1d', 2, 3)):
+    methods_ok = True
+    for name, degree, level, solver in (('fixed-1d', 1, 4, 'gmres'),
+                                        ('moving-curvi-1d', 2, 3, 'gmres'),
+                                        ('fixed-1d', 2, 5, 'auto')):
         definition = builtin_cases()[name]
         case, geom = definition.case, definition.geometry
         space, dofmap, mesh = _setup_level(geom, degree, level)
@@ -485,11 +505,14 @@ def _check_solvers_agree():
         assemble = assemble_moving if case.moving else assemble_fixed
         system = apply_dirichlet(assemble(space, geom, case, params), dofmap, case, space, geom)
         xd, _ = solve_direct(system.matrix, system.rhs)
-        xg, report = _solve(system, CaseConfig(name, solver='gmres'), space, params)
-        gap = float(np.linalg.norm(xd - xg) / np.linalg.norm(xd))
+        xs, report = _solve(system, CaseConfig(name, solver=solver), space, params,
+                            exact_fd=not case.moving and geom.is_identity)
+        gap = float(np.linalg.norm(xd - xs) / np.linalg.norm(xd))
         worst = max(worst, gap)
-        details.append(f'{name}: relative gap {gap:.2e}, GMRES iterations {report.iterations}')
-    return worst < 1e-8, '; '.join(details)
+        methods_ok &= report.method == ('fd' if solver == 'auto' else solver)
+        details.append(f'{name} p{degree} L{level}: {report.method} relative gap {gap:.2e}, '
+                       f'{report.iterations} iterations')
+    return methods_ok and worst < 1e-8, '; '.join(details)
 
 
 def _check_moving_coercivity():

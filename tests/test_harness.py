@@ -2,6 +2,7 @@
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,12 +10,13 @@ from numpy.testing import assert_allclose
 
 from geometries import quarter_annulus_cylinder
 from spacetime_iga import harness
-from spacetime_iga.assembly import NormMatrices
+from spacetime_iga.assembly import NormMatrices, StabilityWarning
 from spacetime_iga.geometry import map_point
 from spacetime_iga.harness import (CSV_HEADER, CaseConfig, builtin_cases,
                                    cli_main, coercivity_identity_defect, emit_csv,
                                    load_config, resolve_case, run_case, solution_space)
 from spacetime_iga.linsolve import ConvergenceError
+from spacetime_iga.tensor_space import classify_dirichlet
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), 'data')
 
@@ -132,6 +134,35 @@ def test_solver_override_agrees_with_direct():
     assert gmres.records[-1].solve.method == 'gmres'
     assert gmres.records[-1].solve.iterations > 0
     assert_allclose(gmres.errors_l2, direct.errors_l2, rtol=1e-8)
+
+
+def _methods(config):
+    return [r.solve.method for r in run_case(config).records]
+
+
+def test_auto_solves_fixed_identity_cylinders_by_fast_diagonalization():
+    # fixed-1d p2 has 272 free dofs at L4 and 1,056 at L5
+    geom = builtin_cases()['fixed-1d'].geometry
+    free = [classify_dirichlet(solution_space(geom, 2, k)).free.size for k in (4, 5)]
+    assert free[0] < harness.FD_MIN_DOFS <= free[1]
+    assert _methods(CaseConfig(case='fixed-1d', degree=2, levels=6)) == ['direct'] * 5 + ['fd']
+    assert _methods(CaseConfig(case='custom', degree=2, levels=6, geometry=IDENTITY_GEOMETRY,
+                               moving=False)) == ['direct'] * 5 + ['fd']
+    assert _methods(CaseConfig(case='fixed-1d', degree=2, levels=6,
+                               solver='direct')) == ['direct'] * 6
+
+
+def test_auto_keeps_sparse_lu_off_the_identity_fixed_cylinder():
+    with warnings.catch_warnings():
+        warnings.simplefilter('ignore', StabilityWarning)
+        assert _methods(CaseConfig(case='moving-curvi-1d', degree=2, levels=6)) == ['direct'] * 6
+        assert _methods(CaseConfig(case='custom', degree=2, levels=6, geometry=IDENTITY_GEOMETRY,
+                                   moving=True)) == ['direct'] * 6
+    annulus = quarter_annulus_cylinder()
+    # the NURBS quarter annulus has 576 free dofs at p2 L3, above FD_MIN_DOFS
+    assert classify_dirichlet(solution_space(annulus, 2, 3)).free.size >= harness.FD_MIN_DOFS
+    assert _methods(CaseConfig(case='custom', degree=2, levels=4, moving=False,
+                               geometry=_geometry_block(annulus))) == ['direct'] * 4
 
 
 def test_emit_csv_deterministic(tmp_path):

@@ -15,7 +15,7 @@ from spacetime_iga.assembly import SchemeParams, apply_dirichlet, assemble_fixed
 from spacetime_iga.harness import CaseConfig, _setup_level, builtin_cases, run_case
 from spacetime_iga.linsolve import (ConvergenceError, SingularSystemError, SolveReport,
                                     cylinder_matrices, cylinder_preconditioner,
-                                    solve_direct, solve_gmres)
+                                    solve_direct, solve_fd, solve_gmres)
 from spacetime_iga.splines import KnotVector
 from spacetime_iga.tensor_space import DiscreteSpace
 
@@ -121,22 +121,54 @@ def kronecker_operator(space, theta_h):
     return np.kron(c_t + theta_h * k_t, m_x) + np.kron(m_t + theta_h * c_t.T, k_x)
 
 
-@pytest.mark.parametrize('name,level', [('fixed-1d', 3), ('fixed-2d', 2)])
-def test_kronecker_form_is_the_assembled_fixed_operator(name, level):
+def fixed_system(name, degree, level):
+    """``(space, reduced system, theta h)`` of a fixed built-in case."""
     definition = builtin_cases()[name]
     case, geom = definition.case, definition.geometry
-    space, dofmap, mesh = _setup_level(geom, 2, level)
+    space, dofmap, mesh = _setup_level(geom, degree, level)
     params = SchemeParams(0.1, mesh.h_hat)
-    reduced = apply_dirichlet(assemble_fixed(space, geom, case, params),
-                              dofmap, case, space, geom).matrix.toarray()
-    kron = kronecker_operator(space, params.theta * params.h)
+    system = apply_dirichlet(assemble_fixed(space, geom, case, params), dofmap, case, space, geom)
+    return space, system, params.theta * params.h
+
+
+@pytest.mark.parametrize('name,level', [('fixed-1d', 3), ('fixed-2d', 2)])
+def test_kronecker_form_is_the_assembled_fixed_operator(name, level):
+    space, system, theta_h = fixed_system(name, 2, level)
+    reduced = system.matrix.toarray()
+    kron = kronecker_operator(space, theta_h)
     assert np.linalg.norm(kron - reduced) <= 1e-13 * np.linalg.norm(reduced)
 
     # the fast diagonalization inverts that operator
-    solve = cylinder_preconditioner(space, dofmap.free.size, params.theta * params.h)
-    v = np.random.default_rng(31).standard_normal(dofmap.free.size)
+    solve = cylinder_preconditioner(space, system.rhs.size, theta_h)
+    v = np.random.default_rng(31).standard_normal(system.rhs.size)
     assert np.linalg.norm(solve @ (kron @ v) - v) <= 1e-12 * np.linalg.norm(v)
     assert np.linalg.norm(kron @ (solve @ v) - v) <= 1e-12 * np.linalg.norm(v)
+
+
+@pytest.mark.parametrize('name,degree,level', [
+    *(('fixed-1d', p, level) for p in (1, 2) for level in (5, 6)),
+    *(('fixed-2d', p, level) for p in (1, 2) for level in (3, 4)),
+])
+def test_fast_diagonalization_solve_matches_lu(name, degree, level):
+    space, system, theta_h = fixed_system(name, degree, level)
+    xd, _ = solve_direct(system.matrix, system.rhs)
+    xf, report = solve_fd(system.matrix, system.rhs, space, theta_h)
+    assert np.linalg.norm(xf - xd) <= 1e-12 * np.linalg.norm(xd)
+    assert (report.method, report.iterations) == ('fd', 0)
+    assert report.residual <= 1e-13
+    assert_allclose(report.residual, np.linalg.norm(system.rhs - system.matrix @ xf)
+                    / np.linalg.norm(system.rhs), rtol=1e-12)
+
+
+def test_fast_diagonalization_solve_failures_raise():
+    space, system, theta_h = fixed_system('fixed-1d', 2, 3)
+    rhs = system.rhs.copy()
+    rhs[0] = np.nan
+    with pytest.raises(SingularSystemError, match='fd solve produced non-finite values'):
+        solve_fd(system.matrix, rhs, space, theta_h)
+    # a NaN time pencil is a singular factorization
+    with pytest.raises(SingularSystemError):
+        solve_fd(system.matrix, system.rhs, space, np.nan)
 
 
 @st.composite
