@@ -18,8 +18,7 @@ from .linsolve import (ConvergenceError, SingularSystemError, SolveReport,
 from .postproc import (ConvergenceReport, DiscreteField, LevelRecord, a_priori_theta_bound,
                        error_energy, error_l2, estimate_inverse_constant, mesh_ratio, rates)
 from .quadrature import QuadratureRule, gauss_1d
-from .splines import (BasisEvalRow, KnotVector, eval_basis, find_span, refine_uniform,
-                      single_span)
+from .splines import KnotVector, eval_basis, find_span, refine_uniform, single_span
 from .tensor_space import DiscreteSpace, DofMap, classify_dirichlet, point_rows, tensor_basis
 
 __version__ = '0.1.0'

@@ -1,7 +1,8 @@
 """Block iteration over the elements of a space under a geometry map.
 
 Internal machinery shared by assembly, mesh metrics and postprocessing:
-univariate basis tables per knot span and the loop over blocks of
+univariate basis tables of every knot span (one array call of
+:func:`splines.eval_basis` per direction) and the loop over blocks of
 elements and boundary faces.  A block holds ``E`` elements as arrays
 with a leading element axis; ``E`` follows from one fixed byte budget.
 The tensor combination, the NURBS quotient rule, the geometry evaluation
@@ -51,18 +52,11 @@ class _Table:
 
 def _table(kv: KnotVector, nodes: np.ndarray) -> _Table:
     """Evaluate ``kv`` at ``nodes`` ``(ns, q)``; each node row must lie in one span."""
-    ns, q = nodes.shape
-    ders = np.empty((ns, q, 3, kv.degree + 1))
-    first = np.empty(ns, dtype=np.int64)
-    for s in range(ns):
-        span = find_span(kv, 0.5 * (nodes[s, 0] + nodes[s, -1]))
-        for j in range(q):
-            row = eval_basis(kv, nodes[s, j])
-            if row.span != span:
-                raise ValueError('solution spans must refine geometry spans')
-            ders[s, j] = row.values, row.first_derivs, row.second_derivs
-        first[s] = span - kv.degree
-    return _Table(ders, first)
+    first, ders = eval_basis(kv, nodes)
+    row_first = find_span(kv, 0.5 * (nodes[:, 0] + nodes[:, -1])) - kv.degree
+    if np.any(first != row_first[:, None]):
+        raise ValueError('solution spans must refine geometry spans')
+    return _Table(ders, row_first)
 
 
 def _span_rule(kv: KnotVector, n: int):

@@ -50,9 +50,9 @@ class StabilityWarning(UserWarning):
 class SchemeParams:
     """Stabilization parameter ``theta`` and global mesh size ``h``.
 
-    ``h`` is the knot-mesh size of the parameter domain
-    (:attr:`PhysicalMesh.h_hat`); it scales the upwind terms and the
-    discrete norms uniformly.  ``theta_bound``, when supplied, is the
+    ``h`` is the knot-mesh size of the parameter domain, the largest
+    parameter-cell diameter (:attr:`DiscreteSpace.h_hat`); it scales the
+    upwind terms and the discrete norms uniformly.  ``theta_bound``, when supplied, is the
     estimated admissible upper bound ``1 / (2 C_inv C_u)`` for the
     moving-domain form; assembling with ``theta >= theta_bound`` emits
     a :class:`StabilityWarning`.

@@ -5,8 +5,10 @@ its last component is the time coordinate.  One batched evaluation,
 :func:`eval_geometry`, gives the map and its first and second derivatives
 at a tensor grid of points; ``map_point``, ``jacobian`` and ``hessian``
 are one-point calls of it.  The module also provides the batched pullback
-of basis derivatives to physical coordinates and the mesh metrics
-(element sizes, global mesh size) that enter the stabilized scheme.
+of basis derivatives to physical coordinates and the physical element
+sizes that enter the moving-domain stability bound.  The knot-mesh size
+that scales the scheme depends on the knots alone
+(:attr:`DiscreteSpace.h_hat`).
 """
 from __future__ import annotations
 
@@ -86,7 +88,8 @@ class PhysicalMesh:
     enumerated in C order (direction 0 slowest).  ``h_param[e]`` is the
     Euclidean diameter of the parameter cell, ``h_elem[e]`` its physical
     size ``max ||grad Phi||_2 * h_param`` with the norm sampled at the
-    element's quadrature points, and ``h`` the global mesh size.
+    element's quadrature points, and ``h`` the global physical mesh size.
+    The largest ``h_param`` is :attr:`DiscreteSpace.h_hat`.
     """
 
     h_param: np.ndarray
@@ -99,16 +102,6 @@ class PhysicalMesh:
     @property
     def h(self) -> float:
         return float(self.h_elem.max())
-
-    @property
-    def h_hat(self) -> float:
-        """Global knot-mesh size: max parameter-cell diameter.
-
-        This is the h the stabilized forms and discrete norms are scaled
-        with; ``h``/``h_elem`` keep the physically mapped sizes used by
-        the quasi-uniformity ratio.
-        """
-        return float(self.h_param.max())
 
 
 def eval_geometry(geom: GeometryMap, rows, firsts, need: int):
@@ -140,7 +133,7 @@ def eval_geometry(geom: GeometryMap, rows, firsts, need: int):
 
 def map_point(geom: GeometryMap, xi) -> np.ndarray:
     """Physical image of the parameter point ``xi``."""
-    return eval_geometry(geom, *point_rows(geom.space, xi, 0), need=0)[0][0, 0]
+    return eval_geometry(geom, *point_rows(geom.space, xi), need=0)[0][0, 0]
 
 
 def jacobian(geom: GeometryMap, xi):
@@ -148,7 +141,7 @@ def jacobian(geom: GeometryMap, xi):
 
     Raises ``SingularGeometryError`` unless ``det J > 0``.
     """
-    _, J, det, _ = eval_geometry(geom, *point_rows(geom.space, xi, 1), need=1)
+    _, J, det, _ = eval_geometry(geom, *point_rows(geom.space, xi), need=1)
     return J[0, 0], float(det[0, 0])
 
 
@@ -157,7 +150,7 @@ def hessian(geom: GeometryMap, xi) -> np.ndarray:
 
     Raises ``SingularGeometryError`` unless ``det J > 0`` at ``xi``.
     """
-    return eval_geometry(geom, *point_rows(geom.space, xi, 2), need=2)[3][0, 0]
+    return eval_geometry(geom, *point_rows(geom.space, xi), need=2)[3][0, 0]
 
 
 def pullback_derivatives(jac, grads, hessians=None, hess_geom=None):

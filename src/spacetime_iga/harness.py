@@ -101,6 +101,12 @@ class CaseDefinition:
     geometry: GeometryMap
     description: str
 
+    @property
+    def fd_exact(self) -> bool:
+        """Whether the fast diagonalization of the parametric cylinder inverts
+        the case's form exactly: a fixed case on an identity-geometry cylinder."""
+        return not self.case.moving and self.geometry.is_identity
+
 
 def _make_geometry(degrees, control_points) -> GeometryMap:
     return GeometryMap(DiscreteSpace([single_span(p) for p in degrees]), control_points)
@@ -256,9 +262,9 @@ def solution_space(geom: GeometryMap, degree: int, level: int):
 
 
 def _setup_level(geom: GeometryMap, degree: int, level: int):
-    """``(space, dofmap, mesh)`` of refinement ``level``."""
+    """``(space, dofmap)`` of refinement ``level``."""
     space = solution_space(geom, degree, level)
-    return space, classify_dirichlet(space), mesh_metrics(geom, space)
+    return space, classify_dirichlet(space)
 
 
 def _solve(system: LinearSystem, config: CaseConfig, space, params: SchemeParams,
@@ -308,18 +314,19 @@ def run_case(config: CaseConfig) -> ConvergenceReport:
     """
     definition = resolve_case(config)
     case, geom = definition.case, definition.geometry
-    exact_fd = not case.moving and geom.is_identity
+    exact_fd = definition.fd_exact
     levels = []
     c_inv = None
     for level in range(config.levels):
         try:
-            space, dofmap, mesh = _setup_level(geom, config.degree, level)
+            space, dofmap = _setup_level(geom, config.degree, level)
             theta_bound = None
             if case.moving:
+                mesh = mesh_metrics(geom, space)
                 if c_inv is None or level <= 2:
                     c_inv = estimate_inverse_constant(space, geom, mesh)
                 theta_bound = a_priori_theta_bound(c_inv, mesh)
-            params = SchemeParams(config.theta, mesh.h_hat, theta_bound)
+            params = SchemeParams(config.theta, space.h_hat, theta_bound)
             if case.moving:
                 full = assemble_moving(space, geom, case, params)
             else:
@@ -371,12 +378,9 @@ def _print_report(report: ConvergenceReport):
 def _check_partition_of_unity():
     rng = np.random.default_rng(7)
     kv = KnotVector(np.array([0, 0, 0, 0.2, 0.5, 0.5, 0.8, 1, 1, 1.]), 2)
-    worst = 0.0
-    for xi in rng.uniform(0.0, 1.0, 500):
-        row = eval_basis(kv, float(xi))
-        worst = max(worst, abs(row.values.sum() - 1.0),
-                    abs(row.first_derivs.sum()) * 1e-3,
-                    abs(row.second_derivs.sum()) * 1e-6)
+    sums = eval_basis(kv, rng.uniform(0.0, 1.0, 500))[1].sum(axis=2)
+    worst = float(max(np.abs(sums[:, 0] - 1.0).max(), np.abs(sums[:, 1]).max() * 1e-3,
+                      np.abs(sums[:, 2]).max() * 1e-6))
     return worst < 1e-12, f'max deviation {worst:.2e}'
 
 
@@ -425,12 +429,12 @@ def coercivity_identity_defect(name: str, degree: int, level: int,
     None when the level has no free dofs."""
     definition = builtin_cases()[name]
     geom = definition.geometry
-    space, dofmap, mesh = _setup_level(geom, degree, level)
+    space, dofmap = _setup_level(geom, degree, level)
     free = dofmap.free
     if free.size == 0:
         return None
-    K = assemble_fixed(space, geom, definition.case, SchemeParams(0.1, mesh.h_hat)).matrix
-    norm_params = SchemeParams(0.1 * theta_skew, mesh.h_hat)
+    K = assemble_fixed(space, geom, definition.case, SchemeParams(0.1, space.h_hat)).matrix
+    norm_params = SchemeParams(0.1 * theta_skew, space.h_hat)
     norms = assemble_norm_matrices(space, geom, norm_params)
     K, N, G = (m[free][:, free] for m in (K, norms.n_fixed, norms.face_gradient))
     th = norm_params.theta * norm_params.h
@@ -445,8 +449,8 @@ def fixed_forms_gap(name: str, degree: int, level: int) -> float:
     """Largest entry of ``a_h - b_h`` on the free rows, and of the load gap, on a fixed case."""
     definition = builtin_cases()[name]
     case, geom = definition.case, definition.geometry
-    space, dofmap, mesh = _setup_level(geom, degree, level)
-    params = SchemeParams(0.1, mesh.h_hat)
+    space, dofmap = _setup_level(geom, degree, level)
+    params = SchemeParams(0.1, space.h_hat)
     a_sys = assemble_fixed(space, geom, case, params)
     b_sys = assemble_moving(space, geom, case, params)
     gap = abs(a_sys.matrix - b_sys.matrix)[dofmap.free].max()
@@ -461,9 +465,10 @@ def moving_coercivity(name: str, degree: int, level: int) -> tuple[float, bool, 
     over 20 random free vectors (seed 5)."""
     definition = builtin_cases()[name]
     case, geom = definition.case, definition.geometry
-    space, dofmap, mesh = _setup_level(geom, degree, level)
+    space, dofmap = _setup_level(geom, degree, level)
+    mesh = mesh_metrics(geom, space)
     bound = a_priori_theta_bound(estimate_inverse_constant(space, geom, mesh), mesh)
-    params = SchemeParams(0.1, mesh.h_hat, bound)
+    params = SchemeParams(0.1, space.h_hat, bound)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter('always')
         B = assemble_moving(space, geom, case, params).matrix
@@ -500,13 +505,13 @@ def _check_solvers_agree():
                                         ('fixed-1d', 2, 5, 'auto')):
         definition = builtin_cases()[name]
         case, geom = definition.case, definition.geometry
-        space, dofmap, mesh = _setup_level(geom, degree, level)
-        params = SchemeParams(0.1, mesh.h_hat)
+        space, dofmap = _setup_level(geom, degree, level)
+        params = SchemeParams(0.1, space.h_hat)
         assemble = assemble_moving if case.moving else assemble_fixed
         system = apply_dirichlet(assemble(space, geom, case, params), dofmap, case, space, geom)
         xd, _ = solve_direct(system.matrix, system.rhs)
         xs, report = _solve(system, CaseConfig(name, solver=solver), space, params,
-                            exact_fd=not case.moving and geom.is_identity)
+                            exact_fd=definition.fd_exact)
         gap = float(np.linalg.norm(xd - xs) / np.linalg.norm(xd))
         worst = max(worst, gap)
         methods_ok &= report.method == ('fd' if solver == 'auto' else solver)

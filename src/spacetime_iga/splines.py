@@ -3,7 +3,9 @@
 Everything downstream (tensor-product spaces, geometry maps, assembly)
 is built from the three primitives in this module: span location,
 simultaneous evaluation of the non-vanishing basis functions with their
-first two derivatives, and uniform knot refinement.
+first two derivatives, and uniform knot refinement.  Span location and
+evaluation take an array of points of any shape, so one call tabulates
+every quadrature node of a level.
 
 Knot vectors are open: the first and last knots are repeated exactly
 ``degree + 1`` times, so the basis is interpolatory at both ends of the
@@ -17,7 +19,6 @@ import numpy as np
 
 __all__ = [
     'KnotVector',
-    'BasisEvalRow',
     'single_span',
     'find_span',
     'eval_basis',
@@ -88,82 +89,65 @@ class KnotVector:
         return np.array([self.knots[i + 1:i + p + 1].mean() for i in range(self.n)])
 
 
-@dataclass(frozen=True)
-class BasisEvalRow:
-    """Non-vanishing basis functions at a point, with derivatives.
-
-    ``values[j]``, ``first_derivs[j]`` and ``second_derivs[j]`` belong to
-    the basis function with global index ``span - degree + j`` for
-    ``j = 0, ..., degree``.  Derivative rows beyond the requested order
-    (or beyond the degree) are zero-filled.
-    """
-
-    span: int
-    values: np.ndarray
-    first_derivs: np.ndarray
-    second_derivs: np.ndarray
-
-    @property
-    def first_active(self) -> int:
-        return self.span - self.values.size + 1
-
-
 def single_span(degree: int) -> KnotVector:
     """Knot vector of the single-element (Bernstein) space of a given degree."""
     return KnotVector(np.repeat([0.0, 1.0], degree + 1), degree)
 
 
-def find_span(kv: KnotVector, xi: float) -> int:
-    """Locate the knot span containing ``xi``.
+def find_span(kv: KnotVector, xi) -> np.ndarray:
+    """Locate the knot span containing each point of ``xi`` (any shape).
 
-    Returns the unique index ``s`` with ``knots[s] <= xi < knots[s + 1]``;
-    at the right endpoint ``xi == 1`` the last non-empty span is returned,
-    so evaluation at the endpoint uses the limit from the left.
+    Returns the indices ``s`` with ``knots[s] <= xi < knots[s + 1]``, shaped
+    like ``xi``; at the right endpoint ``xi == 1`` the last non-empty span
+    is returned, so evaluation at the endpoint uses the limit from the left.
     """
-    if not 0.0 <= xi <= 1.0:
-        raise ValueError(f'parameter {xi} outside [0, 1]')
-    p = kv.degree
-    s = int(np.searchsorted(kv.knots, xi, side='right')) - 1
-    return min(max(s, p), kv.n - 1)
+    xi = np.asarray(xi, dtype=float)
+    inside = (xi >= 0.0) & (xi <= 1.0)
+    if not np.all(inside):
+        raise ValueError(f'parameter {xi[~inside].flat[0]} outside [0, 1]')
+    s = np.searchsorted(kv.knots, xi, side='right') - 1
+    return np.clip(s, kv.degree, kv.n - 1)
 
 
-def eval_basis(kv: KnotVector, xi: float, max_deriv: int = 2) -> BasisEvalRow:
-    """Evaluate the ``degree + 1`` basis functions that are non-zero at ``xi``.
+def eval_basis(kv: KnotVector, xi):
+    """Evaluate the ``degree + 1`` basis functions that are non-zero at each point.
 
     Uses the Cox-de Boor recursion in its triangular-table form, followed
-    by the knot-difference recursion for derivatives; any division by a
-    zero knot difference is defined as zero and never reached because only
-    non-empty spans are visited.
+    by the knot-difference recursion for derivatives, run over a trailing
+    axis of points; any division by a zero knot difference is defined as
+    zero and never reached because only non-empty spans are visited.
 
     Parameters
     ----------
     kv : KnotVector
-    xi : float
-        Evaluation point in ``[0, 1]``.
-    max_deriv : int
-        Highest derivative order to compute (0, 1 or 2).  Orders above
-        the degree come out as exact zeros.
+    xi : array_like
+        Evaluation points in ``[0, 1]``, any shape.
 
     Returns
     -------
-    BasisEvalRow
+    (first, ders)
+        ``first`` (shape of ``xi``) is the global index of the first
+        non-zero function at each point, and ``ders`` (shape
+        ``xi.shape + (3, degree + 1)``, C-contiguous) holds the values and
+        the first and second derivatives of functions ``first, ...,
+        first + degree``.  Derivative rows above the degree are zero.
     """
-    if max_deriv not in (0, 1, 2):
-        raise ValueError(f'max_deriv must be 0, 1 or 2, got {max_deriv}')
-    span = find_span(kv, xi)
+    xi = np.asarray(xi, dtype=float)
+    span = find_span(kv, xi).ravel()
+    x = xi.ravel()
     p = kv.degree
     U = kv.knots
-    nd = min(max_deriv, p)
+    nd = min(2, p)
 
     # Triangular table: ndu[j, r] holds basis values on the upper triangle
     # and knot differences on the lower one.
-    ndu = np.empty((p + 1, p + 1))
-    left = np.empty(p)
-    right = np.empty(p)
+    ndu = np.empty((p + 1, p + 1, x.size))
+    left = np.empty((p, x.size))
+    right = np.empty((p, x.size))
     ndu[0, 0] = 1.0
     for j in range(p):
-        left[j] = xi - U[span - j]
-        right[j] = U[span + 1 + j] - xi
+        left[j] = x - U[span - j]
+        right[j] = U[span + 1 + j] - x
         saved = 0.0
         for r in range(j + 1):
             ndu[j + 1, r] = right[r] + left[j - r]
@@ -172,37 +156,38 @@ def eval_basis(kv: KnotVector, xi: float, max_deriv: int = 2) -> BasisEvalRow:
             saved = left[j - r] * temp
         ndu[j + 1, j + 1] = saved
 
-    ders = np.zeros((3, p + 1))
-    ders[0, :] = ndu[:, p]
+    # points first, so the table is C-contiguous: the batched kernels run
+    # other (and not bit-identical) matmul paths on strided input
+    ders = np.zeros((x.size, 3, p + 1))
+    ders[:, 0, :] = ndu[:, p].T
 
-    if nd > 0:
-        a = np.empty((2, p + 1))
-        for r in range(p + 1):
-            s1, s2 = 0, 1
-            a[0, 0] = 1.0
-            for k in range(1, nd + 1):
-                d = 0.0
-                rk = r - k
-                pk = p - k
-                if r >= k:
-                    a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
-                    d = a[s2, 0] * ndu[rk, pk]
-                j1 = 1 if rk >= -1 else -rk
-                j2 = k - 1 if r - 1 <= pk else p - r
-                for j in range(j1, j2 + 1):
-                    a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
-                    d += a[s2, j] * ndu[rk + j, pk]
-                if r <= pk:
-                    a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
-                    d += a[s2, k] * ndu[r, pk]
-                ders[k, r] = d
-                s1, s2 = s2, s1
-        fact = float(p)
+    a = np.empty((2, p + 1, x.size))
+    for r in range(p + 1):
+        s1, s2 = 0, 1
+        a[0, 0] = 1.0
         for k in range(1, nd + 1):
-            ders[k, :] *= fact
-            fact *= p - k
+            d = 0.0
+            rk = r - k
+            pk = p - k
+            if r >= k:
+                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
+                d = a[s2, 0] * ndu[rk, pk]
+            j1 = 1 if rk >= -1 else -rk
+            j2 = k - 1 if r - 1 <= pk else p - r
+            for j in range(j1, j2 + 1):
+                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
+                d += a[s2, j] * ndu[rk + j, pk]
+            if r <= pk:
+                a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
+                d += a[s2, k] * ndu[r, pk]
+            ders[:, k, r] = d
+            s1, s2 = s2, s1
+    fact = float(p)
+    for k in range(1, nd + 1):
+        ders[:, k, :] *= fact
+        fact *= p - k
 
-    return BasisEvalRow(span, ders[0], ders[1], ders[2])
+    return (span - p).reshape(xi.shape), ders.reshape(xi.shape + (3, p + 1))
 
 
 def refine_uniform(kv: KnotVector) -> KnotVector:

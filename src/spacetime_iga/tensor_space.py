@@ -72,6 +72,16 @@ class DiscreteSpace:
         return tuple(kv.degree for kv in self.knot_vectors)
 
     @property
+    def h_hat(self) -> float:
+        """Global knot-mesh size: the largest parameter-cell diameter.
+
+        This is the ``h`` the stabilized forms and discrete norms are
+        scaled with (:class:`assembly.SchemeParams`).
+        """
+        return float(np.sqrt(sum((np.diff(kv.breakpoints) ** 2).max()
+                                 for kv in self.knot_vectors)))
+
+    @property
     def strides(self) -> tuple:
         s, out = 1, []
         for n in self.dims:
@@ -92,7 +102,7 @@ class DofMap:
     free: np.ndarray
 
 
-def point_rows(space: DiscreteSpace, xi, max_deriv: int):
+def point_rows(space: DiscreteSpace, xi):
     """Univariate rows of every direction at the single point ``xi``.
 
     Returns ``(rows, firsts)`` in the form :func:`tensor_basis` takes, a
@@ -102,9 +112,8 @@ def point_rows(space: DiscreteSpace, xi, max_deriv: int):
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (space.ndim,):
         raise ValueError(f'expected point of length {space.ndim}, got shape {xi.shape}')
-    evals = [eval_basis(kv, x, max_deriv) for kv, x in zip(space.knot_vectors, xi)]
-    rows = [np.stack((r.values, r.first_derivs, r.second_derivs))[None, None] for r in evals]
-    return rows, [np.array([r.first_active]) for r in evals]
+    evals = [eval_basis(kv, x[None, None]) for kv, x in zip(space.knot_vectors, xi)]
+    return [ders for _, ders in evals], [first[:, 0] for first, _ in evals]
 
 
 def _outer2(a: np.ndarray, b: np.ndarray) -> np.ndarray:

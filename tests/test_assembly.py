@@ -39,7 +39,7 @@ def setup(name, degree=2, level=2):
     case, geom = definition.case, definition.geometry
     space = solution_space(geom, degree, level)
     mesh = mesh_metrics(geom, space)
-    params = SchemeParams(0.1, mesh.h_hat)
+    params = SchemeParams(0.1, space.h_hat)
     return case, geom, space, mesh, params
 
 
@@ -218,7 +218,7 @@ def test_theta_threshold_is_positive_and_conservative():
 
 def test_stability_warning_emitted_above_threshold():
     case, geom, space, mesh, _ = setup('moving-simple-1d', 2, 1)
-    params = SchemeParams(0.9, mesh.h_hat, theta_bound=0.3)
+    params = SchemeParams(0.9, space.h_hat, theta_bound=0.3)
     with pytest.warns(StabilityWarning):
         assemble_moving(space, geom, case, params)
 
@@ -227,7 +227,7 @@ def test_no_warning_below_threshold():
     import warnings
 
     case, geom, space, mesh, _ = setup('moving-simple-1d', 2, 1)
-    params = SchemeParams(0.1, mesh.h_hat, theta_bound=0.3)
+    params = SchemeParams(0.1, space.h_hat, theta_bound=0.3)
     with warnings.catch_warnings():
         warnings.simplefilter('error', StabilityWarning)
         assemble_moving(space, geom, case, params)
@@ -296,7 +296,7 @@ def test_boundary_projection_reproduces_trace_data():
     def g(x):
         out = np.empty(x.shape[0])
         for q, pt in enumerate(x):
-            active, val, _, _ = tensor_basis(space, *point_rows(space, pt, 0), 0)
+            active, val, _, _ = tensor_basis(space, *point_rows(space, pt), 0)
             out[q] = val[0, 0] @ coeffs[active[0]]
         return out
 

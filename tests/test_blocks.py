@@ -35,7 +35,7 @@ def stage_results(name, level):
     """Every blocked stage's output on one level, as arrays keyed by function."""
     case, geom, space = setup(name, level)
     mesh = mesh_metrics(geom, space)
-    params = SchemeParams(0.1, mesh.h_hat)
+    params = SchemeParams(0.1, space.h_hat)
     fixed = assemble_fixed(space, geom, case, params)
     moving = assemble_moving(space, geom, case, params)
     norms = assemble_norm_matrices(space, geom, params)

@@ -191,7 +191,7 @@ def test_mesh_metrics_identity_map():
     assert_allclose(mesh.h_param, expected, atol=1e-14)
     assert_allclose(mesh.h_elem, expected, atol=1e-12)
     assert abs(mesh.h - expected) < 1e-12
-    assert abs(mesh.h_hat - expected) < 1e-14
+    assert abs(space.h_hat - expected) < 1e-14
 
 
 def test_mesh_metrics_mapped_sizes():
@@ -199,11 +199,28 @@ def test_mesh_metrics_mapped_sizes():
     for level in (1, 2, 3):
         space = solution_space(geom, 2, level)
         mesh = mesh_metrics(geom, space)
-        # knot-mesh size is a pure parameter quantity
-        assert abs(mesh.h_hat - np.sqrt(2.0) * 0.5 ** level) < 1e-14
+        # knot-mesh size is a pure parameter quantity, read off the knots
+        assert abs(space.h_hat - np.sqrt(2.0) * 0.5 ** level) < 1e-14
+        assert space.h_hat == mesh.h_param.max()
         # the mapped size exceeds it: the map stretches space near t = 1
-        assert mesh.h > mesh.h_hat
+        assert mesh.h > space.h_hat
         assert mesh.h_elem.min() > 0
+
+
+def test_knot_mesh_size_is_the_largest_parameter_cell():
+    # h_hat reads the knots alone; it equals mesh_metrics' largest parameter
+    # cell diameter bit for bit, on every geometry and on non-uniform knots
+    geoms = [d.geometry for d in builtin_cases().values()] + [quarter_annulus_cylinder()]
+    spaces = [(geom, solution_space(geom, p, level))
+              for geom in geoms for p in (1, 2, 3) for level in range(3 - geom.ndim // 3)]
+    rng = np.random.default_rng(24)
+    for _ in range(10):
+        kvs = [KnotVector(np.concatenate((np.zeros(p + 1), np.sort(rng.uniform(0, 1, 4)),
+                                          np.ones(p + 1))), p)
+               for p in rng.integers(1, 4, size=rng.integers(2, 4))]
+        spaces.append((identity_geometry(DiscreteSpace(kvs)), DiscreteSpace(kvs)))
+    for geom, space in spaces:
+        assert space.h_hat == mesh_metrics(geom, space).h_param.max()
 
 
 def test_mesh_metrics_halving():

@@ -125,8 +125,8 @@ def fixed_system(name, degree, level):
     """``(space, reduced system, theta h)`` of a fixed built-in case."""
     definition = builtin_cases()[name]
     case, geom = definition.case, definition.geometry
-    space, dofmap, mesh = _setup_level(geom, degree, level)
-    params = SchemeParams(0.1, mesh.h_hat)
+    space, dofmap = _setup_level(geom, degree, level)
+    params = SchemeParams(0.1, space.h_hat)
     system = apply_dirichlet(assemble_fixed(space, geom, case, params), dofmap, case, space, geom)
     return space, system, params.theta * params.h
 
@@ -194,9 +194,9 @@ def test_fast_diagonalization_inverts_on_nonuniform_knots(kvs, theta_h):
 
 
 def test_fast_diagonalization_rejects_a_mismatched_free_set():
-    space, dofmap, mesh = _setup_level(builtin_cases()['fixed-1d'].geometry, 2, 1)
+    space, dofmap = _setup_level(builtin_cases()['fixed-1d'].geometry, 2, 1)
     with pytest.raises(ValueError, match='tensor-product free set of 6 dofs'):
-        cylinder_preconditioner(space, dofmap.free.size + 1, 0.1 * mesh.h_hat)
+        cylinder_preconditioner(space, dofmap.free.size + 1, 0.1 * space.h_hat)
 
 
 def _gmres_iterations(name, levels):

@@ -45,8 +45,7 @@ def test_linear_field_has_zero_error():
     case = linear_case(2.0, 3.0, 1.0)
     coeffs = greville_linear_coeffs(space, 2.0, 3.0, 1.0)
     field = DiscreteField(space, geom, coeffs)
-    mesh = mesh_metrics(geom, space)
-    params = SchemeParams(0.1, mesh.h_hat)
+    params = SchemeParams(0.1, space.h_hat)
     assert error_l2(field, case) < 1e-12
     assert error_energy(field, case, params) < 1e-11
     assert error_energy(field, case, params, moving=True) < 1e-11
@@ -64,8 +63,7 @@ def test_constant_error_integrates_exactly():
         grad_u=lambda x: np.zeros((x.shape[0], 1)),
         f=lambda x: np.zeros(x.shape[0]))
     field = DiscreteField(space, geom, np.zeros(space.dim))
-    mesh = mesh_metrics(geom, space)
-    params = SchemeParams(0.1, mesh.h_hat)
+    params = SchemeParams(0.1, space.h_hat)
     assert_allclose(error_l2(field, case), 1.0, rtol=1e-13)
     assert_allclose(error_energy(field, case, params), np.sqrt(0.5), rtol=1e-13)
     assert_allclose(error_energy(field, case, params, moving=True), np.sqrt(0.5),

@@ -1,8 +1,13 @@
 """Univariate B-spline primitives against a direct Cox-de Boor oracle."""
+from collections import Counter
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 
+from spacetime_iga._batch import _table
 from spacetime_iga.splines import (KnotVector, eval_basis, find_span,
                                    refine_uniform, single_span)
 
@@ -53,14 +58,25 @@ def _dense_any_degree(U, p, xi):
 
 
 def scatter(kv, xi):
-    """Full-length (n,) rows of values and two derivatives from eval_basis."""
-    row = eval_basis(kv, xi)
-    out = np.zeros((3, kv.n))
-    i0 = row.first_active
-    out[0, i0:i0 + row.values.size] = row.values
-    out[1, i0:i0 + row.values.size] = row.first_derivs
-    out[2, i0:i0 + row.values.size] = row.second_derivs
+    """Full-length rows of values and two derivatives from eval_basis.
+
+    ``xi`` is a point or an array of points; the result has shape
+    ``np.shape(xi) + (3, n)``.
+    """
+    first, ders = eval_basis(kv, xi)
+    out = np.zeros(np.shape(xi) + (3, kv.n))
+    cols = first[..., None, None] + np.arange(kv.degree + 1)
+    np.put_along_axis(out, np.broadcast_to(cols, ders.shape), ders, axis=-1)
     return out
+
+
+def assert_array_call_is_pointwise(kv, xs):
+    """One call on the array ``xs`` gives, bit for bit, the rows of one call per point."""
+    rows = scatter(kv, xs)
+    assert rows.shape == xs.shape + (3, kv.n)
+    for idx in np.ndindex(xs.shape):
+        assert_array_equal(rows[idx], scatter(kv, float(xs[idx])))
+    return rows
 
 
 SAMPLE_KVS = [
@@ -74,17 +90,19 @@ SAMPLE_KVS = [
 @pytest.mark.parametrize('kv', SAMPLE_KVS)
 def test_values_match_dense_recursion(kv):
     rng = np.random.default_rng(1)
-    for xi in np.concatenate((rng.uniform(0, 1, 40), [0.0, 1.0, 0.5])):
-        assert_allclose(scatter(kv, float(xi))[0], dense_basis(kv, float(xi)),
-                        atol=1e-13)
+    xs = np.concatenate((rng.uniform(0, 1, 40), [0.0, 1.0, 0.5], kv.breakpoints))
+    rows = assert_array_call_is_pointwise(kv, xs.reshape(-1, 1))
+    for xi, row in zip(xs, rows[:, 0]):
+        assert_allclose(row[0], dense_basis(kv, float(xi)), atol=1e-13)
 
 
 @pytest.mark.parametrize('kv', SAMPLE_KVS)
 def test_first_derivatives_match_dense_recursion(kv):
     rng = np.random.default_rng(2)
-    for xi in rng.uniform(0.01, 0.99, 40):
-        assert_allclose(scatter(kv, float(xi))[1], dense_basis(kv, float(xi), k=1),
-                        atol=1e-11)
+    xs = rng.uniform(0.01, 0.99, 40)
+    rows = assert_array_call_is_pointwise(kv, xs.reshape(4, 10)).reshape(40, 3, kv.n)
+    for xi, row in zip(xs, rows):
+        assert_allclose(row[1], dense_basis(kv, float(xi), k=1), atol=1e-11)
 
 
 @pytest.mark.parametrize('kv', [kv for kv in SAMPLE_KVS if kv.degree >= 2])
@@ -105,26 +123,45 @@ def test_partition_of_unity_and_derivative_sums(kv):
         assert abs(rows[0].sum() - 1.0) < 1e-12
         assert abs(rows[1].sum()) < 1e-9
         assert abs(rows[2].sum()) < 1e-7
+    sums = scatter(kv, rng.uniform(0, 1, (6, 10))).sum(axis=-1)
+    assert np.abs(sums[..., 0] - 1.0).max() < 1e-12
+    assert np.abs(sums[..., 1]).max() < 1e-9
+    assert np.abs(sums[..., 2]).max() < 1e-7
 
 
 def test_values_nonnegative_and_local():
     kv = SAMPLE_KVS[1]
-    for xi in np.linspace(0, 1, 23):
-        row = eval_basis(kv, float(xi))
-        assert row.values.min() > -1e-14
-        assert row.values.size == kv.degree + 1
+    xs = np.linspace(0, 1, 23)
+    for xi in xs:
+        first, ders = eval_basis(kv, float(xi))
+        assert first.shape == () and ders.shape == (3, kv.degree + 1)
+        assert ders[0].min() > -1e-14
+    first, ders = eval_basis(kv, xs)
+    assert first.shape == xs.shape and ders.shape == xs.shape + (3, kv.degree + 1)
+    assert ders.flags.c_contiguous
+    assert ders[:, 0].min() > -1e-14
+    assert first.min() >= 0 and first.max() + kv.degree <= kv.n - 1
+    # the values are the only non-zero functions: nothing lies outside the active rows
+    rows = scatter(kv, xs)[:, 0]
+    assert_allclose(rows.sum(axis=1), 1.0, atol=1e-14)
+    active = np.take_along_axis(rows, first[:, None] + np.arange(kv.degree + 1), axis=1)
+    assert_allclose(active.sum(axis=1), 1.0, atol=1e-14)
 
 
 @pytest.mark.parametrize('kv', SAMPLE_KVS)
 def test_find_span_brackets_point(kv):
     rng = np.random.default_rng(4)
-    for xi in np.concatenate((rng.uniform(0, 1, 50), [0.0, 1.0])):
+    xs = np.concatenate((rng.uniform(0, 1, 50), [0.0, 1.0], kv.breakpoints))
+    for xi in xs:
         s = find_span(kv, float(xi))
         assert kv.degree <= s <= kv.n - 1
         if xi < 1.0:
             assert kv.knots[s] <= xi < kv.knots[s + 1]
         else:
             assert kv.knots[s] < kv.knots[s + 1] == 1.0
+    spans = find_span(kv, xs.reshape(1, -1, 1))
+    assert spans.shape == (1, xs.size, 1)
+    assert_array_equal(spans.ravel(), [find_span(kv, float(xi)) for xi in xs])
 
 
 def test_find_span_rejects_outside_domain():
@@ -133,6 +170,32 @@ def test_find_span_rejects_outside_domain():
         find_span(kv, -0.1)
     with pytest.raises(ValueError):
         find_span(kv, 1.1)
+
+
+def test_find_span_rejects_bad_entries_inside_an_array():
+    kv = SAMPLE_KVS[1]
+    good = np.linspace(0, 1, 12).reshape(3, 4)
+    find_span(kv, good)
+    with pytest.raises(ValueError, match=r'parameter nan outside \[0, 1\]'):
+        find_span(kv, np.nan)
+    for bad in (np.nan, -1e-12, 1.0 + 1e-12, np.inf):
+        xs = good.copy()
+        xs[1, 2] = bad
+        with pytest.raises(ValueError, match=r'outside \[0, 1\]'):
+            find_span(kv, xs)
+        with pytest.raises(ValueError, match=r'outside \[0, 1\]'):
+            eval_basis(kv, xs)
+
+
+def test_table_rejects_a_node_row_across_a_breakpoint():
+    kv = SAMPLE_KVS[1]  # breakpoints 0, 0.2, 0.5, 0.8, 1
+    nodes = np.array([[0.05, 0.15], [0.55, 0.75]])
+    table = _table(kv, nodes)
+    assert_array_equal(table.first, [0, 3])
+    assert_array_equal(table.ders, eval_basis(kv, nodes)[1])
+    for row in ([0.1, 0.3], [0.45, 0.55], [0.6, 0.8]):
+        with pytest.raises(ValueError, match='solution spans must refine geometry spans'):
+            _table(kv, np.vstack((nodes, row)))
 
 
 def test_endpoint_interpolation():
@@ -193,6 +256,25 @@ def test_knot_vector_validation():
         KnotVector(np.array([0, 0, 0.5, 0.5, 0.5, 1, 1.]), 1)  # multiplicity 3 > p+1
 
 
-def test_eval_basis_rejects_bad_order():
-    with pytest.raises(ValueError):
-        eval_basis(SAMPLE_KVS[0], 0.5, max_deriv=3)
+@st.composite
+def open_knot_vectors(draw):
+    """Degree 1-4, 1-6 interior knots on a 1/16 grid, multiplicity at most the degree."""
+    p = draw(st.integers(1, 4))
+    ticks = draw(st.lists(st.integers(1, 15), min_size=1, max_size=6)
+                 .filter(lambda t: max(Counter(t).values()) <= p))
+    return KnotVector(np.concatenate((np.zeros(p + 1), np.sort(ticks) / 16, np.ones(p + 1))), p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kv=open_knot_vectors(),
+       xs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
+def test_array_kernel_matches_dense_recursion_on_random_knots(kv, xs):
+    xs = np.concatenate((xs, kv.breakpoints))
+    rows = assert_array_call_is_pointwise(kv, xs)
+    scale = [1.0, 16.0 * kv.degree, (16.0 * kv.degree) ** 2]
+    for xi, row in zip(xs, rows):
+        for k in range(3):
+            assert_allclose(row[k], dense_basis(kv, xi, k), rtol=0, atol=1e-12 * scale[k])
+    sums = rows.sum(axis=-1)
+    assert_allclose(sums[:, 0], 1.0, rtol=0, atol=1e-13)
+    assert_allclose(sums[:, 1:], 0.0, rtol=0, atol=1e-12 * scale[2])

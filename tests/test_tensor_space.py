@@ -18,21 +18,21 @@ def make_space(degrees=(2, 2), levels=(1, 1), weights=None):
     return DiscreteSpace(kvs, weights)
 
 
-def eval_point(space, xi, max_deriv=2):
+def eval_point(space, xi, need=2):
     """Active dofs and parameter-space values, gradients and Hessians at ``xi``.
 
-    Derivatives above ``max_deriv`` come back zero-filled.
+    Derivatives above ``need`` come back zero-filled.
     """
-    active, val, grad, hess = tensor_basis(space, *point_rows(space, xi, max_deriv), max_deriv)
+    active, val, grad, hess = tensor_basis(space, *point_rows(space, xi), need)
     m, nd = active.shape[1], space.ndim
     grad = np.zeros((1, 1, m, nd)) if grad is None else grad
     hess = np.zeros((1, 1, m, nd, nd)) if hess is None else hess
     return active[0], val[0, 0], grad[0, 0], hess[0, 0]
 
 
-def dense_point(space, xi, max_deriv=2):
+def dense_point(space, xi, need=2):
     """Scatter the active functions at ``xi`` to full-length arrays for comparison."""
-    active, values, gradients, hessians = eval_point(space, xi, max_deriv)
+    active, values, gradients, hessians = eval_point(space, xi, need)
     n = space.dim
     vals = np.zeros(n)
     grads = np.zeros((n, space.ndim))
@@ -48,9 +48,14 @@ def test_flat_multi_roundtrip():
     # with direction 0 slowest in the local order and fastest in the flat index
     space = make_space((1, 2, 2), (1, 1, 0))
     rng = np.random.default_rng(10)
-    for xi in rng.uniform(0, 1, (10, 3)):
+    pts = rng.uniform(0, 1, (10, 3))
+    # one array call per direction gives every point's first active index
+    all_firsts = np.stack([eval_basis(kv, pts[:, a])[0]
+                           for a, kv in enumerate(space.knot_vectors)], axis=1)
+    for xi, firsts in zip(pts, all_firsts):
         active = eval_point(space, xi)[0]
-        firsts = [eval_basis(kv, float(x)).first_active for kv, x in zip(space.knot_vectors, xi)]
+        assert firsts.tolist() == [eval_basis(kv, float(x))[0]
+                                   for kv, x in zip(space.knot_vectors, xi)]
         ranges = [f + np.arange(kv.degree + 1) for f, kv in zip(firsts, space.knot_vectors)]
         local = np.stack([g.ravel() for g in np.meshgrid(*ranges, indexing='ij')])
         assert np.array_equal(np.ravel_multi_index(local, space.dims, order='F'), active)
@@ -71,17 +76,19 @@ def test_dims_and_strides():
 def test_values_match_univariate_products():
     space = make_space((2, 3), (2, 1))
     rng = np.random.default_rng(11)
-    for _ in range(20):
-        xi = rng.uniform(0, 1, 2)
+    pts = rng.uniform(0, 1, (20, 2))
+    # oracle: outer products of univariate rows scattered by hand, all 20
+    # points of a direction from one array call
+    fulls = []
+    for kv, x in zip(space.knot_vectors, pts.T):
+        first, ders = eval_basis(kv, x)
+        f = np.zeros((x.size, 3, kv.n))
+        cols = first[:, None, None] + np.arange(kv.degree + 1)
+        np.put_along_axis(f, np.broadcast_to(cols, ders.shape), ders, axis=-1)
+        fulls.append(f)
+    for k, xi in enumerate(pts):
         vals, grads, hess = dense_point(space, xi)
-        # oracle: outer products of univariate rows scattered by hand
-        rows = [eval_basis(kv, float(x)) for kv, x in zip(space.knot_vectors, xi)]
-        full = [np.zeros((3, kv.n)) for kv in space.knot_vectors]
-        for r, f in zip(rows, full):
-            i0 = r.first_active
-            f[0, i0:i0 + r.values.size] = r.values
-            f[1, i0:i0 + r.values.size] = r.first_derivs
-            f[2, i0:i0 + r.values.size] = r.second_derivs
+        full = [f[k] for f in fulls]
         n0 = space.dims[0]
         for flat in range(space.dim):
             i, j = flat % n0, flat // n0
@@ -194,4 +201,4 @@ def test_space_validation():
     with pytest.raises(ValueError):
         DiscreteSpace(kvs, weights=np.array([1.0, 1.0, -1.0, 1.0]))  # nonpositive
     with pytest.raises(ValueError):
-        point_rows(DiscreteSpace(kvs), np.array([0.5]), 2)  # wrong point size
+        point_rows(DiscreteSpace(kvs), np.array([0.5]))  # wrong point size
