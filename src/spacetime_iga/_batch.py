@@ -7,7 +7,8 @@ elements and boundary faces.  A block holds ``E`` elements as arrays
 with a leading element axis; ``E`` follows from one fixed byte budget.
 The tensor combination, the NURBS quotient rule, the geometry evaluation
 and the pullback are the batched kernels of :mod:`tensor_space` and
-:mod:`geometry`.  Public modules re-export nothing from here.
+:mod:`geometry`; on an identity map the blocks skip the Jacobian and the
+pullback.  Public modules re-export nothing from here.
 """
 from __future__ import annotations
 
@@ -83,6 +84,8 @@ class ElementBatcher:
     ``degree + 1``.  Each iteration yields an :class:`ElementBlock` with
     physical points, weighted measures and pulled-back basis derivatives
     up to the requested order (0 = values, 1 = +gradients, 2 = +Hessians).
+    On an identity map (``geom.is_identity``) the parameter derivatives are
+    the physical ones, and ``jac`` and ``det`` are ``I`` and 1.
     """
 
     def __init__(self, space: DiscreteSpace, geom: GeometryMap, orders=None):
@@ -94,6 +97,7 @@ class ElementBatcher:
         if orders is None:
             orders = [p + 1 for p in space.degrees]
         self.orders = [int(o) for o in orders]
+        self.identity = geom.is_identity
         self._weights = []
         self._tables = []
         self._geo_tables = []
@@ -115,28 +119,38 @@ class ElementBatcher:
             yield index, np.unravel_index(index, shape)
 
     def _blocks(self, tables, geo_tables, need, face_dir=None):
+        nd = self.nd
         for index, multi in self._ranges(tables, self.space, need):
             dofs, val, grad, hess = tensor_basis(self.space, *_rows(tables, multi), need)
-            x, J, det, Hg = eval_geometry(self.geom, *_rows(geo_tables, multi),
-                                          need=2 if need >= 2 else 1)
-            E, q = det.shape
+            E, q, m = val.shape
             w = np.ones((E, 1))
-            for a in range(self.nd):
+            for a in range(nd):
                 if a != face_dir:
                     w = (w[:, :, None] * self._weights[a][multi[a]][:, None, :]).reshape(E, -1)
-            if face_dir is None:
-                w = w * det
+            if self.identity:
+                x = eval_geometry(self.geom, *_rows(geo_tables, multi), need=0)[0]
+                J = np.broadcast_to(np.eye(nd), (E, q, nd, nd))
+                det = np.ones((E, q))
+                if need >= 1:
+                    # The layout the pullback returns (derivative-major): the
+                    # batched matmul/einsum kernels sum in a layout-dependent
+                    # order, and only this one keeps the general path's bits.
+                    grad = np.ascontiguousarray(grad.swapaxes(2, 3)).swapaxes(2, 3)
             else:
-                G = np.delete(J, face_dir, axis=3)
-                w = w * np.sqrt(np.linalg.det(np.einsum('eqka,eqkb->eqab', G, G)))
-            if need >= 1:
-                m, nd = val.shape[2], self.nd
-                grad, hess = pullback_derivatives(
-                    J.reshape(E * q, nd, nd), grad.reshape(E * q, m, nd),
-                    None if hess is None else hess.reshape(E * q, m, nd, nd),
-                    None if Hg is None else Hg.reshape(E * q, nd, nd, nd))
-                grad = grad.reshape(E, q, m, nd)
-                hess = None if hess is None else hess.reshape(E, q, m, nd, nd)
+                x, J, det, Hg = eval_geometry(self.geom, *_rows(geo_tables, multi),
+                                              need=2 if need >= 2 else 1)
+                if face_dir is None:
+                    w = w * det
+                else:
+                    G = np.delete(J, face_dir, axis=3)
+                    w = w * np.sqrt(np.linalg.det(np.einsum('eqka,eqkb->eqab', G, G)))
+                if need >= 1:
+                    grad, hess = pullback_derivatives(
+                        J.reshape(E * q, nd, nd), grad.reshape(E * q, m, nd),
+                        None if hess is None else hess.reshape(E * q, m, nd, nd),
+                        None if Hg is None else Hg.reshape(E * q, nd, nd, nd))
+                    grad = grad.reshape(E, q, m, nd)
+                    hess = None if hess is None else hess.reshape(E, q, m, nd, nd)
             yield ElementBlock(index, dofs, x, w, val, grad, hess, J, det)
 
     def blocks(self, need: int = 2):

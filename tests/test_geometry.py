@@ -1,16 +1,18 @@
 """Geometry maps: derivatives, pullbacks, and mesh size bookkeeping."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from geometries import identity_geometry, quarter_annulus_cylinder
-from spacetime_iga._batch import ElementBatcher
-from spacetime_iga.geometry import (GeometryMap, SingularGeometryError, hessian,
-                                    jacobian, map_point, mesh_metrics,
+from spacetime_iga._batch import ElementBatcher, _span_rule
+from spacetime_iga.geometry import (GeometryMap, SingularGeometryError, greville_grid,
+                                    hessian, jacobian, map_point, mesh_metrics,
                                     pullback_derivatives)
 from spacetime_iga.harness import builtin_cases, solution_space
 from spacetime_iga.splines import KnotVector, refine_uniform, single_span
-from spacetime_iga.tensor_space import DiscreteSpace
+from spacetime_iga.tensor_space import DiscreteSpace, point_rows, tensor_basis
 
 GEOMETRY_NAMES = ('fixed-1d', 'moving-simple-1d', 'moving-curvi-1d', 'moving-curvi-2d')
 
@@ -164,6 +166,66 @@ def test_pullback_gradient_only_path():
     g, h = pullback_derivatives(J[None], grads[None])
     assert h is None
     assert_allclose(J.T @ g[0, 0], grads[0], atol=1e-14)
+
+
+@st.composite
+def perturbed_identity_maps(draw):
+    """NURBS maps near the identity: random weights in [2/3, 3/2] and control
+    points moved off the Greville grid by up to 0.04, on 2 or 3 directions
+    of degree 1-3, each a single span or split once.  The solution space
+    is the unweighted space on the same knots."""
+    nd = draw(st.integers(2, 3))
+    kvs = []
+    for _ in range(nd):
+        kv = single_span(draw(st.integers(1, 3 if nd == 2 else 2)))
+        kvs.append(refine_uniform(kv) if draw(st.booleans()) else kv)
+    space = DiscreteSpace(kvs)
+    n = space.dim
+    weights = draw(st.lists(st.floats(2 / 3, 1.5), min_size=n, max_size=n))
+    shift = draw(st.lists(st.floats(-0.04, 0.04), min_size=n * nd, max_size=n * nd))
+    geom = GeometryMap(DiscreteSpace(kvs, np.array(weights)),
+                       greville_grid(space) + np.reshape(shift, (n, nd)))
+    return geom, space
+
+
+@settings(max_examples=40, deadline=None)
+@given(maps=perturbed_identity_maps(), picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=4))
+def test_block_derivatives_on_random_nurbs_perturbations_of_the_identity(maps, picks):
+    """At sampled quadrature points of the element blocks, ``J`` and ``H`` of
+    the map match central differences, and the pulled-back basis derivatives
+    satisfy ``J^T g = g_param`` and ``J^T H J + sum_k g_k H_geom[k] = H_param``."""
+    geom, space = maps
+    nd = space.ndim
+    batcher = ElementBatcher(space, geom)
+    assert not batcher.identity
+    blk = next(batcher.blocks(need=2))
+    shape = tuple(kv.spans.shape[0] for kv in space.knot_vectors)
+    nodes = [_span_rule(kv, o)[0] for kv, o in zip(space.knot_vectors, batcher.orders)]
+    E, q = blk.w.shape
+    e = 1e-5
+    for pick in picks:
+        k, i = divmod(pick % (E * q), q)
+        multi = np.unravel_index(blk.index[k], shape)
+        grid = np.meshgrid(*[nodes[a][multi[a]] for a in range(nd)], indexing='ij')
+        xi = np.array([g.ravel()[i] for g in grid])
+        J = blk.jac[k, i]
+        assert_allclose(blk.x[k, i], map_point(geom, xi), atol=1e-14)
+        assert abs(blk.det[k, i] - np.linalg.det(J)) <= 1e-12 * abs(blk.det[k, i])
+        H = hessian(geom, xi)
+        for a in range(nd):
+            step = np.zeros(nd)
+            step[a] = e
+            fd = (map_point(geom, xi + step) - map_point(geom, xi - step)) / (2 * e)
+            assert np.abs(J[:, a] - fd).max() < 1e-8
+            fd2 = (jacobian(geom, xi + step)[0] - jacobian(geom, xi - step)[0]) / (2 * e)
+            assert np.abs(H[:, :, a] - fd2).max() < 1e-6
+        active, _, g_param, h_param = tensor_basis(space, *point_rows(space, xi), 2)
+        assert np.array_equal(active[0], blk.dofs[k])
+        g, h = blk.grad[k, i], blk.hess[k, i]
+        scale = 1.0 + np.abs(h_param).max()
+        assert np.abs(g @ J - g_param[0, 0]).max() <= 1e-12 * scale
+        back = np.einsum('ka,mkl,lb->mab', J, h, J) + np.einsum('mk,kab->mab', g, H)
+        assert np.abs(back - h_param[0, 0]).max() <= 1e-11 * scale
 
 
 def test_quarter_annulus_exact_measures():
