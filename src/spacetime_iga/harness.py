@@ -51,8 +51,10 @@ __all__ = [
 
 CSV_HEADER = 'level,dofs,h,error_l2,rate_l2,error_energy,rate_energy,solver,iters,residual,time_s'
 DIRECT_DOF_LIMIT = 200_000
-# Free dofs from which ``auto`` solves a fixed identity-geometry cylinder by
-# the exact fast diagonalization; below it sparse LU is as fast or faster.
+# Free dofs from which ``auto`` leaves sparse LU for the fast diagonalization:
+# the exact solve on a fixed identity-geometry cylinder, the GMRES
+# preconditioner on a moving d >= 2 cylinder; below it sparse LU is as fast
+# or faster (see ``_solve``).
 FD_MIN_DOFS = 500
 _RUN_ERRORS = (SingularGeometryError, ConvergenceError, SingularSystemError)
 
@@ -268,29 +270,43 @@ def _setup_level(geom: GeometryMap, degree: int, level: int):
 
 
 def _solve(system: LinearSystem, config: CaseConfig, space, params: SchemeParams,
-           exact_fd: bool):
-    """Solve the reduced system with ``config.solver``.
+           definition: CaseDefinition):
+    """Solve the reduced system of ``definition`` with ``config.solver``.
 
-    ``exact_fd`` says that the system is the fixed form on an identity-geometry
-    cylinder, which the fast diagonalization of the parametric cylinder of
-    ``space`` inverts exactly.  Under ``auto`` such a system of at least
-    ``FD_MIN_DOFS`` free dofs is solved by it (method ``'fd'``); any other
-    system solves by sparse LU up to ``DIRECT_DOF_LIMIT`` free dofs and by
-    GMRES beyond.  GMRES is always preconditioned by the fast diagonalization.
+    GMRES is always preconditioned by the fast diagonalization of the
+    parametric cylinder of ``space``, built inside the timed solve.  Under
+    ``auto`` a system of fewer than ``FD_MIN_DOFS`` free dofs solves by
+    sparse LU, and a larger one by
+
+    - the exact fast diagonalization (method ``'fd'``) on a fixed
+      identity-geometry cylinder (``definition.fd_exact``), which it inverts;
+    - GMRES at tolerance ``min(config.solver_tol, 1e-12)`` on a moving case
+      with d >= 2, where it beats the sparse LU of the whole space-time
+      matrix from the same size on (see the crossover table in
+      :mod:`spacetime_iga.linsolve`: on moving-curvi-2d p2 L4, 33 ms against
+      1.85 s).  The tighter stop keeps ``auto`` as exact as the LU it
+      replaces: at 1e-10 the moving-curvi-2d p2 L3 L2 error lies 3.7e-10
+      (relative) from the LU's, at 1e-12 1.6e-12, for 13-16 iterations;
+    - sparse LU up to ``DIRECT_DOF_LIMIT`` free dofs and GMRES beyond
+      otherwise.
     """
     n = system.rhs.size
     theta_h = params.theta * params.h
-    method = config.solver
+    method, tol = config.solver, config.solver_tol
     if method == 'auto':
-        if exact_fd and n >= FD_MIN_DOFS:
+        if n < FD_MIN_DOFS:
+            method = 'direct'
+        elif definition.fd_exact:
             return solve_fd(system.matrix, system.rhs, space, theta_h)
-        method = 'direct' if n <= DIRECT_DOF_LIMIT else 'gmres'
+        elif definition.case.moving and definition.case.d >= 2:
+            method, tol = 'gmres', min(tol, 1e-12)
+        else:
+            method = 'direct' if n <= DIRECT_DOF_LIMIT else 'gmres'
     if method == 'direct':
         return solve_direct(system.matrix, system.rhs)
-    preconditioner = cylinder_preconditioner(space, n, theta_h)
-    return solve_gmres(system.matrix, system.rhs, tol=config.solver_tol,
+    return solve_gmres(system.matrix, system.rhs, tol=tol,
                        restart=config.gmres_restart, max_iter=config.gmres_max_iter,
-                       preconditioner=preconditioner)
+                       preconditioner=lambda m: cylinder_preconditioner(space, m.shape[0], theta_h))
 
 
 def _report(config: CaseConfig, case, levels) -> ConvergenceReport:
@@ -314,7 +330,6 @@ def run_case(config: CaseConfig) -> ConvergenceReport:
     """
     definition = resolve_case(config)
     case, geom = definition.case, definition.geometry
-    exact_fd = definition.fd_exact
     levels = []
     c_inv = None
     for level in range(config.levels):
@@ -332,7 +347,7 @@ def run_case(config: CaseConfig) -> ConvergenceReport:
             else:
                 full = assemble_fixed(space, geom, case, params)
             reduced = apply_dirichlet(full, dofmap, case, space, geom)
-            x, report = _solve(reduced, config, space, params, exact_fd)
+            x, report = _solve(reduced, config, space, params, definition)
             coeffs = reduced.dirichlet_values.copy()
             coeffs[dofmap.free] = x
             field = DiscreteField(space, geom, coeffs)
@@ -495,14 +510,17 @@ def _check_forms_agree():
 def _check_solvers_agree():
     # each solver against sparse LU: GMRES, whose preconditioner is exact on
     # the fixed cylinder (one iteration) and really iterates on the moving
-    # case, and the exact fast diagonalization that ``auto`` picks on a fixed
-    # cylinder above FD_MIN_DOFS free dofs
+    # case, and the two solvers ``auto`` picks from FD_MIN_DOFS free dofs on:
+    # the exact fast diagonalization on a fixed identity cylinder and
+    # FD-preconditioned GMRES on a moving d = 2 cylinder
     details = []
     worst = 0.0
     methods_ok = True
-    for name, degree, level, solver in (('fixed-1d', 1, 4, 'gmres'),
-                                        ('moving-curvi-1d', 2, 3, 'gmres'),
-                                        ('fixed-1d', 2, 5, 'auto')):
+    for name, degree, level, solver, method in (
+            ('fixed-1d', 1, 4, 'gmres', 'gmres'),
+            ('moving-curvi-1d', 2, 3, 'gmres', 'gmres'),
+            ('fixed-1d', 2, 5, 'auto', 'fd'),
+            ('moving-curvi-2d', 2, 3, 'auto', 'gmres')):
         definition = builtin_cases()[name]
         case, geom = definition.case, definition.geometry
         space, dofmap = _setup_level(geom, degree, level)
@@ -510,11 +528,10 @@ def _check_solvers_agree():
         assemble = assemble_moving if case.moving else assemble_fixed
         system = apply_dirichlet(assemble(space, geom, case, params), dofmap, case, space, geom)
         xd, _ = solve_direct(system.matrix, system.rhs)
-        xs, report = _solve(system, CaseConfig(name, solver=solver), space, params,
-                            exact_fd=definition.fd_exact)
+        xs, report = _solve(system, CaseConfig(name, solver=solver), space, params, definition)
         gap = float(np.linalg.norm(xd - xs) / np.linalg.norm(xd))
         worst = max(worst, gap)
-        methods_ok &= report.method == ('fd' if solver == 'auto' else solver)
+        methods_ok &= report.method == method
         details.append(f'{name} p{degree} L{level}: {report.method} relative gap {gap:.2e}, '
                        f'{report.iterations} iterations')
     return methods_ok and worst < 1e-8, '; '.join(details)

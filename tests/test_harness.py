@@ -140,6 +140,12 @@ def _methods(config):
     return [r.solve.method for r in run_case(config).records]
 
 
+def _solves(config):
+    with warnings.catch_warnings():
+        warnings.simplefilter('ignore', StabilityWarning)
+        return [r.solve for r in run_case(config).records]
+
+
 def test_auto_solves_fixed_identity_cylinders_by_fast_diagonalization():
     # fixed-1d p2 has 272 free dofs at L4 and 1,056 at L5
     geom = builtin_cases()['fixed-1d'].geometry
@@ -163,6 +169,28 @@ def test_auto_keeps_sparse_lu_off_the_identity_fixed_cylinder():
     assert classify_dirichlet(solution_space(annulus, 2, 3)).free.size >= harness.FD_MIN_DOFS
     assert _methods(CaseConfig(case='custom', degree=2, levels=4, moving=False,
                                geometry=_geometry_block(annulus))) == ['direct'] * 4
+
+
+def test_auto_solves_moving_2d_cylinders_by_preconditioned_gmres():
+    # moving-curvi-2d has 392 free dofs at p1 L3 and 576 at p2 L3
+    geom = builtin_cases()['moving-curvi-2d'].geometry
+    free = [classify_dirichlet(solution_space(geom, p, 3)).free.size for p in (1, 2)]
+    assert free[0] < harness.FD_MIN_DOFS <= free[1]
+    p1 = _solves(CaseConfig(case='moving-curvi-2d', degree=1, levels=5))
+    assert [s.method for s in p1] == ['direct'] * 4 + ['gmres']
+    p2 = _solves(CaseConfig(case='moving-curvi-2d', degree=2, levels=5))
+    assert [s.method for s in p2] == ['direct'] * 3 + ['gmres'] * 2
+    for s in p1 + p2:
+        assert s.tol == (1e-12 if s.method == 'gmres' else None)
+        assert s.residual <= 1e-12
+    # auto holds its own stop whatever solver_tol says; an explicit gmres obeys it
+    loose = _solves(CaseConfig(case='moving-curvi-2d', degree=2, levels=4, solver_tol=1e-6))
+    assert [(s.method, s.tol) for s in loose[3:]] == [('gmres', 1e-12)]
+    loose = _solves(CaseConfig(case='moving-curvi-2d', degree=2, levels=4, solver_tol=1e-6,
+                               solver='gmres'))
+    assert [(s.method, s.tol) for s in loose] == [('gmres', 1e-6)] * 4
+    direct = _solves(CaseConfig(case='moving-curvi-2d', degree=1, levels=5, solver='direct'))
+    assert [s.method for s in direct] == ['direct'] * 5
 
 
 def test_emit_csv_deterministic(tmp_path):

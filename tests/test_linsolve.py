@@ -1,5 +1,6 @@
 """Solver wrappers: agreement with dense references, reporting, failure modes,
 and the fast diagonalization preconditioner of the parametric cylinder."""
+import time
 import warnings
 from collections import Counter
 from functools import reduce
@@ -7,11 +8,12 @@ from functools import reduce
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from spacetime_iga.assembly import SchemeParams, apply_dirichlet, assemble_fixed
+from spacetime_iga.assembly import SchemeParams, apply_dirichlet, assemble_fixed, assemble_moving
 from spacetime_iga.harness import CaseConfig, _setup_level, builtin_cases, run_case
 from spacetime_iga.linsolve import (ConvergenceError, SingularSystemError, SolveReport,
                                     cylinder_matrices, cylinder_preconditioner,
@@ -105,6 +107,23 @@ def test_input_validation():
         solve_direct(sp.eye(3).tocsr()[:, :2], np.ones(3))
 
 
+def test_gmres_builds_the_preconditioner_inside_the_timed_solve():
+    A = random_nonsymmetric(60, 13)
+    b = np.random.default_rng(14).standard_normal(60)
+    built = []
+
+    def jacobi(matrix):
+        built.append(matrix)
+        time.sleep(0.05)
+        return spla.aslinearoperator(sp.diags(1.0 / matrix.diagonal()))
+
+    x, report = solve_gmres(A, b, tol=1e-12, preconditioner=jacobi)
+    assert len(built) == 1 and (built[0] != A).nnz == 0
+    assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
+    assert report.time_s >= 0.05
+    assert report.tol == 1e-12
+
+
 def test_report_is_frozen():
     report = SolveReport('direct', 0, 0.0, 0.0)
     with pytest.raises(Exception):
@@ -121,19 +140,20 @@ def kronecker_operator(space, theta_h):
     return np.kron(c_t + theta_h * k_t, m_x) + np.kron(m_t + theta_h * c_t.T, k_x)
 
 
-def fixed_system(name, degree, level):
-    """``(space, reduced system, theta h)`` of a fixed built-in case."""
+def builtin_system(name, degree, level):
+    """``(space, reduced system, theta h)`` of a built-in case, fixed or moving."""
     definition = builtin_cases()[name]
     case, geom = definition.case, definition.geometry
     space, dofmap = _setup_level(geom, degree, level)
     params = SchemeParams(0.1, space.h_hat)
-    system = apply_dirichlet(assemble_fixed(space, geom, case, params), dofmap, case, space, geom)
+    assemble = assemble_moving if case.moving else assemble_fixed
+    system = apply_dirichlet(assemble(space, geom, case, params), dofmap, case, space, geom)
     return space, system, params.theta * params.h
 
 
 @pytest.mark.parametrize('name,level', [('fixed-1d', 3), ('fixed-2d', 2)])
 def test_kronecker_form_is_the_assembled_fixed_operator(name, level):
-    space, system, theta_h = fixed_system(name, 2, level)
+    space, system, theta_h = builtin_system(name, 2, level)
     reduced = system.matrix.toarray()
     kron = kronecker_operator(space, theta_h)
     assert np.linalg.norm(kron - reduced) <= 1e-13 * np.linalg.norm(reduced)
@@ -150,7 +170,7 @@ def test_kronecker_form_is_the_assembled_fixed_operator(name, level):
     *(('fixed-2d', p, level) for p in (1, 2) for level in (3, 4)),
 ])
 def test_fast_diagonalization_solve_matches_lu(name, degree, level):
-    space, system, theta_h = fixed_system(name, degree, level)
+    space, system, theta_h = builtin_system(name, degree, level)
     xd, _ = solve_direct(system.matrix, system.rhs)
     xf, report = solve_fd(system.matrix, system.rhs, space, theta_h)
     assert np.linalg.norm(xf - xd) <= 1e-12 * np.linalg.norm(xd)
@@ -161,7 +181,7 @@ def test_fast_diagonalization_solve_matches_lu(name, degree, level):
 
 
 def test_fast_diagonalization_solve_failures_raise():
-    space, system, theta_h = fixed_system('fixed-1d', 2, 3)
+    space, system, theta_h = builtin_system('fixed-1d', 2, 3)
     rhs = system.rhs.copy()
     rhs[0] = np.nan
     with pytest.raises(SingularSystemError, match='fd solve produced non-finite values'):
@@ -217,3 +237,21 @@ def test_preconditioned_gmres_reaches_level_8():
     # L8 has 65,792 free dofs, where a preconditioner that is not level-robust
     # spends the default 5000 iterations before reaching the tolerance
     assert max(_gmres_iterations('moving-curvi-1d', 9)) <= 30
+
+
+def test_preconditioned_gmres_matches_lu_on_the_moving_2d_cylinder():
+    # the solve ``auto`` picks on moving d >= 2 cylinders from FD_MIN_DOFS on
+    iterations = []
+    for degree in (1, 2, 3):
+        for level in (3, 4):
+            space, system, theta_h = builtin_system('moving-curvi-2d', degree, level)
+            xd, _ = solve_direct(system.matrix, system.rhs)
+            xg, report = solve_gmres(
+                system.matrix, system.rhs, tol=1e-12,
+                preconditioner=lambda m: cylinder_preconditioner(space, m.shape[0], theta_h))
+            assert np.linalg.norm(xg - xd) <= 1e-11 * np.linalg.norm(xd), (degree, level)
+            assert report.residual <= 1e-12
+            iterations.append(report.iterations)
+    # 13-16 at every degree and level
+    mid = np.median(iterations)
+    assert all(abs(k - mid) <= 0.2 * mid for k in iterations), iterations
