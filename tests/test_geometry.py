@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from geometries import identity_geometry, quarter_annulus_cylinder
-from spacetime_iga._batch import ElementBatcher, _span_rule
-from spacetime_iga.geometry import (GeometryMap, SingularGeometryError, greville_grid,
-                                    hessian, jacobian, map_point, mesh_metrics,
+from spacetime_iga._batch import ElementBatcher, _rows, _span_rule
+from spacetime_iga.geometry import (GeometryMap, SingularGeometryError, eval_geometry,
+                                    greville_grid, hessian, jacobian, map_point, mesh_metrics,
                                     pullback_derivatives)
 from spacetime_iga.harness import builtin_cases, solution_space
 from spacetime_iga.splines import KnotVector, refine_uniform, single_span
@@ -128,23 +128,25 @@ def test_pullback_recovers_physical_derivatives():
     Build parameter-side derivatives of a quadratic u(Phi(xi)) by the
     forward chain rule, push them back, and require the exact physical
     gradient and Hessian; exercises the curvature correction term on a
-    map with a non-vanishing mixed second derivative.
+    map with a non-vanishing mixed second derivative, on the 2x2 (LAPACK)
+    and the 3x3 (closed-form) path.
     """
-    def u_grad_hess(x):
-        g = np.array([4 * x[0] + 3 * x[1] + 1.0, 3 * x[0] - 2 * x[1] - 2.0])
-        H = np.array([[4.0, 3.0], [3.0, -2.0]])
-        return g, H
+    # u(x) = x^T A x / 2 + b^T x, so grad u = A x + b and hess u = A
+    quadratics = {2: (np.array([[4.0, 3.0], [3.0, -2.0]]), np.array([1.0, -2.0])),
+                  3: (np.array([[4.0, 3.0, 1.0], [3.0, -2.0, 0.5], [1.0, 0.5, 3.0]]),
+                      np.array([1.0, -2.0, 0.5]))}
 
-    for name in ('moving-simple-1d', 'moving-curvi-1d'):
+    for name in ('moving-simple-1d', 'moving-curvi-1d', 'moving-curvi-2d'):
         geom = builtin_cases()[name].geometry
+        A, b = quadratics[geom.ndim]
         rng = np.random.default_rng(25)
         J, Hg, g_param, h_param, g_exact, H_exact = [], [], [], [], [], []
         for _ in range(10):
-            xi = rng.uniform(0.05, 0.95, 2)
+            xi = rng.uniform(0.05, 0.95, geom.ndim)
             x = map_point(geom, xi)
             Jq, _ = jacobian(geom, xi)
             Hq = hessian(geom, xi)
-            g, H = u_grad_hess(x)
+            g, H = A @ x + b, A
             J.append(Jq)
             Hg.append(Hq)
             g_param.append(Jq.T @ g)
@@ -156,6 +158,43 @@ def test_pullback_recovers_physical_derivatives():
             np.array(J), np.array(g_param)[:, None], np.array(h_param)[:, None], np.array(Hg))
         assert_allclose(g_back[:, 0], g_exact, atol=1e-12)
         assert_allclose(h_back[:, 0], H_exact, atol=1e-11)
+
+
+@pytest.mark.parametrize('name', ['moving-curvi-2d', 'quarter-annulus'])
+def test_closed_form_pullback_matches_lapack(name):
+    """On every quadrature point of p2 L2, the closed-form 3x3 pullback
+    agrees with the LAPACK formulas (``solve`` for gradients, ``inv`` for
+    Hessians) and returns the gradients in derivative-major memory."""
+    geom = quarter_annulus_cylinder() if name == 'quarter-annulus' else builtin_cases()[name].geometry
+    space = solution_space(geom, 2, 2)
+    batcher = ElementBatcher(space, geom)
+    shape = tuple(kv.spans.shape[0] for kv in space.knot_vectors)
+    multi = np.unravel_index(np.arange(np.prod(shape)), shape)
+    _, _, grad, hess = tensor_basis(space, *_rows(batcher._tables, multi), 2)
+    _, J, _, Hg = eval_geometry(geom, *_rows(batcher._geo_tables, multi), need=2)
+    E, q, m, nd = grad.shape
+    J, grad = J.reshape(E * q, nd, nd), grad.reshape(E * q, m, nd)
+    hess, Hg = hess.reshape(E * q, m, nd, nd), Hg.reshape(E * q, nd, nd, nd)
+
+    g, h = pullback_derivatives(J, grad, hess, Hg)
+    g_ref = np.linalg.solve(J.transpose(0, 2, 1), grad.transpose(0, 2, 1)).transpose(0, 2, 1)
+    Jinv = np.linalg.inv(J)
+    corr = hess - np.einsum('nmk,nkab->nmab', g_ref, Hg)
+    h_ref = np.einsum('nia,nmij,njb->nmab', Jinv, corr, Jinv)
+    assert np.abs(g - g_ref).max() <= 1e-13 * np.abs(g_ref).max()
+    assert np.abs(h - h_ref).max() <= 1e-13 * np.abs(h_ref).max()
+    assert g.transpose(0, 2, 1).flags.c_contiguous
+
+
+def test_pullback_rejects_a_singular_3x3_jacobian():
+    J = np.tile(np.eye(3), (4, 1, 1))
+    J[2] = [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]       # rank 2
+    with pytest.raises(SingularGeometryError, match='point 2'):
+        pullback_derivatives(J, np.ones((4, 5, 3)))
+    J[2] = np.eye(3)
+    J[1, 0, 0] = np.nan
+    with pytest.raises(SingularGeometryError, match='point 1'):
+        pullback_derivatives(J, np.ones((4, 5, 3)))
 
 
 def test_pullback_gradient_only_path():
