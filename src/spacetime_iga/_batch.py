@@ -5,10 +5,16 @@ univariate basis tables of every knot span (one array call of
 :func:`splines.eval_basis` per direction) and the loop over blocks of
 elements and boundary faces.  A block holds ``E`` elements as arrays
 with a leading element axis; ``E`` follows from one fixed byte budget.
-The tensor combination, the NURBS quotient rule, the geometry evaluation
-and the pullback are the batched kernels of :mod:`tensor_space` and
-:mod:`geometry`; on an identity map the blocks skip the Jacobian and the
-pullback.  Public modules re-export nothing from here.
+
+Basis blocks (assembly, the inverse-constant estimate) hold every active
+function: the tensor combination, the NURBS quotient rule, the geometry
+evaluation and the pullback are the batched kernels of
+:mod:`tensor_space` and :mod:`geometry`.  Field blocks (error integrals,
+mesh metrics) hold one spline field and the map alone, both evaluated by
+sum factorization over the univariate tables (:func:`_field`); the
+Jacobian is inverted in closed form and one gradient per point is pulled
+back.  On an identity map both kinds skip the Jacobian and the pullback.
+Public modules re-export nothing from here.
 """
 from __future__ import annotations
 
@@ -16,13 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometryMap, eval_geometry, pullback_derivatives
+from .geometry import (GeometryMap, _adjugate, _require_orientation, eval_geometry,
+                       pullback_derivatives)
 from .quadrature import gauss_1d
 from .splines import KnotVector, eval_basis, find_span
-from .tensor_space import DiscreteSpace, tensor_basis
+from .tensor_space import DiscreteSpace, active_dofs, tensor_basis
 
 # Bytes of one block's basis arrays (values and derivatives up to the
-# requested order); the pullback and the local kernels hold a few times that.
+# requested order), or of a field block's kernel output; the pullback and
+# the local kernels hold a few times that.
 # Larger blocks run no faster but raise the peak RSS (fixed-1d p2 level 7:
 # 159 MB with 2 MiB, 206 MB with 8 MiB).
 _BLOCK_BYTES = 1 << 21
@@ -41,6 +49,18 @@ class ElementBlock:
     hess: np.ndarray | None   # (E, q, m, dim, dim) physical Hessians
     jac: np.ndarray           # (E, q, dim, dim)
     det: np.ndarray           # (E, q)
+
+
+@dataclass(frozen=True)
+class FieldBlock:
+    """One spline field and the map on ``E`` elements (or element faces)."""
+
+    index: np.ndarray         # (E,) element indices, C order, direction 0 slowest
+    x: np.ndarray             # (E, q, dim) physical quadrature points
+    w: np.ndarray             # (E, q) weights incl. |det J| (volume) or surface metric (face)
+    val: np.ndarray | None    # (E, q) field values
+    grad: np.ndarray | None   # (E, q, dim) physical field gradients
+    jac: np.ndarray           # (E, q, dim, dim)
 
 
 @dataclass(frozen=True)
@@ -71,6 +91,53 @@ def _rows(tables, multi):
     return [t.ders[i] for t, i in zip(tables, multi)], [t.first[i] for t, i in zip(tables, multi)]
 
 
+def _field(space: DiscreteSpace, rows, firsts, coefficients: np.ndarray, need: int):
+    """Sum-factorized values and parameter gradients of ``k`` fields on a block.
+
+    ``rows`` and ``firsts`` are univariate rows of ``space`` as
+    :func:`tensor_basis` takes them, and ``coefficients`` ``(space.dim, k)``
+    the fields' control values.  The local coefficients ``(E, m, k)``, with
+    ``m`` in tensor order, are contracted with the tables one direction at
+    a time, the last first, by batched ``matmul``; each direction splits a
+    derivative slot off the value slot.  On a NURBS space the weights ride
+    along as one more component and the quotient rule is applied at the
+    end.  Returns values ``(E, q, k)`` and, for ``need >= 1``, gradients
+    ``(E, q, k, dim)`` (else None), points running with direction 0 slowest.
+    """
+    active = active_dofs(space, firsts)
+    local = coefficients[active]
+    if space.weights is not None:
+        wa = space.weights[active][..., None]
+        local = np.concatenate((local * wa, wa), axis=2)
+    E, k = local.shape[0], local.shape[2]
+    data = local.reshape(1, E, -1, rows[-1].shape[-1], k)        # (slot, E, rest, n_a, done)
+    for a in range(space.ndim - 1, -1, -1):
+        table = rows[a][:, None]                                   # (E, 1, q_a, 3, n_a)
+        out = np.matmul(table[..., 0, :], data)
+        if need >= 1:
+            out = np.concatenate((out, np.matmul(table[..., 1, :], data[:1])))
+        if a:
+            data = out.reshape(out.shape[0], E, -1, rows[a - 1].shape[-1],
+                               out.shape[3] * out.shape[4])
+    out = out.reshape(out.shape[0], E, -1, k)
+    # slots: values, then d/dxi_a for a = dim-1, ..., 0
+    val, grad = out[0], (np.moveaxis(out[:0:-1], 0, -1) if need >= 1 else None)
+    if space.weights is None:
+        return val, grad
+    W = val[..., -1:]
+    val = val[..., :-1] / W
+    if grad is not None:
+        grad = (grad[..., :-1, :] - val[..., None] * grad[..., -1:, :]) / W[..., None]
+    return val, grad
+
+
+def _face_measure(J: np.ndarray, face_dir: int) -> np.ndarray:
+    """Surface measure ``sqrt(det G^T G)`` of a face, ``G`` the Jacobian ``(E, q, dim, dim)``
+    without column ``face_dir``."""
+    G = np.delete(J, face_dir, axis=3)
+    return np.sqrt(np.linalg.det(np.einsum('eqka,eqkb->eqab', G, G)))
+
+
 def at_points(f, x: np.ndarray) -> np.ndarray:
     """``f`` at the points ``x`` ``(E, q, dim)`` of a block, shaped ``(E, q, ...)``."""
     out = f(x.reshape(-1, x.shape[-1]))
@@ -81,9 +148,11 @@ class ElementBatcher:
     """Iterates blocks of elements (or boundary faces) of a space under a geometry map.
 
     ``orders`` are univariate quadrature point counts, defaulting to
-    ``degree + 1``.  Each iteration yields an :class:`ElementBlock` with
-    physical points, weighted measures and pulled-back basis derivatives
-    up to the requested order (0 = values, 1 = +gradients, 2 = +Hessians).
+    ``degree + 1``.  :meth:`blocks` and :meth:`face_blocks` yield
+    :class:`ElementBlock` with physical points, weighted measures and
+    pulled-back basis derivatives up to the requested order (0 = values,
+    1 = +gradients, 2 = +Hessians); :meth:`field_blocks` yields
+    :class:`FieldBlock` with one field and its physical gradient.
     On an identity map (``geom.is_identity``) the parameter derivatives are
     the physical ones, and ``jac`` and ``det`` are ``I`` and 1.
     """
@@ -107,26 +176,42 @@ class ElementBatcher:
             self._tables.append(_table(kv, nodes))
             self._geo_tables.append(_table(kvg, nodes))
 
-    def _ranges(self, tables, space, need):
-        """Element-index blocks over the span grid of ``tables`` within the byte budget."""
+    def _ranges(self, tables, point_bytes: int):
+        """Element-index blocks over the span grid of ``tables``, ``point_bytes``
+        per quadrature point within the byte budget."""
         shape = tuple(t.first.size for t in tables)
         n_el = int(np.prod(shape))
         q = int(np.prod([t.ders.shape[1] for t in tables]))
-        m = int(np.prod([p + 1 for p in space.degrees]))
-        size = max(1, _BLOCK_BYTES // (8 * q * m * sum(self.nd**k for k in range(need + 1))))
+        size = max(1, _BLOCK_BYTES // (q * point_bytes))
         for start in range(0, n_el, size):
             index = np.arange(start, min(start + size, n_el))
             yield index, np.unravel_index(index, shape)
 
+    def _quadrature_weights(self, multi, face_dir):
+        """Tensor quadrature weights ``(E, q)`` of a block, without ``face_dir``."""
+        E = multi[0].size
+        w = np.ones((E, 1))
+        for a in range(self.nd):
+            if a != face_dir:
+                w = (w[:, :, None] * self._weights[a][multi[a]][:, None, :]).reshape(E, -1)
+        return w
+
+    def _face_tables(self, fixed_dir: int, side: int):
+        """Solution and geometry tables with direction ``fixed_dir`` pinned to ``side``."""
+        pinned = np.array([[float(side)]])
+        tables = list(self._tables)
+        geo_tables = list(self._geo_tables)
+        tables[fixed_dir] = _table(self.space.knot_vectors[fixed_dir], pinned)
+        geo_tables[fixed_dir] = _table(self.geom.space.knot_vectors[fixed_dir], pinned)
+        return tables, geo_tables
+
     def _blocks(self, tables, geo_tables, need, face_dir=None):
         nd = self.nd
-        for index, multi in self._ranges(tables, self.space, need):
+        m = int(np.prod([p + 1 for p in self.space.degrees]))
+        for index, multi in self._ranges(tables, 8 * m * sum(nd**k for k in range(need + 1))):
             dofs, val, grad, hess = tensor_basis(self.space, *_rows(tables, multi), need)
             E, q, m = val.shape
-            w = np.ones((E, 1))
-            for a in range(nd):
-                if a != face_dir:
-                    w = (w[:, :, None] * self._weights[a][multi[a]][:, None, :]).reshape(E, -1)
+            w = self._quadrature_weights(multi, face_dir)
             if self.identity:
                 x = eval_geometry(self.geom, *_rows(geo_tables, multi), need=0)[0]
                 J = np.broadcast_to(np.eye(nd), (E, q, nd, nd))
@@ -139,11 +224,7 @@ class ElementBatcher:
             else:
                 x, J, det, Hg = eval_geometry(self.geom, *_rows(geo_tables, multi),
                                               need=2 if need >= 2 else 1)
-                if face_dir is None:
-                    w = w * det
-                else:
-                    G = np.delete(J, face_dir, axis=3)
-                    w = w * np.sqrt(np.linalg.det(np.einsum('eqka,eqkb->eqab', G, G)))
+                w = w * (det if face_dir is None else _face_measure(J, face_dir))
                 if need >= 1:
                     grad, hess = pullback_derivatives(
                         J.reshape(E * q, nd, nd), grad.reshape(E * q, m, nd),
@@ -163,15 +244,40 @@ class ElementBatcher:
         Weights carry the surface measure of the restricted map; basis
         derivatives are still pulled back with the full volume Jacobian.
         """
-        pinned = np.array([[float(side)]])
-        tables = list(self._tables)
-        geo_tables = list(self._geo_tables)
-        tables[fixed_dir] = _table(self.space.knot_vectors[fixed_dir], pinned)
-        geo_tables[fixed_dir] = _table(self.geom.space.knot_vectors[fixed_dir], pinned)
-        yield from self._blocks(tables, geo_tables, need, face_dir=fixed_dir)
+        yield from self._blocks(*self._face_tables(fixed_dir, side), need, face_dir=fixed_dir)
 
-    def jacobian_blocks(self):
-        """Yield ``(index, J)`` per block: geometry Jacobians ``(E, q, dim, dim)``
-        at the quadrature points, without evaluating the solution basis."""
-        for index, multi in self._ranges(self._geo_tables, self.geom.space, 1):
-            yield index, eval_geometry(self.geom, *_rows(self._geo_tables, multi), need=1)[1]
+    def field_blocks(self, coefficients=None, need: int = 1, face=None):
+        """Yield one field and the map in blocks of elements, C order.
+
+        ``coefficients`` ``(space.dim,)`` define the field; without them a
+        block holds the map alone (``val`` and ``grad`` None).  ``need`` 1
+        adds the field's physical gradient, pulled back by the closed-form
+        inverse Jacobian.  ``face = (fixed_dir, side)`` restricts the blocks
+        to a boundary face, weighted as in :meth:`face_blocks`.  Raises
+        ``SingularGeometryError`` unless ``det J > 0`` at every point.
+        """
+        nd = self.nd
+        face_dir = None
+        tables, geo_tables = self._tables, self._geo_tables
+        if face is not None:
+            face_dir = face[0]
+            tables, geo_tables = self._face_tables(*face)
+        geo = self.geom
+        for index, multi in self._ranges(tables, 8 * (nd + 1) ** 2):
+            w = self._quadrature_weights(multi, face_dir)
+            val = grad = None
+            if coefficients is not None:
+                val, grad = _field(self.space, *_rows(tables, multi), coefficients[:, None], need)
+                val, grad = val[..., 0], (None if grad is None else grad[..., 0, :])
+            if self.identity:
+                x = _field(geo.space, *_rows(geo_tables, multi), geo.control_points, 0)[0]
+                J = np.broadcast_to(np.eye(nd), x.shape + (nd,))
+            else:
+                x, J = _field(geo.space, *_rows(geo_tables, multi), geo.control_points, 1)
+                adj, det = _adjugate(J)
+                _require_orientation(det, x)
+                w = w * (det if face_dir is None else _face_measure(J, face_dir))
+                if grad is not None:
+                    # grad_x u = J^{-T} grad_xi u, one vector per point
+                    grad = (grad[..., None, :] @ adj)[..., 0, :] / det[..., None]
+            yield FieldBlock(index, x, w, val, grad, J)

@@ -121,14 +121,23 @@ def eval_geometry(geom: GeometryMap, rows, firsts, need: int):
     if need < 1:
         return x, None, None, None
     J = np.einsum('eqma,emk->eqka', grad, P)
-    det = np.linalg.det(J)
+    # a 2x2 determinant by LAPACK keeps the d = 1 quadrature weights' last bits
+    det = _adjugate(J)[1] if J.shape[-1] == 3 else np.linalg.det(J)
+    _require_orientation(det, x)
+    H = np.einsum('eqmab,emk->eqkab', hess, P) if need >= 2 else None
+    return x, J, det, H
+
+
+def _require_orientation(det: np.ndarray, x: np.ndarray):
+    """Raise ``SingularGeometryError`` unless ``det J > 0`` at every point.
+
+    ``det`` ``(E, q)`` holds the Jacobian determinants at the points ``x``
+    ``(E, q, dim)``; the message names the worst point."""
     if not np.all(det > 0.0):
         k = int(np.argmin(det))
         where = ', '.join(f'{c:.6g}' for c in x.reshape(-1, x.shape[-1])[k])
         raise SingularGeometryError(
             f'non-positive Jacobian determinant {det.ravel()[k]:.6g} at x = ({where})')
-    H = np.einsum('eqmab,emk->eqkab', hess, P) if need >= 2 else None
-    return x, J, det, H
 
 
 def map_point(geom: GeometryMap, xi) -> np.ndarray:
@@ -153,22 +162,24 @@ def hessian(geom: GeometryMap, xi) -> np.ndarray:
     return eval_geometry(geom, *point_rows(geom.space, xi), need=2)[3][0, 0]
 
 
-def _inverse3(jac):
-    """Closed-form inverses of ``n`` 3x3 matrices: the adjugate (transposed
-    cofactors) over the determinant.
+def _adjugate(jac: np.ndarray):
+    """Adjugates and determinants of square matrices ``jac`` ``(..., n, n)``.
 
-    Raises ``SingularGeometryError`` when a determinant is zero or not finite.
+    In closed form from the cofactors for ``n`` = 2 and 3 (d = 1 and 2);
+    larger matrices go through LAPACK.  ``adj / det`` is the inverse.
     """
-    (a, b, c), (d, e, f), (g, h, i) = np.moveaxis(jac, 0, -1)
-    adj = np.stack([e * i - f * h, c * h - b * i, b * f - c * e,
-                    f * g - d * i, a * i - c * g, c * d - a * f,
-                    d * h - e * g, b * g - a * h, a * e - b * d], axis=-1).reshape(-1, 3, 3)
-    det = a * adj[:, 0, 0] + b * adj[:, 1, 0] + c * adj[:, 2, 0]
-    bad = ~np.isfinite(det) | (det == 0.0)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise SingularGeometryError(f'singular Jacobian: determinant {det[k]:.6g} at point {k}')
-    return adj / det[:, None, None]
+    n = jac.shape[-1]
+    if n == 2:
+        (a, b), (c, d) = np.moveaxis(jac, (-2, -1), (0, 1))
+        return np.stack([d, -b, -c, a], axis=-1).reshape(jac.shape), a * d - b * c
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = np.moveaxis(jac, (-2, -1), (0, 1))
+        adj = np.stack([e * i - f * h, c * h - b * i, b * f - c * e,
+                        f * g - d * i, a * i - c * g, c * d - a * f,
+                        d * h - e * g, b * g - a * h, a * e - b * d], axis=-1).reshape(jac.shape)
+        return adj, a * adj[..., 0, 0] + b * adj[..., 1, 0] + c * adj[..., 2, 0]
+    det = np.linalg.det(jac)
+    return np.linalg.inv(jac) * det[..., None, None], det
 
 
 def pullback_derivatives(jac, grads, hessians=None, hess_geom=None):
@@ -204,7 +215,12 @@ def pullback_derivatives(jac, grads, hessians=None, hess_geom=None):
     """
     grads_t = np.transpose(grads, (0, 2, 1))
     if jac.shape[-1] == 3:
-        Jinv = _inverse3(jac)
+        adj, det = _adjugate(jac)
+        bad = ~np.isfinite(det) | (det == 0.0)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise SingularGeometryError(f'singular Jacobian: determinant {det[k]:.6g} at point {k}')
+        Jinv = adj / det[:, None, None]
         g = np.matmul(np.transpose(Jinv, (0, 2, 1)), grads_t).transpose(0, 2, 1)
     else:
         Jinv = None
@@ -223,7 +239,10 @@ def mesh_metrics(geom: GeometryMap, space: DiscreteSpace, orders=None) -> Physic
     The solution space's spans must refine the geometry's spans in every
     direction so each element sees a smooth piece of the map.  The local
     Jacobian norm is estimated by sampling at the element's quadrature
-    points (``orders`` defaulting to ``degree + 1`` per direction).
+    points (``orders`` defaulting to ``degree + 1`` per direction), where
+    the sum-factorized field kernel of the internal ``_batch`` module gives
+    the Jacobians.  Raises ``SingularGeometryError`` unless ``det J > 0``
+    at every sample.
     """
     nd = space.ndim
     if geom.ndim != nd:
@@ -238,8 +257,8 @@ def mesh_metrics(geom: GeometryMap, space: DiscreteSpace, orders=None) -> Physic
                         indexing='ij')
     h_param = np.sqrt(sum(s**2 for s in sides)).ravel()
     h_elem = np.empty_like(h_param)
-    for index, J in ElementBatcher(space, geom, orders).jacobian_blocks():
+    for blk in ElementBatcher(space, geom, orders).field_blocks():
         # ||J||_2 is the root of the largest eigenvalue of J^T J
-        norm = np.sqrt(np.linalg.eigvalsh(np.swapaxes(J, 2, 3) @ J)[..., -1])
-        h_elem[index] = norm.max(axis=1) * h_param[index]
+        norm = np.sqrt(np.linalg.eigvalsh(np.swapaxes(blk.jac, 2, 3) @ blk.jac)[..., -1])
+        h_elem[blk.index] = norm.max(axis=1) * h_param[blk.index]
     return PhysicalMesh(h_param, h_elem)

@@ -148,6 +148,20 @@ def _rationalize(val, grad, hess, w_act):
     return R, Rg, Rh
 
 
+def active_dofs(space: DiscreteSpace, firsts) -> np.ndarray:
+    """Flat indices ``(E, m)`` of the functions active on ``E`` elements.
+
+    ``firsts[a]`` ``(E,)`` holds the first active univariate index of
+    direction ``a``; the ``m = prod (p_a + 1)`` functions run with
+    direction 0 slowest.
+    """
+    active = np.zeros((len(firsts[0]), 1), dtype=np.int64)
+    for f, p, s in zip(firsts, space.degrees, space.strides):
+        idx = (np.asarray(f, dtype=np.int64)[:, None] + np.arange(p + 1)) * s
+        active = (active[:, :, None] + idx[:, None, :]).reshape(active.shape[0], -1)
+    return active
+
+
 def tensor_basis(space: DiscreteSpace, rows, firsts, need: int):
     """Active dofs and basis blocks of ``E`` elements at tensor grids of points.
 
@@ -162,10 +176,7 @@ def tensor_basis(space: DiscreteSpace, rows, firsts, need: int):
     the quotient rule is applied through second order.
     """
     nd = space.ndim
-    active = np.zeros((len(firsts[0]), 1), dtype=np.int64)
-    for f, p, s in zip(firsts, space.degrees, space.strides):
-        idx = (np.asarray(f, dtype=np.int64)[:, None] + np.arange(p + 1)) * s
-        active = (active[:, :, None] + idx[:, None, :]).reshape(active.shape[0], -1)
+    active = active_dofs(space, firsts)
     val = _combine(rows, (0,) * nd)
     E, q, m = val.shape
     grad = hess = None
