@@ -117,52 +117,74 @@ class NormMatrices:
     face_gradient: sp.csr_matrix
 
 
-class _Accumulator:
-    """COO triplets of blocks of local matrices, merged into CSR in bounded chunks.
+# Bytes of the scatter's pending (row, column, value) triplets: 524,288 of them
+# with 32-bit indices, more than any regression-sweep assembly has (419,904).
+_SCATTER_BYTES = 1 << 23
 
-    Triplets are kept in element order, each local matrix row by row, and
-    scipy sums the duplicates of a chunk when it converts it to CSR.  That
-    fixes the order of every floating-point sum and with it the last bits
-    of the matrix, which the direct solve amplifies: at level 6 of the d = 1
-    regression sweeps, summing in element order onto a precomputed pattern
-    moved the L2 error by up to 5.7e-10 relative.
+
+def _merge(a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
+    """``a + b`` on the union of the two patterns, explicit zeros included."""
+    p, q = (sp.csr_matrix((np.ones(m.nnz, bool), m.indices, m.indptr), m.shape) for m in (a, b))
+    union, out = (p + q).nnz, a + b
+    if out.nnz < union:  # csr + csr dropped an exact zero: list each row of a, then of b
+        del out
+        from_b = np.repeat(np.tile([False, True], a.shape[0]),
+                           np.column_stack((np.diff(a.indptr), np.diff(b.indptr))).ravel())
+        indices, data = np.empty(from_b.size, a.indices.dtype), np.empty(from_b.size)
+        indices[~from_b], data[~from_b] = a.indices, a.data
+        indices[from_b], data[from_b] = b.indices, b.data
+        out = sp.csr_matrix((data, indices, a.indptr + b.indptr), shape=a.shape)
+        out.sum_duplicates()
+    return out
+
+
+class _Accumulator:
+    """COO triplets of blocks of local matrices, streamed into CSR through ``_SCATTER_BYTES``.
+
+    Triplets go in element order, each local matrix row by row, into fixed
+    buffers.  A full buffer, cut wherever the budget falls, is one chunk;
+    scipy sums its duplicates as it converts it to CSR, so within a chunk
+    element order fixes every floating-point sum and the matrix's last bits,
+    which the direct solve amplifies.  One chunk is thus bit for bit the
+    one-shot ``coo_matrix(...).tocsr()``.  Chunks merge as a binary counter,
+    each entry O(log chunks) times, to the one-shot pattern and round-off.
     """
 
-    def __init__(self, n: int, flush_at: int = 4_000_000):
+    def __init__(self, n: int):
         self.n = n
-        self.flush_at = flush_at
-        self._rows, self._cols, self._vals = [], [], []
+        index = np.int32 if n < 2**31 else np.int64
+        size = _SCATTER_BYTES // (2 * np.dtype(index).itemsize + 8)
+        self._buffers = (np.empty(size, index), np.empty(size, index), np.empty(size))
         self._pending = 0
-        self._acc = None
+        self._stack = []  # (chunks, csr), fewer chunks towards the top
 
     def add(self, dofs: np.ndarray, local: np.ndarray):
         """Add the local matrices ``(E, m, m)`` of the elements with ``dofs`` ``(E, m)``."""
-        E, m = dofs.shape
-        dofs = dofs.astype(np.int32 if self.n < 2**31 else np.int64)
-        self._rows.append(np.repeat(dofs, m, axis=1).ravel())
-        self._cols.append(np.tile(dofs, (1, m)).ravel())
-        self._vals.append(local.ravel())
-        self._pending += E * m * m
-        if self._pending >= self.flush_at:
-            self._merge()
+        m = dofs.shape[1]
+        dofs = dofs.astype(self._buffers[0].dtype)
+        triplets = (np.repeat(dofs, m, axis=1).ravel(), np.tile(dofs, (1, m)).ravel(), local.ravel())
+        while triplets[2].size:
+            k = min(triplets[2].size, self._buffers[2].size - self._pending)
+            for buf, src in zip(self._buffers, triplets):
+                buf[self._pending:self._pending + k] = src[:k]
+            triplets, self._pending = [src[k:] for src in triplets], self._pending + k
+            if self._pending == self._buffers[2].size:
+                self._flush()
 
-    def _merge(self):
-        if not self._rows:
-            return
-        chunk = sp.coo_matrix(
-            (np.concatenate(self._vals),
-             (np.concatenate(self._rows), np.concatenate(self._cols))),
-            shape=(self.n, self.n)).tocsr()
-        self._acc = chunk if self._acc is None else self._acc + chunk
-        self._rows, self._cols, self._vals = [], [], []
-        self._pending = 0
+    def _flush(self, final=False):
+        k, self._pending = self._pending, 0
+        if k:
+            rows, cols, vals = (buf[:k] for buf in self._buffers)
+            self._stack.append((1, sp.coo_matrix((vals, (rows, cols)), shape=(self.n, self.n)).tocsr()))
+        while len(self._stack) > 1 and (final or self._stack[-1][0] == self._stack[-2][0]):
+            (count, b), (_, a) = self._stack.pop(), self._stack.pop()
+            self._stack.append((2 * count, _merge(a, b)))
 
     def result(self) -> sp.csr_matrix:
-        self._merge()
-        if self._acc is None:
-            return sp.csr_matrix((self.n, self.n))
-        self._acc.sum_duplicates()
-        return self._acc
+        self._flush()
+        self._buffers = None
+        self._flush(final=True)
+        return self._stack.pop()[1] if self._stack else sp.csr_matrix((self.n, self.n))
 
 
 def _gram(left: np.ndarray, right: np.ndarray) -> np.ndarray:

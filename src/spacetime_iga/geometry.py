@@ -182,6 +182,28 @@ def _adjugate(jac: np.ndarray):
     return np.linalg.inv(jac) * det[..., None, None], det
 
 
+def _largest_eigenvalue(s: np.ndarray) -> np.ndarray:
+    """Largest eigenvalues of symmetric ``s`` ``(..., n, n)``: in closed form for ``n`` = 2,
+    by the trigonometric formula for 3 and by LAPACK for larger ``n``."""
+    if s.shape[-1] == 2:
+        half = 0.5 * (s[..., 0, 0] - s[..., 1, 1])
+        return s[..., 1, 1] + half + np.hypot(half, s[..., 0, 1])
+    if s.shape[-1] != 3:
+        return np.linalg.eigvalsh(s)[..., -1]
+    (a, d, e), (_, b, f), (_, _, c) = np.moveaxis(s, (-2, -1), (0, 1))
+    q = (a + b + c) / 3
+    a, b, c = a - q, b - q, c - q
+    p = np.sqrt((a * a + b * b + c * c + 2 * (d * d + e * e + f * f)) / 6)
+    with np.errstate(divide='ignore', invalid='ignore'):
+        r = (a * b * c + 2 * d * e * f - a * f * f - b * e * e - c * d * d) / (2 * p**3)
+    lam = q + 2 * p * np.cos(np.arccos(np.clip(r, -1.0, 1.0)) / 3)
+    # LAPACK where the formula fails: at a multiple of I (p = 0, r is nan) and near a
+    # double largest eigenvalue (r -> -1), where the arccos loses digits
+    near = ~(r > 1e-4 - 1.0)
+    lam[near] = np.linalg.eigvalsh(s[near])[..., -1]
+    return lam
+
+
 def pullback_derivatives(jac, grads, hessians=None, hess_geom=None):
     """Push parameter-space basis derivatives to physical coordinates.
 
@@ -259,6 +281,6 @@ def mesh_metrics(geom: GeometryMap, space: DiscreteSpace, orders=None) -> Physic
     h_elem = np.empty_like(h_param)
     for blk in ElementBatcher(space, geom, orders).field_blocks():
         # ||J||_2 is the root of the largest eigenvalue of J^T J
-        norm = np.sqrt(np.linalg.eigvalsh(np.swapaxes(blk.jac, 2, 3) @ blk.jac)[..., -1])
+        norm = np.sqrt(_largest_eigenvalue(np.swapaxes(blk.jac, 2, 3) @ blk.jac))
         h_elem[blk.index] = norm.max(axis=1) * h_param[blk.index]
     return PhysicalMesh(h_param, h_elem)

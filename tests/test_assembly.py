@@ -1,4 +1,4 @@
-"""Bilinear forms: structural identities, boundary data, stability warning.
+"""Bilinear forms: structural identities, boundary data, stability warning, scatter.
 
 The moving-domain form is validated against the fixed-domain form through
 an exact integration-by-parts identity: restricted to test functions that
@@ -16,16 +16,25 @@ The fixed-cylinder coercivity identity, the agreement of the two forms on
 fixed cylinders and the moving-domain coercivity margin are computed by
 ``harness.coercivity_identity_defect``, ``fixed_forms_gap`` and
 ``moving_coercivity``, and asserted by acceptance gates 08-10.
+
+The sparse scatter is held to scipy's one-shot COO-to-CSR conversion: bit
+for bit when the triplets fit one chunk of its byte budget, and to the
+same pattern and round-off when a tiny budget cuts them into many chunks.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
+import spacetime_iga.assembly as assembly
 from geometries import identity_geometry
 from spacetime_iga._batch import ElementBatcher, at_points
 from spacetime_iga.assembly import (ManufacturedCase, SchemeParams,
                                     StabilityWarning, apply_dirichlet,
-                                    assemble_fixed, assemble_moving, boundary_l2_project)
+                                    assemble_fixed, assemble_moving, assemble_norm_matrices,
+                                    boundary_l2_project)
 from spacetime_iga.geometry import mesh_metrics
 from spacetime_iga.harness import builtin_cases, solution_space
 from spacetime_iga.linsolve import solve_direct
@@ -338,3 +347,90 @@ def test_boundary_values_interpolate_exact_solution():
     coarse, fine = trace_error(3), trace_error(4)
     assert coarse < 2e-4
     assert fine < coarse / 10.0
+
+
+def test_scatter_of_one_chunk_is_the_one_shot_csr():
+    # duplicates, explicit zeros and empty rows, in several blocks that fit the budget
+    rng = np.random.default_rng(15)
+    n, blocks = 60, []
+    for E in (7, 1, 12):
+        dofs = rng.integers(0, n - 5, size=(E, 4))
+        local = rng.standard_normal((E, 4, 4))
+        local[rng.random(local.shape) < 0.2] = 0.0
+        blocks.append((dofs, local))
+    acc = assembly._Accumulator(n)
+    for dofs, local in blocks:
+        acc.add(dofs, local)
+    got = acc.result()
+    rows = np.concatenate([np.repeat(d, 4, axis=1).ravel() for d, _ in blocks])
+    cols = np.concatenate([np.tile(d, (1, 4)).ravel() for d, _ in blocks])
+    vals = np.concatenate([loc.ravel() for _, loc in blocks])
+    ref = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    assert (ref.data == 0.0).any()
+    for attr in ('indptr', 'indices', 'data'):
+        assert np.array_equal(getattr(got, attr), getattr(ref, attr)), attr
+
+
+def scatter_results(name, level):
+    """The result of every scatter on one level (both forms, ``n_fixed``, the face
+    gradient, the boundary mass), then ``n_moving``."""
+    case, geom, space, mesh, params = setup(name, 2, level)
+    results = []
+
+    class Recording(assembly._Accumulator):
+        def result(self):
+            results.append(super().result())
+            return results[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(assembly, '_Accumulator', Recording)
+        assemble_fixed(space, geom, case, params)
+        assemble_moving(space, geom, case, params)
+        norms = assemble_norm_matrices(space, geom, params)
+        boundary_l2_project(space, geom, case.u, classify_dirichlet(space).dirichlet_mask)
+    return results + [norms.n_moving]
+
+
+@pytest.mark.parametrize('name,level', [('moving-curvi-1d', 3), ('moving-curvi-2d', 2)])
+def test_scatter_chunks_keep_the_pattern(monkeypatch, name, level):
+    # a budget of 97 triplets cuts blocks and local matrices into many chunks;
+    # the merged matrices keep the one-chunk pattern, explicit zeros included
+    reference = scatter_results(name, level)
+    pending, sizes, triplets = [], [], []
+    monkeypatch.setattr(assembly, '_SCATTER_BYTES', 97 * 16)
+    add = assembly._Accumulator.add
+
+    def checked_add(self, dofs, local):
+        add(self, dofs, local)
+        assert sum(buf.nbytes for buf in self._buffers) <= assembly._SCATTER_BYTES
+        assert self._pending < self._buffers[2].size == 97
+        pending.append(self._pending)
+        sizes.append(local[0].size)
+        triplets.append(local.size)
+
+    monkeypatch.setattr(assembly._Accumulator, 'add', checked_add)
+    chunked = scatter_results(name, level)
+    assert sum(triplets) > 100 * 97
+    assert any(p % m for p, m in zip(pending, sizes))  # cut inside a local matrix
+    assert len(reference) == len(chunked) == 6
+    assert any((m.data == 0.0).any() for m in reference)
+    for ref, got in zip(reference, chunked):
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.abs(got.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
+
+
+def test_scatter_memory_is_bounded():
+    # moving-curvi-2d p2 L4 scatters 3.0M triplets, 5.7 times the budget; one
+    # COO-to-CSR conversion of them all took the traced peak to 150 MB
+    case, geom, space, mesh, params = setup('moving-curvi-2d', 2, 4)
+    tracemalloc.start()
+    try:
+        system = assemble_moving(space, geom, case, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+    assert system.matrix.nnz == 592704
+    n_elements = np.prod([kv.spans.shape[0] for kv in space.knot_vectors])
+    assert n_elements * 27**2 > 5 * (assembly._SCATTER_BYTES // 16)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import spacetime_iga.geometry as geometry
 from geometries import identity_geometry, quarter_annulus_cylinder
 from spacetime_iga._batch import ElementBatcher, _rows, _span_rule
 from spacetime_iga.geometry import (GeometryMap, SingularGeometryError, eval_geometry,
@@ -322,6 +323,39 @@ def test_knot_mesh_size_is_the_largest_parameter_cell():
         spaces.append((identity_geometry(DiscreteSpace(kvs)), DiscreteSpace(kvs)))
     for geom, space in spaces:
         assert space.h_hat == mesh_metrics(geom, space).h_param.max()
+
+
+def lapack_largest_eigenvalue(s):
+    return np.linalg.eigvalsh(s)[..., -1]
+
+
+def test_largest_eigenvalue_matches_lapack():
+    # closed forms for 2x2 and 3x3, including multiples of I and double
+    # eigenvalues, where the 3x3 formula hands over to LAPACK
+    rng = np.random.default_rng(14)
+    for n in (2, 3, 4):
+        q = np.linalg.qr(rng.standard_normal((3000, n, n)))[0]
+        spectra = [rng.uniform(0.01, 10.0, (3000, n)), np.full((3000, n), 2.5),
+                   np.concatenate((np.full((3000, 2), 4.0), np.ones((3000, n - 2))), axis=1),
+                   np.concatenate((np.full((3000, 2), 4.0), np.full((3000, n - 2), 4.0 - 1e-7)), axis=1)]
+        for ev in spectra:
+            s = q @ (ev[:, :, None] * np.swapaxes(q, 1, 2))
+            s = 0.5 * (s + np.swapaxes(s, 1, 2))
+            ref = lapack_largest_eigenvalue(s)
+            assert np.max(np.abs(geometry._largest_eigenvalue(s) - ref) / ref) < 1e-13
+        assert np.array_equal(geometry._largest_eigenvalue(np.broadcast_to(np.eye(n), (5, n, n))),
+                              np.ones(5))
+
+
+def test_mesh_metrics_element_sizes_match_lapack(monkeypatch):
+    geoms = [d.geometry for d in builtin_cases().values()] + [quarter_annulus_cylinder()]
+    spaces = [(geom, solution_space(geom, p, level))
+              for geom in geoms for p in (1, 2, 3) for level in range(4 - geom.ndim // 3)]
+    closed = [mesh_metrics(geom, space).h_elem for geom, space in spaces]
+    monkeypatch.setattr(geometry, '_largest_eigenvalue', lapack_largest_eigenvalue)
+    for (geom, space), h_elem in zip(spaces, closed):
+        ref = mesh_metrics(geom, space).h_elem
+        assert np.max(np.abs(h_elem - ref) / ref) <= 1e-12
 
 
 def test_mesh_metrics_halving():
