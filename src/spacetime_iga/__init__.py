@@ -17,7 +17,7 @@ from .linsolve import (ConvergenceError, SingularSystemError, SolveReport,
                        cylinder_preconditioner, solve_direct, solve_fd, solve_gmres)
 from .postproc import (ConvergenceReport, DiscreteField, LevelRecord, a_priori_theta_bound,
                        error_energy, error_l2, estimate_inverse_constant, mesh_ratio, rates)
-from .quadrature import QuadratureRule, gauss_1d
+from .quadrature import gauss_1d
 from .splines import KnotVector, eval_basis, find_span, refine_uniform, single_span
 from .tensor_space import DiscreteSpace, DofMap, classify_dirichlet, point_rows, tensor_basis
 

@@ -82,9 +82,9 @@ def _table(kv: KnotVector, nodes: np.ndarray) -> _Table:
 
 def _span_rule(kv: KnotVector, n: int):
     """Nodes and weights ``(ns, n)`` of the ``n``-point Gauss rule on every span of ``kv``."""
-    base = gauss_1d(n)
+    nodes, weights = gauss_1d(n)
     lengths = np.diff(kv.spans, axis=1)
-    return kv.spans[:, :1] + lengths * base.nodes[:, 0][None, :], lengths * base.weights[None, :]
+    return kv.spans[:, :1] + lengths * nodes[None, :], lengths * weights[None, :]
 
 
 def _rows(tables, multi):
@@ -148,11 +148,12 @@ class ElementBatcher:
     """Iterates blocks of elements (or boundary faces) of a space under a geometry map.
 
     ``orders`` are univariate quadrature point counts, defaulting to
-    ``degree + 1``.  :meth:`blocks` and :meth:`face_blocks` yield
-    :class:`ElementBlock` with physical points, weighted measures and
-    pulled-back basis derivatives up to the requested order (0 = values,
-    1 = +gradients, 2 = +Hessians); :meth:`field_blocks` yields
-    :class:`FieldBlock` with one field and its physical gradient.
+    ``degree + 1``.  :meth:`blocks` yields :class:`ElementBlock` with
+    physical points, weighted measures and pulled-back basis derivatives
+    up to the requested order (0 = values, 1 = +gradients, 2 = +Hessians);
+    :meth:`field_blocks` yields :class:`FieldBlock` with one field and its
+    physical gradient.  Both take ``face = (fixed_dir, side)`` to run over
+    a boundary face in place of the volume.
     On an identity map (``geom.is_identity``) the parameter derivatives are
     the physical ones, and ``jac`` and ``det`` are ``I`` and 1.
     """
@@ -196,16 +197,28 @@ class ElementBatcher:
                 w = (w[:, :, None] * self._weights[a][multi[a]][:, None, :]).reshape(E, -1)
         return w
 
-    def _face_tables(self, fixed_dir: int, side: int):
-        """Solution and geometry tables with direction ``fixed_dir`` pinned to ``side``."""
+    def _tables_for(self, face):
+        """Solution and geometry tables and the pinned direction of the volume
+        (``face`` None) or of the face ``face = (fixed_dir, side)``."""
+        if face is None:
+            return self._tables, self._geo_tables, None
+        fixed_dir, side = face
         pinned = np.array([[float(side)]])
         tables = list(self._tables)
         geo_tables = list(self._geo_tables)
         tables[fixed_dir] = _table(self.space.knot_vectors[fixed_dir], pinned)
         geo_tables[fixed_dir] = _table(self.geom.space.knot_vectors[fixed_dir], pinned)
-        return tables, geo_tables
+        return tables, geo_tables, fixed_dir
 
-    def _blocks(self, tables, geo_tables, need, face_dir=None):
+    def blocks(self, need: int = 2, face=None):
+        """Yield basis data for every element, in blocks, C order.
+
+        ``face = (fixed_dir, side)`` restricts the blocks to the boundary
+        face ``xi_fixed_dir = side`` (0 or 1): weights carry the surface
+        measure of the restricted map, and basis derivatives are still
+        pulled back with the full volume Jacobian.
+        """
+        tables, geo_tables, face_dir = self._tables_for(face)
         nd = self.nd
         m = int(np.prod([p + 1 for p in self.space.degrees]))
         for index, multi in self._ranges(tables, 8 * m * sum(nd**k for k in range(need + 1))):
@@ -234,18 +247,6 @@ class ElementBatcher:
                     hess = None if hess is None else hess.reshape(E, q, m, nd, nd)
             yield ElementBlock(index, dofs, x, w, val, grad, hess, J, det)
 
-    def blocks(self, need: int = 2):
-        """Yield volume data for every element, in blocks, C order."""
-        yield from self._blocks(self._tables, self._geo_tables, need)
-
-    def face_blocks(self, fixed_dir: int, side: int, need: int = 1):
-        """Yield data for the boundary face ``xi_fixed_dir = side`` (0 or 1), in blocks.
-
-        Weights carry the surface measure of the restricted map; basis
-        derivatives are still pulled back with the full volume Jacobian.
-        """
-        yield from self._blocks(*self._face_tables(fixed_dir, side), need, face_dir=fixed_dir)
-
     def field_blocks(self, coefficients=None, need: int = 1, face=None):
         """Yield one field and the map in blocks of elements, C order.
 
@@ -253,15 +254,11 @@ class ElementBatcher:
         block holds the map alone (``val`` and ``grad`` None).  ``need`` 1
         adds the field's physical gradient, pulled back by the closed-form
         inverse Jacobian.  ``face = (fixed_dir, side)`` restricts the blocks
-        to a boundary face, weighted as in :meth:`face_blocks`.  Raises
+        to a boundary face, weighted as in :meth:`blocks`.  Raises
         ``SingularGeometryError`` unless ``det J > 0`` at every point.
         """
         nd = self.nd
-        face_dir = None
-        tables, geo_tables = self._tables, self._geo_tables
-        if face is not None:
-            face_dir = face[0]
-            tables, geo_tables = self._face_tables(*face)
+        tables, geo_tables, face_dir = self._tables_for(face)
         geo = self.geom
         for index, multi in self._ranges(tables, 8 * (nd + 1) ** 2):
             w = self._quadrature_weights(multi, face_dir)

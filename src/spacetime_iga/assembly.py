@@ -26,7 +26,7 @@ import scipy.sparse as sp
 
 from ._batch import ElementBatcher, at_points
 from .geometry import GeometryMap
-from .tensor_space import DiscreteSpace, DofMap
+from .tensor_space import DiscreteSpace, DofMap, dirichlet_faces
 
 __all__ = [
     'SchemeParams',
@@ -220,7 +220,7 @@ def _assemble_form(space, geom, case, params, orders, moving) -> LinearSystem:
         fw = blk.w * at_points(case.f, blk.x)
         np.add.at(rhs, blk.dofs, (np.swapaxes(test, 1, 2) @ fw[..., None])[..., 0])
     if moving:
-        for blk in batcher.face_blocks(d, 1, need=1):
+        for blk in batcher.blocks(need=1, face=(d, 1)):
             gx = blk.grad[..., :d]
             acc.add(blk.dofs, th * _gram(gx * blk.w[:, :, None, None], gx))
     return LinearSystem(acc.result(), rhs)
@@ -272,7 +272,7 @@ def assemble_norm_matrices(space: DiscreteSpace, geom: GeometryMap,
         local = _gram(gx * w[..., None], gx)
         local += th * (np.swapaxes(dt * w, 1, 2) @ dt)
         acc_n.add(blk.dofs, local)
-    for blk in batcher.face_blocks(d, 1, need=1):
+    for blk in batcher.blocks(need=1, face=(d, 1)):
         w = blk.w[:, :, None]
         acc_n.add(blk.dofs, 0.5 * (np.swapaxes(blk.val * w, 1, 2) @ blk.val))
         gx = blk.grad[..., :d]
@@ -287,19 +287,18 @@ def boundary_l2_project(space: DiscreteSpace, geom: GeometryMap, g,
     """L2 projection of boundary data onto the Dirichlet dofs.
 
     One joint projection over the lateral boundary and the initial face:
-    assemble the boundary mass matrix and moment vector of ``g`` face by
-    face, restrict to the Dirichlet set, solve.  Returns a full-length
+    assemble the boundary mass matrix and moment vector of ``g`` over the
+    :func:`~spacetime_iga.tensor_space.dirichlet_faces` in turn, restrict
+    to the Dirichlet set, solve.  Returns a full-length
     coefficient vector, zero on free dofs.
     """
     from .linsolve import solve_direct
 
-    d = space.ndim - 1
     batcher = ElementBatcher(space, geom, orders)
     acc = _Accumulator(space.dim)
     load = np.zeros(space.dim)
-    faces = [(a, side) for a in range(d) for side in (0, 1)] + [(d, 0)]
-    for fixed_dir, side in faces:
-        for blk in batcher.face_blocks(fixed_dir, side, need=0):
+    for face in dirichlet_faces(space.ndim):
+        for blk in batcher.blocks(need=0, face=face):
             valw_t = np.swapaxes(blk.val * blk.w[:, :, None], 1, 2)
             acc.add(blk.dofs, valw_t @ blk.val)
             np.add.at(load, blk.dofs, (valw_t @ at_points(g, blk.x)[..., None])[..., 0])

@@ -17,6 +17,7 @@ import json
 import sys
 import warnings
 from dataclasses import dataclass, fields, replace
+from numbers import Real
 
 import numpy as np
 
@@ -166,8 +167,6 @@ class CaseConfig:
     theta: float = 0.1
     solver: str = 'auto'
     solver_tol: float = 1e-10
-    gmres_restart: int = 50
-    gmres_max_iter: int = 5000
     out: str | None = None
     deterministic: bool = False
     geometry: dict | None = None
@@ -182,8 +181,14 @@ class CaseConfig:
             raise ValueError(f'degree must be at least 1, got {self.degree}')
         if self.levels < 1:
             raise ValueError(f'levels must be at least 1, got {self.levels}')
+        for key in ('theta', 'solver_tol'):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, Real) or not np.isfinite(value):
+                raise ValueError(f'{key} must be a finite number, got {value!r}')
         if not 0.0 < self.theta:
             raise ValueError(f'theta must be positive, got {self.theta}')
+        if not 0.0 < self.solver_tol < 1.0:
+            raise ValueError(f'solver_tol must lie strictly between 0 and 1, got {self.solver_tol}')
         if self.solver not in ('auto', 'direct', 'gmres'):
             raise ValueError(f"solver must be 'auto', 'direct' or 'gmres', got {self.solver!r}")
         if self.case != 'custom' and self.case not in builtin_cases():
@@ -274,7 +279,8 @@ def _solve(system: LinearSystem, config: CaseConfig, space, params: SchemeParams
     """Solve the reduced system of ``definition`` with ``config.solver``.
 
     GMRES is always preconditioned by the fast diagonalization of the
-    parametric cylinder of ``space``, built inside the timed solve.  Under
+    parametric cylinder of ``space``, built inside the timed solve, and
+    runs with :func:`solve_gmres`'s default restart and budget.  Under
     ``auto`` a system of fewer than ``FD_MIN_DOFS`` free dofs solves by
     sparse LU, and a larger one by
 
@@ -282,11 +288,8 @@ def _solve(system: LinearSystem, config: CaseConfig, space, params: SchemeParams
       identity-geometry cylinder (``definition.fd_exact``), which it inverts;
     - GMRES at tolerance ``min(config.solver_tol, 1e-12)`` on a moving case
       with d >= 2, where it beats the sparse LU of the whole space-time
-      matrix from the same size on (see the crossover table in
-      :mod:`spacetime_iga.linsolve`: on moving-curvi-2d p2 L4, 33 ms against
-      1.85 s).  The tighter stop keeps ``auto`` as exact as the LU it
-      replaces: at 1e-10 the moving-curvi-2d p2 L3 L2 error lies 3.7e-10
-      (relative) from the LU's, at 1e-12 1.6e-12, for 13-16 iterations;
+      matrix from the same size on.  The tighter stop keeps ``auto`` as
+      exact as the LU it replaces;
     - sparse LU up to ``DIRECT_DOF_LIMIT`` free dofs and GMRES beyond
       otherwise.
     """
@@ -305,7 +308,6 @@ def _solve(system: LinearSystem, config: CaseConfig, space, params: SchemeParams
     if method == 'direct':
         return solve_direct(system.matrix, system.rhs)
     return solve_gmres(system.matrix, system.rhs, tol=tol,
-                       restart=config.gmres_restart, max_iter=config.gmres_max_iter,
                        preconditioner=lambda m: cylinder_preconditioner(space, m.shape[0], theta_h))
 
 
@@ -402,9 +404,9 @@ def _check_partition_of_unity():
 def _check_quadrature():
     worst = 0.0
     for n in range(1, 9):
-        rule = gauss_1d(n)
+        nodes, weights = gauss_1d(n)
         for k in range(2 * n):
-            val = float(rule.weights @ rule.nodes[:, 0] ** k)
+            val = float(weights @ nodes ** k)
             worst = max(worst, abs(val - 1.0 / (k + 1)))
     return worst < 1e-14, f'max monomial defect {worst:.2e}'
 

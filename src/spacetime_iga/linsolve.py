@@ -24,15 +24,7 @@ that remain are factored together as one sparse LU.
 On a moving cylinder with d >= 2 the preconditioned GMRES replaces the
 sparse LU of the whole space-time matrix from 500 free dofs on
 (``harness.FD_MIN_DOFS``), stopping at a true residual of 1e-12 so that
-its errors stay within round-off of the LU's.  Sparse LU against
-FD-GMRES on moving-curvi-2d, best of 3 solves with the build, 2 cores:
-
-level  p1                      p2                      p3
-L3     392 free: 4.9 / 10.9 ms  576 free: 13.6 / 8.1 ms  810 free: 44.5 / 10.1 ms
-L4     117 / 15.7 ms            1.85 s / 33 ms           5.87 s / 66 ms
-L5     19.7 s / 0.12 s          78 s / 0.27 s            --
-
-GMRES takes 13-16 iterations at every entry.
+its errors stay within round-off of the LU's.
 """
 from __future__ import annotations
 
@@ -47,7 +39,7 @@ import scipy.sparse.linalg as spla
 
 from ._batch import _span_rule, _table
 from .splines import KnotVector
-from .tensor_space import DiscreteSpace
+from .tensor_space import DiscreteSpace, dirichlet_faces
 
 __all__ = [
     'SolveReport',
@@ -233,14 +225,16 @@ def _univariate_matrices(kv: KnotVector):
 def cylinder_matrices(space: DiscreteSpace):
     """Univariate ``(M, K, C)`` of every direction, restricted to the free indices.
 
-    The free indices are the interior ones in each spatial direction and
-    those from 1 on in time, whose tensor product is the free set of
-    :func:`~spacetime_iga.tensor_space.classify_dirichlet`.  The last
-    entry belongs to time.
+    A direction's free indices are those that no face of
+    :func:`~spacetime_iga.tensor_space.dirichlet_faces` pins: the interior
+    ones in space and those from 1 on in time.  Their tensor product is
+    the free set of :func:`~spacetime_iga.tensor_space.classify_dirichlet`.
+    The last entry belongs to time.
     """
+    faces = dirichlet_faces(space.ndim)
     out = []
     for a, kv in enumerate(space.knot_vectors):
-        keep = slice(1, None) if a == space.ndim - 1 else slice(1, -1)
+        keep = slice(int((a, 0) in faces), kv.n - int((a, 1) in faces))
         out.append(tuple(m[keep, keep] for m in _univariate_matrices(kv)))
     return out
 

@@ -8,26 +8,17 @@ geometry exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ['QuadratureRule', 'gauss_1d']
+__all__ = ['gauss_1d']
 
 _MAX_POINTS = 16
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes ``(nq, dim)`` and positive weights ``(nq,)`` in parameter space."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-
-def gauss_1d(n: int) -> QuadratureRule:
-    """Gauss-Legendre rule with ``n`` points on the unit interval."""
+def gauss_1d(n: int):
+    """Nodes and positive weights ``(n,)`` of the ``n``-point Gauss-Legendre
+    rule on the unit interval."""
     if not 1 <= n <= _MAX_POINTS:
         raise ValueError(f'point count must be in [1, {_MAX_POINTS}], got {n}')
     x, w = np.polynomial.legendre.leggauss(n)
-    return QuadratureRule(0.5 * (x[:, None] + 1.0), 0.5 * w)
+    return 0.5 * (x + 1.0), 0.5 * w

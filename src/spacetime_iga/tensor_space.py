@@ -19,6 +19,7 @@ __all__ = [
     'DofMap',
     'point_rows',
     'tensor_basis',
+    'dirichlet_faces',
     'classify_dirichlet',
 ]
 
@@ -199,13 +200,23 @@ def tensor_basis(space: DiscreteSpace, rows, firsts, need: int):
     return active, val, grad, hess
 
 
+def dirichlet_faces(ndim: int) -> list:
+    """The faces ``(direction, side)`` of the parameter cube that carry Dirichlet data.
+
+    Both ends (``side`` 0 and 1) of every spatial direction, then the
+    initial face ``t = 0`` of the time direction ``ndim - 1``; the
+    terminal face stays free.
+    """
+    return [(a, side) for a in range(ndim - 1) for side in (0, 1)] + [(ndim - 1, 0)]
+
+
 def classify_dirichlet(space: DiscreteSpace) -> DofMap:
     """Split dofs into Dirichlet carriers and true unknowns.
 
-    A dof is a Dirichlet carrier when its multi-index touches the lateral
-    boundary in any spatial direction or the initial face in time; the
-    terminal face stays free.  With open knot vectors this is exactly the
-    set of basis functions with a non-zero trace on the parabolic
+    A dof is a Dirichlet carrier when its multi-index touches one of the
+    :func:`dirichlet_faces`: the lateral boundary in any spatial direction
+    or the initial face in time.  With open knot vectors this is exactly
+    the set of basis functions with a non-zero trace on the parabolic
     boundary of the cube.
     """
     dims = space.dims
@@ -213,16 +224,10 @@ def classify_dirichlet(space: DiscreteSpace) -> DofMap:
         raise ValueError(f'need at least two basis functions per direction, got dims {dims}')
     nd = space.ndim
     mask_nd = np.zeros(dims[::-1], dtype=bool)  # axes ordered slowest first
-    for a in range(nd - 1):  # spatial directions: both ends
-        axis = nd - 1 - a
+    for a, side in dirichlet_faces(nd):
         sl = [slice(None)] * nd
-        sl[axis] = 0
+        sl[nd - 1 - a] = side * (dims[a] - 1)
         mask_nd[tuple(sl)] = True
-        sl[axis] = dims[a] - 1
-        mask_nd[tuple(sl)] = True
-    sl = [slice(None)] * nd  # time direction: initial face only
-    sl[0] = 0
-    mask_nd[tuple(sl)] = True
 
     # axes are (slowest ... fastest); flat order wants direction 0 fastest
     dirichlet_mask = mask_nd.ravel(order='C')

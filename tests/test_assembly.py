@@ -66,7 +66,7 @@ def lateral_time_normal_matrix(space, geom, orders=None):
     for a in range(d):
         for side in (0, 1):
             sign = 1.0 if side == 1 else -1.0
-            for blk in batcher.face_blocks(a, side, need=1):
+            for blk in batcher.blocks(need=1, face=(a, side)):
                 Jinv = np.linalg.inv(blk.jac)
                 nanson = sign * blk.det[..., None] * Jinv[..., a, :]
                 w_nt = blk.w * nanson[..., d] / np.linalg.norm(nanson, axis=-1)
@@ -151,7 +151,7 @@ def moving_form_rows(space, geom, params, trial, orders, terminal_face=True):
         np.add.at(rows, blk.dofs, np.einsum('eqia,eqa->ei', gx,
                                             blk.w[..., None] * (w_gx - th * w_gxt)))
     if terminal_face:
-        for blk in batcher.face_blocks(d, 1, need=2):
+        for blk in batcher.blocks(need=2, face=(d, 1)):
             _, w_gx, _ = trial(blk)
             np.add.at(rows, blk.dofs, th * np.einsum('eqia,eqa->ei', blk.grad[..., :d],
                                                      blk.w[..., None] * w_gx))
@@ -339,7 +339,7 @@ def test_boundary_values_interpolate_exact_solution():
         batcher = ElementBatcher(space, geom)
         worst = 0.0
         for side in (0, 1):
-            for blk in batcher.face_blocks(0, side, need=0):
+            for blk in batcher.blocks(need=0, face=(0, side)):
                 vals = np.einsum('eqm,em->eq', blk.val, reduced.dirichlet_values[blk.dofs])
                 worst = max(worst, float(np.abs(vals - at_points(case.u, blk.x)).max()))
         return worst

@@ -86,7 +86,7 @@ def reference_errors(field, case, params, moving):
         e_grad[..., d] -= at_points(case.u_t, blk.x)
         density = (e_grad[..., :d] ** 2).sum(axis=2) + th * e_grad[..., d] ** 2
         energy += float(np.sum(blk.w * density))
-    for blk in batcher.face_blocks(d, 1, need=1):
+    for blk in batcher.blocks(need=1, face=(d, 1)):
         ca = c[blk.dofs]
         diff = np.einsum('eqm,em->eq', blk.val, ca) - at_points(case.u, blk.x)
         energy += 0.5 * float(np.sum(blk.w * diff**2))

@@ -280,7 +280,7 @@ def test_quarter_annulus_exact_measures():
     batcher = ElementBatcher(space, geom, [p + 3 for p in space.degrees])
     volume = sum(blk.w.sum() for blk in batcher.blocks(need=0))
     assert abs(volume - 0.75 * np.pi) < 1e-12
-    outer = sum(blk.w.sum() for blk in batcher.face_blocks(0, 1, need=0))
+    outer = sum(blk.w.sum() for blk in batcher.blocks(need=0, face=(0, 1)))
     assert abs(outer - np.pi) < 1e-12
 
 

@@ -1,4 +1,5 @@
 """Configuration, driver, CSV output and command line."""
+import functools
 import json
 import os
 import re
@@ -251,6 +252,37 @@ def test_cli_config_errors(tmp_path, capsys):
         assert err == f'error: {key} must be an integer, got {value!r}\n'
 
 
+@pytest.mark.parametrize('entries,message', [
+    ({'case': 'moving-curvi-2d', 'degree': 1, 'levels': 5, 'solver_tol': '1e-10'},
+     "solver_tol must be a finite number, got '1e-10'"),
+    ({'case': 'moving-curvi-1d', 'solver': 'gmres', 'solver_tol': True},
+     'solver_tol must be a finite number, got True'),
+    ({'case': 'moving-curvi-1d', 'solver': 'gmres', 'solver_tol': float('nan')},
+     'solver_tol must be a finite number, got nan'),
+    ({'case': 'moving-curvi-1d', 'solver': 'gmres', 'solver_tol': 0},
+     'solver_tol must lie strictly between 0 and 1, got 0'),
+    ({'case': 'moving-curvi-1d', 'solver': 'gmres', 'solver_tol': -1e-3},
+     'solver_tol must lie strictly between 0 and 1, got -0.001'),
+    ({'case': 'moving-curvi-1d', 'solver_tol': 1.0},
+     'solver_tol must lie strictly between 0 and 1, got 1.0'),
+    ({'case': 'moving-curvi-1d', 'theta': True}, 'theta must be a finite number, got True'),
+    ({'case': 'moving-curvi-1d', 'theta': '0.1'}, "theta must be a finite number, got '0.1'"),
+    ({'case': 'moving-curvi-1d', 'theta': float('inf')}, 'theta must be a finite number, got inf'),
+    ({'case': 'moving-curvi-1d', 'solver': 'gmres', 'gmres_restart': 2},
+     "unknown config keys: ['gmres_restart']"),
+    ({'case': 'moving-curvi-1d', 'solver': 'gmres', 'gmres_max_iter': 2},
+     "unknown config keys: ['gmres_max_iter']"),
+], ids=['tol-string', 'tol-bool', 'tol-nan', 'tol-zero', 'tol-negative', 'tol-one',
+        'theta-bool', 'theta-string', 'theta-inf', 'gmres-restart', 'gmres-max-iter'])
+def test_cli_bad_config_values_fail_before_any_level(tmp_path, capsys, monkeypatch,
+                                                     entries, message):
+    monkeypatch.setattr(harness, 'run_case', lambda config: pytest.fail('a level ran'))
+    cfg = tmp_path / 'bad.json'
+    cfg.write_text(json.dumps(entries))
+    assert cli_main(['run', '--config', str(cfg)]) == 2
+    assert capsys.readouterr() == ('', f'error: {message}\n')
+
+
 def test_cli_singular_geometry_is_one_line(tmp_path, capsys):
     # swapping the last two control points folds the map
     geometry = dict(IDENTITY_GEOMETRY, control_points=[[0, 0], [1, 0], [1, 1], [0, 1]])
@@ -314,12 +346,14 @@ def test_custom_geometries_that_keep_time_pass(block):
     assert_allclose(definition.geometry.control_points, block['control_points'])
 
 
-def test_cli_failed_level_keeps_finished_levels(tmp_path, capsys):
+def test_cli_failed_level_keeps_finished_levels(tmp_path, capsys, monkeypatch):
     # two GMRES iterations solve L0 (two free dofs) but not L1 (six); the
     # preconditioner is exact on fixed cylinders, so the case must move
+    monkeypatch.setattr(harness, 'solve_gmres',
+                        functools.partial(harness.solve_gmres, restart=2, max_iter=2))
     cfg = tmp_path / 'gmres.json'
     cfg.write_text(json.dumps({'case': 'moving-curvi-1d', 'degree': 2, 'levels': 3,
-                               'solver': 'gmres', 'gmres_restart': 2, 'gmres_max_iter': 2}))
+                               'solver': 'gmres'}))
     assert cli_main(['run', '--config', str(cfg)]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith('error: GMRES did not reach tol=1e-10 within 2 iterations')

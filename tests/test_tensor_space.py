@@ -1,11 +1,16 @@
 """Tensor-product space: indexing, multivariate evaluation, dof classification."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from geometries import identity_geometry
+from spacetime_iga._batch import ElementBatcher
+from spacetime_iga.linsolve import cylinder_matrices
 from spacetime_iga.splines import KnotVector, eval_basis, refine_uniform, single_span
-from spacetime_iga.tensor_space import (DiscreteSpace, classify_dirichlet, point_rows,
-                                        tensor_basis)
+from spacetime_iga.tensor_space import (DiscreteSpace, classify_dirichlet, dirichlet_faces,
+                                        point_rows, tensor_basis)
 
 
 def make_space(degrees=(2, 2), levels=(1, 1), weights=None):
@@ -190,6 +195,46 @@ def test_classify_dirichlet_3d_counts():
     n0, n1, n2 = space.dims
     dm = classify_dirichlet(space)
     assert dm.free.size == (n0 - 2) * (n1 - 2) * (n2 - 1)
+
+
+@st.composite
+def open_spaces(draw):
+    """B-spline spaces of d = 1 or 2 plus time: degree 1-3 per direction and
+    up to three distinct interior knots on a 1/16 grid (non-uniform spans)."""
+    kvs = []
+    for _ in range(draw(st.integers(2, 3))):
+        p = draw(st.integers(1, 3))
+        ticks = draw(st.lists(st.integers(1, 15), max_size=3, unique=True))
+        kvs.append(KnotVector(np.concatenate((np.zeros(p + 1), np.sort(ticks) / 16,
+                                              np.ones(p + 1))), p))
+    return DiscreteSpace(kvs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(space=open_spaces())
+def test_dirichlet_rule_agrees_across_modules(space):
+    # oracle: a function carries Dirichlet data when its trace does not
+    # vanish on the lateral boundary or on the initial face t = 0
+    d = space.ndim - 1
+    batcher = ElementBatcher(space, identity_geometry(DiscreteSpace([single_span(1)] * (d + 1))))
+
+    def touches(face):
+        out = np.zeros(space.dim, dtype=bool)
+        for blk in batcher.blocks(need=0, face=face):
+            out[blk.dofs[np.abs(blk.val).max(axis=1) > 0.0]] = True
+        return out
+
+    faces = [(a, side) for a in range(d) for side in (0, 1)] + [(d, 0)]
+    assert sorted(dirichlet_faces(space.ndim)) == faces
+    dirichlet = np.any([touches(face) for face in faces], axis=0)
+    dofmap = classify_dirichlet(space)
+    assert np.array_equal(dofmap.dirichlet_mask, dirichlet)
+    # functions that touch the terminal face alone are unknowns
+    terminal_only = np.flatnonzero(touches((d, 1)) & ~dirichlet)
+    assert np.isin(terminal_only, dofmap.free).all()
+    # the fast diagonalization's free set is the same, as a tensor product
+    sizes = [m.shape[0] for m, _, _ in cylinder_matrices(space)]
+    assert int(np.prod(sizes)) == dofmap.free.size
 
 
 def test_space_validation():
