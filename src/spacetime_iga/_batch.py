@@ -14,13 +14,15 @@ mesh metrics) hold one spline field and the map alone, both evaluated by
 sum factorization over the univariate tables (:func:`_field`); the
 Jacobian is inverted in closed form and one gradient per point is pulled
 back.  On an identity map both kinds skip the Jacobian and the pullback.
-Public modules re-export nothing from here.
+Grid slabs (d >= 2 assembly) hold the map on the global Gauss grid of whole
+time spans, which :func:`_contract` reduces by sum factorization.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .geometry import (GeometryMap, _adjugate, _require_orientation, eval_geometry,
                        pullback_derivatives)
@@ -92,17 +94,18 @@ def _rows(tables, multi):
 
 
 def _field(space: DiscreteSpace, rows, firsts, coefficients: np.ndarray, need: int):
-    """Sum-factorized values and parameter gradients of ``k`` fields on a block.
+    """Sum-factorized values and parameter derivatives of ``k`` fields on a block.
 
     ``rows`` and ``firsts`` are univariate rows of ``space`` as
     :func:`tensor_basis` takes them, and ``coefficients`` ``(space.dim, k)``
     the fields' control values.  The local coefficients ``(E, m, k)``, with
     ``m`` in tensor order, are contracted with the tables one direction at
-    a time, the last first, by batched ``matmul``; each direction splits a
-    derivative slot off the value slot.  On a NURBS space the weights ride
-    along as one more component and the quotient rule is applied at the
-    end.  Returns values ``(E, q, k)`` and, for ``need >= 1``, gradients
-    ``(E, q, k, dim)`` (else None), points running with direction 0 slowest.
+    a time, the last first, by batched ``matmul``; each direction splits
+    derivative slots off those of lower order.  On a NURBS space the weights
+    ride along as one more component and the quotient rule is applied at the
+    end.  Returns values ``(E, q, k)``, for ``need >= 1`` gradients ``(E, q, k,
+    dim)`` (else None) and for ``need = 2`` Hessians ``(E, q, k, dim, dim)``
+    too, points running with direction 0 slowest.
     """
     active = active_dofs(space, firsts)
     local = coefficients[active]
@@ -111,24 +114,72 @@ def _field(space: DiscreteSpace, rows, firsts, coefficients: np.ndarray, need: i
         local = np.concatenate((local * wa, wa), axis=2)
     E, k = local.shape[0], local.shape[2]
     data = local.reshape(1, E, -1, rows[-1].shape[-1], k)        # (slot, E, rest, n_a, done)
+    slots = [()]                                                   # directions differentiated
     for a in range(space.ndim - 1, -1, -1):
         table = rows[a][:, None]                                   # (E, 1, q_a, 3, n_a)
         out = np.matmul(table[..., 0, :], data)
         if need >= 1:
-            out = np.concatenate((out, np.matmul(table[..., 1, :], data[:1])))
+            low = [i for i, s in enumerate(slots) if len(s) < need]
+            parts = [out, np.matmul(table[..., 1, :], data[:1] if need == 1 else data[low])]
+            if need >= 2:
+                parts.append(np.matmul(table[..., 2, :], data[:1]))
+            out = np.concatenate(parts)
+            slots += [(a,) + slots[i] for i in low] + [(a, a)] * (need >= 2)
         if a:
             data = out.reshape(out.shape[0], E, -1, rows[a - 1].shape[-1],
                                out.shape[3] * out.shape[4])
     out = out.reshape(out.shape[0], E, -1, k)
-    # slots: values, then d/dxi_a for a = dim-1, ..., 0
-    val, grad = out[0], (np.moveaxis(out[:0:-1], 0, -1) if need >= 1 else None)
-    if space.weights is None:
-        return val, grad
-    W = val[..., -1:]
-    val = val[..., :-1] / W
-    if grad is not None:
-        grad = (grad[..., :-1, :] - val[..., None] * grad[..., -1:, :]) / W[..., None]
-    return val, grad
+    hess, at, r = None, {s: i for i, s in enumerate(slots)}, range(space.ndim)
+    if need < 2:
+        # slots: values, then d/dxi_a for a = dim-1, ..., 0
+        val, grad = out[0], (np.moveaxis(out[:0:-1], 0, -1) if need >= 1 else None)
+    else:
+        val, grad = out[0], np.moveaxis(out[[at[(a,)] for a in r]], 0, -1)
+        hess = np.moveaxis(out[[[at[min(a, b), max(a, b)] for b in r] for a in r]], (0, 1), (3, 4))
+    if space.weights is not None:
+        W = val[..., -1:]
+        val = val[..., :-1] / W
+        if grad is not None:
+            Wg = grad[..., -1:, :]
+            grad = (grad[..., :-1, :] - val[..., None] * Wg) / W[..., None]
+        if hess is not None:
+            hess = (hess[..., :-1, :, :] - grad[..., :, None] * Wg[..., None, :]
+                    - grad[..., None, :] * Wg[..., :, None]
+                    - val[..., None, None] * hess[..., -1:, :, :]) / W[..., None, None]
+    return (val, grad) if need < 2 else (val, grad, hess)
+
+
+def _band_operator(table: _Table, test: int, trial: int | None = None) -> sp.csr_matrix:
+    """One direction's points (columns) onto its functions from ``table.first[0]``: row ``i``
+    holds derivative ``test`` of function ``i``, or with ``trial`` row ``i * (2p + 1) + o``
+    its product with derivative ``trial`` of function ``i + o - p``, the banded pattern."""
+    ns, q, _, m = table.ders.shape
+    own = (table.first - table.first[0])[:, None, None] + np.arange(m)     # (ns, 1, m)
+    rows, vals, cols = own, table.ders[:, :, test, :], np.arange(ns * q).reshape(ns, q, 1)
+    width = 1 if trial is None else 2 * m - 1
+    if trial is not None:
+        rows = own[..., None] * width + (np.arange(m) - np.arange(m)[:, None] + m - 1)
+        vals, cols = vals[..., None] * table.ders[:, :, trial, None, :], cols[..., None]
+    rows, cols, vals = np.broadcast_arrays(rows, cols, vals)
+    return sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=((own[-1, 0, -1] + 1) * width, ns * q))
+
+
+def _contract(terms: dict, tables, cache: dict):
+    """``sum_key (U_0 x ... x U_last)(key) field`` by sum factorization, or None without terms:
+    each key holds a ``(test[, trial])`` entry per direction, contracted by its
+    :func:`_band_operator`, the first direction first, once per group of terms that agree in
+    the later ones.  ``cache`` keeps all but the last direction's operators."""
+    last = len(tables) - 1
+    for a, table in enumerate(tables):
+        summed = {}
+        for key, field in terms.items():
+            if a == last or (a, key[0]) not in cache:
+                cache[a, key[0]] = _band_operator(table, *key[0])
+            op = cache[a, key[0]]
+            summed[key[1:]] = summed.get(key[1:], 0) + op @ field.reshape(op.shape[1], -1)
+        terms = summed if a == last else {k: np.ascontiguousarray(v.T) for k, v in summed.items()}
+    return terms.get(())
 
 
 def _face_measure(J: np.ndarray, face_dir: int) -> np.ndarray:
@@ -246,6 +297,35 @@ class ElementBatcher:
                     grad = grad.reshape(E, q, m, nd)
                     hess = None if hess is None else hess.reshape(E, q, m, nd, nd)
             yield ElementBlock(index, dofs, x, w, val, grad, hess, J, det)
+
+    def grid_slabs(self, terminal: bool = False):
+        """Yield the univariate tables and the map at the ``P`` global Gauss points (C order) of
+        slabs of time spans within the byte budget, or of the face ``tau = 1`` (``terminal``):
+        points ``(P, dim)``, weights ``(P,)`` with det J or the surface measure, ``J^-1``
+        ``(dim, dim, P)`` and Hessian ``(dim, dim, dim, P)``.  Requires ``det J > 0``."""
+        nd = self.nd
+        tables, geo_tables, face_dir = self._tables_for((nd - 1, 1) if terminal else None)
+        spans, points = [t.first.size for t in tables], [t.ders.shape[1] for t in tables]
+        step = max(1, _BLOCK_BYTES // (8 * (nd + 1) ** 3 * int(np.prod(spans[:-1] + points))))
+        order = [k for pair in zip(range(nd), range(nd, 2 * nd)) for k in pair]
+
+        def grid(a):  # block data (E, q, ...) as (..., P), points in grid order
+            a = a.reshape(*shape, *points, *a.shape[2:])
+            return a.transpose(*range(2 * nd, a.ndim), *order).reshape(*a.shape[2 * nd:], -1)
+
+        for start in range(0, spans[-1], step):
+            shape = (*spans[:-1], min(step, spans[-1] - start))
+            multi = np.unravel_index(np.arange(np.prod(shape)), shape)
+            multi = (*multi[:-1], multi[-1] + start)
+            w = self._quadrature_weights(multi, face_dir)
+            rows = _rows(geo_tables, multi)
+            x, J, H = _field(self.geom.space, *rows, self.geom.control_points, 2)
+            adj, det = _adjugate(J)
+            _require_orientation(det, x)
+            w = w * (det if face_dir is None else _face_measure(J, face_dir))
+            time = slice(start, start + shape[-1])
+            yield ([*tables[:-1], _Table(tables[-1].ders[time], tables[-1].first[time])],
+                   grid(x).T, grid(w), grid(adj / det[..., None, None]), grid(H))
 
     def field_blocks(self, coefficients=None, need: int = 1, face=None):
         """Yield one field and the map in blocks of elements, C order.

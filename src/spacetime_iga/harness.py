@@ -23,8 +23,8 @@ import numpy as np
 
 from ._batch import _rows, _span_rule, _table
 from .assembly import (LinearSystem, ManufacturedCase, SchemeParams, StabilityWarning,
-                       apply_dirichlet, assemble_fixed, assemble_moving,
-                       assemble_norm_matrices)
+                       _assemble_form, _assemble_grid, apply_dirichlet, assemble_fixed,
+                       assemble_moving, assemble_norm_matrices)
 from .geometry import (GeometryMap, SingularGeometryError, eval_geometry, hessian, jacobian,
                        map_point, mesh_metrics)
 from .linsolve import (ConvergenceError, SingularSystemError, cylinder_preconditioner,
@@ -45,6 +45,7 @@ __all__ = [
     'coercivity_identity_defect',
     'fixed_forms_gap',
     'moving_coercivity',
+    'assembly_paths_gap',
     'run_verification',
     'cli_main',
     'main',
@@ -189,6 +190,9 @@ class CaseConfig:
             raise ValueError(f'theta must be positive, got {self.theta}')
         if not 0.0 < self.solver_tol < 1.0:
             raise ValueError(f'solver_tol must lie strictly between 0 and 1, got {self.solver_tol}')
+        for key, value in (('deterministic', self.deterministic), ('moving', self.moving)):
+            if not isinstance(value, (bool, np.bool_)) and (key, value) != ('moving', None):
+                raise ValueError(f'{key} must be true or false, got {value!r}')
         if self.solver not in ('auto', 'direct', 'gmres'):
             raise ValueError(f"solver must be 'auto', 'direct' or 'gmres', got {self.solver!r}")
         if self.case != 'custom' and self.case not in builtin_cases():
@@ -498,6 +502,18 @@ def moving_coercivity(name: str, degree: int, level: int) -> tuple[float, bool, 
     return bound, warned, margin
 
 
+def assembly_paths_gap(space, geom, case, params, orders=None, moving=False) -> float:
+    """Largest gap of the sum-factorized d >= 2 form to the element path, relative to
+    the largest matrix entry or load; infinite if the sparsity patterns differ."""
+    args = (space, geom, case, params, orders, moving)
+    ref, got = _assemble_form(*args), _assemble_grid(*args)
+    if not all(np.array_equal(getattr(ref.matrix, k), getattr(got.matrix, k))
+               for k in ('indptr', 'indices')):
+        return float('inf')
+    return max(float(np.abs(a - b).max() / np.abs(a).max())
+               for a, b in ((ref.matrix.data, got.matrix.data), (ref.rhs, got.rhs)))
+
+
 def _check_coercivity_identity(theta_skew: float):
     worst = max(coercivity_identity_defect(*combo, theta_skew)
                 for combo in (('fixed-1d', 1, 2), ('fixed-1d', 2, 2), ('fixed-2d', 1, 1)))
@@ -574,6 +590,15 @@ def _check_manufactured_residuals():
     return worst < 1e-5, f'max PDE residual {worst:.2e}'
 
 
+def _check_assembly_paths():
+    # the sum-factorized d >= 2 forms against the element path, mapped and identity cylinder
+    worst = max(assembly_paths_gap(space, c.geometry, c.case, SchemeParams(0.1, space.h_hat),
+                                   moving=moving)
+                for c in map(builtin_cases().get, ('moving-curvi-2d', 'fixed-2d'))
+                for space in [solution_space(c.geometry, 2, 1)] for moving in (False, True))
+    return worst <= 1e-13, f'max relative gap {worst:.2e}'
+
+
 def run_verification(theta_skew: float = 1.0, stream=None) -> bool:
     """Run the consistency checks; print one PASS/FAIL line per check.
 
@@ -591,6 +616,7 @@ def run_verification(theta_skew: float = 1.0, stream=None) -> bool:
         ('solvers-agree', _check_solvers_agree),
         ('moving-coercivity', _check_moving_coercivity),
         ('manufactured-residuals', _check_manufactured_residuals),
+        ('assembly-paths-agree', _check_assembly_paths),
     ]
     all_ok = True
     for name, fn in checks:

@@ -2,6 +2,7 @@
 import numpy as np
 
 from spacetime_iga.geometry import GeometryMap, greville_grid
+from spacetime_iga.harness import builtin_cases
 from spacetime_iga.splines import single_span
 from spacetime_iga.tensor_space import DiscreteSpace
 
@@ -28,3 +29,17 @@ def quarter_annulus_cylinder():
                 w.append(wj)
     space = DiscreteSpace([single_span(1), single_span(2), single_span(1)], np.array(w))
     return GeometryMap(space, np.array(cp))
+
+
+def perturbed_nurbs_cylinder(seed: int = 3) -> GeometryMap:
+    """moving-curvi-2d's map with random NURBS weights in [0.8, 1.25] and every
+    control point coordinate, time included, moved by up to 0.06.
+
+    Its inverse Jacobian and second derivatives have no zero entries, so every
+    chain-rule coefficient of the assembled forms is exercised.
+    """
+    geom = builtin_cases()['moving-curvi-2d'].geometry
+    rng = np.random.default_rng(seed)
+    space = DiscreteSpace(geom.space.knot_vectors, rng.uniform(0.8, 1.25, geom.space.dim))
+    return GeometryMap(space, geom.control_points
+                       + rng.uniform(-0.06, 0.06, geom.control_points.shape))

@@ -199,7 +199,7 @@ def test_10_forms_equivalent_on_fixed_domains(capsys):
 
 VERIFY_CHECKS = ['partition-of-unity', 'quadrature-exactness', 'geometry-derivatives',
                  'coercivity-identity', 'fixed-forms-agree', 'solvers-agree',
-                 'moving-coercivity', 'manufactured-residuals']
+                 'moving-coercivity', 'manufactured-residuals', 'assembly-paths-agree']
 
 
 def test_11_property_suite(capsys):

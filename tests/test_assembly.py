@@ -20,6 +20,11 @@ fixed cylinders and the moving-domain coercivity margin are computed by
 The sparse scatter is held to scipy's one-shot COO-to-CSR conversion: bit
 for bit when the triplets fit one chunk of its byte budget, and to the
 same pattern and round-off when a tiny budget cuts them into many chunks.
+
+In d >= 2 both forms are assembled by sum factorization; the element path
+they replaced (``_assemble_form``, still the d = 1 path) is the oracle:
+the same CSR pattern, entries and loads within 1e-13 of the largest.
+The one-pass Dirichlet restriction is held to scipy's two-step slicing.
 """
 import tracemalloc
 
@@ -29,14 +34,14 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 import spacetime_iga.assembly as assembly
-from geometries import identity_geometry
+from geometries import identity_geometry, perturbed_nurbs_cylinder, quarter_annulus_cylinder
 from spacetime_iga._batch import ElementBatcher, at_points
-from spacetime_iga.assembly import (ManufacturedCase, SchemeParams,
+from spacetime_iga.assembly import (LinearSystem, ManufacturedCase, SchemeParams,
                                     StabilityWarning, apply_dirichlet,
                                     assemble_fixed, assemble_moving, assemble_norm_matrices,
                                     boundary_l2_project)
 from spacetime_iga.geometry import mesh_metrics
-from spacetime_iga.harness import builtin_cases, solution_space
+from spacetime_iga.harness import assembly_paths_gap, builtin_cases, solution_space
 from spacetime_iga.linsolve import solve_direct
 from spacetime_iga.postproc import (DiscreteField, a_priori_theta_bound, error_energy,
                                     estimate_inverse_constant, mesh_ratio)
@@ -391,8 +396,9 @@ def scatter_results(name, level):
     return results + [norms.n_moving]
 
 
-@pytest.mark.parametrize('name,level', [('moving-curvi-1d', 3), ('moving-curvi-2d', 2)])
-def test_scatter_chunks_keep_the_pattern(monkeypatch, name, level):
+@pytest.mark.parametrize('name,level,scatters', [('moving-curvi-1d', 3, 6), ('moving-curvi-2d', 2, 4)],
+                         ids=['moving-curvi-1d-3', 'moving-curvi-2d-2'])
+def test_scatter_chunks_keep_the_pattern(monkeypatch, name, level, scatters):
     # a budget of 97 triplets cuts blocks and local matrices into many chunks;
     # the merged matrices keep the one-chunk pattern, explicit zeros included
     reference = scatter_results(name, level)
@@ -412,7 +418,8 @@ def test_scatter_chunks_keep_the_pattern(monkeypatch, name, level):
     chunked = scatter_results(name, level)
     assert sum(triplets) > 100 * 97
     assert any(p % m for p, m in zip(pending, sizes))  # cut inside a local matrix
-    assert len(reference) == len(chunked) == 6
+    # the d = 2 forms are sum-factorized and do not scatter
+    assert len(reference) == len(chunked) == scatters
     assert any((m.data == 0.0).any() for m in reference)
     for ref, got in zip(reference, chunked):
         assert np.array_equal(got.indptr, ref.indptr)
@@ -421,8 +428,10 @@ def test_scatter_chunks_keep_the_pattern(monkeypatch, name, level):
 
 
 def test_scatter_memory_is_bounded():
-    # moving-curvi-2d p2 L4 scatters 3.0M triplets, 5.7 times the budget; one
-    # COO-to-CSR conversion of them all took the traced peak to 150 MB
+    # element assembly of moving-curvi-2d p2 L4 would scatter 3.0M triplets, 5.7
+    # times the budget, and one COO-to-CSR conversion of them all took the traced
+    # peak to 150 MB; the sum-factorized form scatters nothing and is held to the
+    # same bound
     case, geom, space, mesh, params = setup('moving-curvi-2d', 2, 4)
     tracemalloc.start()
     try:
@@ -434,3 +443,81 @@ def test_scatter_memory_is_bounded():
     assert system.matrix.nnz == 592704
     n_elements = np.prod([kv.spans.shape[0] for kv in space.knot_vectors])
     assert n_elements * 27**2 > 5 * (assembly._SCATTER_BYTES // 16)
+
+
+def agreement_setup(name, degree, level):
+    cases = builtin_cases()
+    if name in ('quarter-annulus', 'perturbed'):
+        geom = quarter_annulus_cylinder() if name == 'quarter-annulus' else perturbed_nurbs_cylinder()
+        case = cases['moving-curvi-2d'].case
+    else:
+        geom, case = cases[name].geometry, cases[name].case
+    space = solution_space(geom, degree, level)
+    return space, geom, case, SchemeParams(0.1, space.h_hat)
+
+
+@pytest.mark.parametrize('degree', [1, 2, 3])
+@pytest.mark.parametrize('name', ['moving-curvi-2d', 'fixed-2d', 'quarter-annulus', 'perturbed'])
+def test_sum_factorized_forms_match_the_element_path(name, degree):
+    # a moving B-spline map, the identity cylinder, a NURBS map and a NURBS map
+    # whose J^-1 and Hessian are full (the shipped maps leave most chain-rule
+    # coefficients zero), at the default and at elevated quadrature
+    for level in (1, 2):
+        space, geom, case, params = agreement_setup(name, degree, level)
+        for orders in (None, [degree + 3] * 3):
+            for moving in (False, True):
+                gap = assembly_paths_gap(space, geom, case, params, orders, moving)
+                assert gap <= 1e-13, (level, orders, moving, gap)
+
+
+def drop_terminal_face(monkeypatch):
+    grid_terms = assembly._grid_terms
+    monkeypatch.setattr(assembly, '_grid_terms', lambda *args: (
+        grid_terms(*args) if args[-1] is not None else ({}, {})))
+
+
+def drop_map_hessian(monkeypatch):
+    grid_terms = assembly._grid_terms
+    monkeypatch.setattr(assembly, '_grid_terms', lambda x, w, inv, hess, *args: grid_terms(
+        x, w, inv, 0 * hess, *args))
+
+
+def drop_second_derivative(monkeypatch):
+    grid_terms = assembly._grid_terms
+
+    def without(*args):
+        matrix, load = grid_terms(*args)
+        second = [k for k in matrix if any(sum(pair) == 3 for pair in k)]
+        if second:  # a volume slab: first derivative of v times a second of u
+            del matrix[max(second)]
+        return matrix, load
+
+    monkeypatch.setattr(assembly, '_grid_terms', without)
+
+
+@pytest.mark.parametrize('mutation', [drop_terminal_face, drop_map_hessian,
+                                      drop_second_derivative])
+def test_assembly_agreement_fails_without_a_term(monkeypatch, mutation):
+    # negative control: the moving form without its Sigma_T term, without the
+    # map's second derivatives in the chain rule, or without one coefficient of
+    # a second derivative of the trial function breaks the agreement
+    space, geom, case, params = agreement_setup('moving-curvi-2d', 2, 1)
+    assert assembly_paths_gap(space, geom, case, params, None, True) <= 1e-13
+    mutation(monkeypatch)
+    assert assembly_paths_gap(space, geom, case, params, None, True) > 1e-6
+
+
+@pytest.mark.parametrize('name,level', [('moving-curvi-1d', 2), ('moving-curvi-2d', 1)])
+def test_dirichlet_restriction_is_the_two_step_slice(name, level):
+    # one pass over the stored entries gives scipy's matrix[free][:, free]
+    # exactly: the same pattern, explicit zeros included, and the same values
+    case, geom, space, mesh, params = setup(name, 2, level)
+    matrix = assemble_moving(space, geom, case, params).matrix
+    matrix.data[::7] = 0.0
+    free = classify_dirichlet(space).free
+    ref = matrix[free][:, free]
+    got = apply_dirichlet(LinearSystem(matrix, np.zeros(space.dim)),
+                          classify_dirichlet(space), case, space, geom).matrix
+    assert (got.data == 0.0).sum() == (ref.data == 0.0).sum() > 0
+    for attr in ('indptr', 'indices', 'data'):
+        assert np.array_equal(getattr(got, attr), getattr(ref, attr)), attr

@@ -69,6 +69,23 @@ def test_field_kernel_matches_the_contracted_basis(block):
     assert _field(space, rows, firsts, coefficients, 0)[1] is None
 
 
+@settings(max_examples=40, deadline=None)
+@given(block=field_blocks())
+def test_field_kernel_second_derivatives_match_the_contracted_basis(block):
+    # need = 2 adds the Hessians, NURBS quotient rule included, and keeps
+    # the values and gradients
+    space, (rows, firsts), coefficients = block
+    val, grad, hess = _field(space, rows, firsts, coefficients, 2)
+    active, b_val, b_grad, b_hess = tensor_basis(space, rows, firsts, 2)
+    local = coefficients[active]
+    for got, basis, sub in ((val, b_val, 'eqm,emk->eqk'), (grad, b_grad, 'eqma,emk->eqka'),
+                            (hess, b_hess, 'eqmab,emk->eqkab')):
+        ref = np.einsum(sub, basis, local)
+        scale = np.einsum(sub, np.abs(basis), np.abs(local)).max()
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12 * scale
+
+
 def reference_errors(field, case, params, moving):
     """``(L2, energy)`` errors by the basis-contraction formulas: basis blocks
     from ``tensor_basis`` and the per-function pullback, contracted with the

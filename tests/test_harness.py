@@ -272,8 +272,17 @@ def test_cli_config_errors(tmp_path, capsys):
      "unknown config keys: ['gmres_restart']"),
     ({'case': 'moving-curvi-1d', 'solver': 'gmres', 'gmres_max_iter': 2},
      "unknown config keys: ['gmres_max_iter']"),
+    ({'case': 'custom', 'moving': 'false', 'geometry': IDENTITY_GEOMETRY},
+     "moving must be true or false, got 'false'"),
+    ({'case': 'custom', 'moving': 0, 'geometry': IDENTITY_GEOMETRY},
+     'moving must be true or false, got 0'),
+    ({'case': 'moving-curvi-1d', 'deterministic': 'no'},
+     "deterministic must be true or false, got 'no'"),
+    ({'case': 'moving-curvi-1d', 'deterministic': None},
+     'deterministic must be true or false, got None'),
 ], ids=['tol-string', 'tol-bool', 'tol-nan', 'tol-zero', 'tol-negative', 'tol-one',
-        'theta-bool', 'theta-string', 'theta-inf', 'gmres-restart', 'gmres-max-iter'])
+        'theta-bool', 'theta-string', 'theta-inf', 'gmres-restart', 'gmres-max-iter',
+        'moving-string', 'moving-int', 'deterministic-string', 'deterministic-null'])
 def test_cli_bad_config_values_fail_before_any_level(tmp_path, capsys, monkeypatch,
                                                      entries, message):
     monkeypatch.setattr(harness, 'run_case', lambda config: pytest.fail('a level ran'))
