@@ -1,25 +1,29 @@
-"""Block iteration over the elements of a space under a geometry map.
+"""Element blocks and grid slabs of a space under a geometry map.
 
 Internal machinery shared by assembly, mesh metrics and postprocessing:
 univariate basis tables of every knot span (one array call of
-:func:`splines.eval_basis` per direction) and the loop over blocks of
-elements and boundary faces.  A block holds ``E`` elements as arrays
-with a leading element axis; ``E`` follows from one fixed byte budget.
+:func:`splines.eval_basis` per direction), iterated in two ways, each
+sized by one fixed byte budget.
 
-Basis blocks (assembly, the inverse-constant estimate) hold every active
-function: the tensor combination, the NURBS quotient rule, the geometry
-evaluation and the pullback are the batched kernels of
-:mod:`tensor_space` and :mod:`geometry`.  Field blocks (error integrals,
-mesh metrics) hold one spline field and the map alone, both evaluated by
-sum factorization over the univariate tables (:func:`_field`); the
-Jacobian is inverted in closed form and one gradient per point is pulled
-back.  On an identity map both kinds skip the Jacobian and the pullback.
-Grid slabs (d >= 2 assembly) hold the map on the global Gauss grid of whole
-time spans, which :func:`_contract` reduces by sum factorization.
+Basis blocks (d = 1 assembly, the norm matrices, the boundary projection,
+the inverse-constant estimate) hold ``E`` elements with every active
+function, as arrays with a leading element axis: the tensor combination,
+the NURBS quotient rule, the geometry evaluation and the pullback are the
+batched kernels of :mod:`tensor_space` and :mod:`geometry`.  On an
+identity map they skip the Jacobian and the pullback.
+
+Grid slabs (d >= 2 assembly, the error integrals, mesh metrics) hold the
+global Gauss grid of whole time spans.  One kernel, :func:`_grid_field`,
+evaluates every field on it, the map and the discrete solution alike: the
+coefficient tensor is contracted with the univariate tables one direction
+at a time (sum factorization).  The Jacobian is inverted in closed form and
+one gradient per point is pulled back; :func:`_contract` reduces the
+slab's coefficient fields onto the banded matrix pattern.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,10 +32,10 @@ from .geometry import (GeometryMap, _adjugate, _require_orientation, eval_geomet
                        pullback_derivatives)
 from .quadrature import gauss_1d
 from .splines import KnotVector, eval_basis, find_span
-from .tensor_space import DiscreteSpace, active_dofs, tensor_basis
+from .tensor_space import DiscreteSpace, _quotient, tensor_basis
 
 # Bytes of one block's basis arrays (values and derivatives up to the
-# requested order), or of a field block's kernel output; the pullback and
+# requested order), or of a grid slab's map derivatives; the pullback and
 # the local kernels hold a few times that.
 # Larger blocks run no faster but raise the peak RSS (fixed-1d p2 level 7:
 # 159 MB with 2 MiB, 206 MB with 8 MiB).
@@ -54,15 +58,17 @@ class ElementBlock:
 
 
 @dataclass(frozen=True)
-class FieldBlock:
-    """One spline field and the map on ``E`` elements (or element faces)."""
+class GridSlab:
+    """The map, and optionally one field, at the ``P`` global Gauss points of a slab of time
+    spans (or of a face), C order with direction 0 slowest."""
 
-    index: np.ndarray         # (E,) element indices, C order, direction 0 slowest
-    x: np.ndarray             # (E, q, dim) physical quadrature points
-    w: np.ndarray             # (E, q) weights incl. |det J| (volume) or surface metric (face)
-    val: np.ndarray | None    # (E, q) field values
-    grad: np.ndarray | None   # (E, q, dim) physical field gradients
-    jac: np.ndarray           # (E, q, dim, dim)
+    tables: list              # the slab's univariate tables of the solution space
+    x: np.ndarray             # (P, dim) physical points
+    w: np.ndarray             # (P,) weights incl. det J (volume) or surface metric (face)
+    jac: np.ndarray           # (P, dim, dim)
+    hess: np.ndarray | None   # (P, dim, dim, dim) map Hessian, H[k, a, b]
+    val: np.ndarray | None    # (P,) field values
+    grad: np.ndarray | None   # (P, dim) physical field gradient
 
 
 @dataclass(frozen=True)
@@ -93,60 +99,50 @@ def _rows(tables, multi):
     return [t.ders[i] for t, i in zip(tables, multi)], [t.first[i] for t, i in zip(tables, multi)]
 
 
-def _field(space: DiscreteSpace, rows, firsts, coefficients: np.ndarray, need: int):
-    """Sum-factorized values and parameter derivatives of ``k`` fields on a block.
+def _grid_field(space: DiscreteSpace, tables, coefficients: np.ndarray, need: int):
+    """Values and parameter derivatives of ``k`` fields on the tensor grid of ``tables``.
 
-    ``rows`` and ``firsts`` are univariate rows of ``space`` as
-    :func:`tensor_basis` takes them, and ``coefficients`` ``(space.dim, k)``
-    the fields' control values.  The local coefficients ``(E, m, k)``, with
-    ``m`` in tensor order, are contracted with the tables one direction at
-    a time, the last first, by batched ``matmul``; each direction splits
-    derivative slots off those of lower order.  On a NURBS space the weights
-    ride along as one more component and the quotient rule is applied at the
-    end.  Returns values ``(E, q, k)``, for ``need >= 1`` gradients ``(E, q, k,
-    dim)`` (else None) and for ``need = 2`` Hessians ``(E, q, k, dim, dim)``
-    too, points running with direction 0 slowest.
+    ``tables`` hold one direction of ``space`` each (all its spans, a slab of them, or a
+    pinned face point) and ``coefficients`` ``(space.dim, k)`` the fields' control values.
+    The coefficient tensor, cut to the functions active on the grid, is contracted with each
+    direction's table, the last direction first: one batched matrix product per derivative
+    slot takes each span's rows ``(q, p + 1)`` times the coefficients of its ``p + 1`` active
+    functions, and each direction splits slots of higher order off those of lower order.  On
+    a NURBS space the weights ride along as one more component and the quotient rule is
+    applied at the end.  Returns values ``(P, k)``, gradients ``(P, k, dim)`` for ``need >= 1``
+    and Hessians ``(P, k, dim, dim)`` for ``need = 2`` (else None) at the ``P`` grid points,
+    C order with direction 0 slowest.
     """
-    active = active_dofs(space, firsts)
-    local = coefficients[active]
+    nd = space.ndim
     if space.weights is not None:
-        wa = space.weights[active][..., None]
-        local = np.concatenate((local * wa, wa), axis=2)
-    E, k = local.shape[0], local.shape[2]
-    data = local.reshape(1, E, -1, rows[-1].shape[-1], k)        # (slot, E, rest, n_a, done)
-    slots = [()]                                                   # directions differentiated
-    for a in range(space.ndim - 1, -1, -1):
-        table = rows[a][:, None]                                   # (E, 1, q_a, 3, n_a)
-        out = np.matmul(table[..., 0, :], data)
-        if need >= 1:
-            low = [i for i, s in enumerate(slots) if len(s) < need]
-            parts = [out, np.matmul(table[..., 1, :], data[:1] if need == 1 else data[low])]
-            if need >= 2:
-                parts.append(np.matmul(table[..., 2, :], data[:1]))
-            out = np.concatenate(parts)
-            slots += [(a,) + slots[i] for i in low] + [(a, a)] * (need >= 2)
-        if a:
-            data = out.reshape(out.shape[0], E, -1, rows[a - 1].shape[-1],
-                               out.shape[3] * out.shape[4])
-    out = out.reshape(out.shape[0], E, -1, k)
-    hess, at, r = None, {s: i for i, s in enumerate(slots)}, range(space.ndim)
-    if need < 2:
-        # slots: values, then d/dxi_a for a = dim-1, ..., 0
-        val, grad = out[0], (np.moveaxis(out[:0:-1], 0, -1) if need >= 1 else None)
-    else:
-        val, grad = out[0], np.moveaxis(out[[at[(a,)] for a in r]], 0, -1)
-        hess = np.moveaxis(out[[[at[min(a, b), max(a, b)] for b in r] for a in r]], (0, 1), (3, 4))
-    if space.weights is not None:
-        W = val[..., -1:]
-        val = val[..., :-1] / W
-        if grad is not None:
-            Wg = grad[..., -1:, :]
-            grad = (grad[..., :-1, :] - val[..., None] * Wg) / W[..., None]
-        if hess is not None:
-            hess = (hess[..., :-1, :, :] - grad[..., :, None] * Wg[..., None, :]
-                    - grad[..., None, :] * Wg[..., :, None]
-                    - val[..., None, None] * hess[..., -1:, :, :]) / W[..., None, None]
-    return (val, grad) if need < 2 else (val, grad, hess)
+        w = space.weights[:, None]
+        coefficients = np.concatenate((coefficients * w, w), axis=1)
+    k = coefficients.shape[1]
+    # flat dofs run direction 0 fastest; as (k, n_0, ..., n_last), cut to the active functions
+    data = coefficients.T.reshape(k, *space.dims[::-1]).transpose(0, *range(nd, 0, -1))
+    slots = {(): data[(slice(None), *(slice(t.first[0], t.first[-1] + t.ders.shape[-1])
+                                      for t in tables))]}     # derivative orders done so far
+    for a in range(nd - 1, -1, -1):
+        t = tables[a]
+        ns, q, _, m = t.ders.shape
+        active = (t.first - t.first[0])[:, None] + np.arange(m)                # (ns, m)
+        contracted = {}
+        for key, d in slots.items():
+            local = d.reshape(-1, active[-1, -1] + 1).T[active]                 # (ns, m, rest)
+            for o in range(need + 1 - sum(key)):
+                contracted[(o, *key)] = np.matmul(t.ders[:, :, o], local).reshape(ns * q, -1)
+        slots = contracted
+
+    def at(*dirs):  # the slot differentiated once in each of ``dirs``, as (P, k)
+        return slots[tuple(np.bincount(dirs, minlength=nd))].reshape(-1, k)
+    val = at()
+    grad = np.stack([at(a) for a in range(nd)], axis=-1) if need >= 1 else None
+    hess = (np.stack([np.stack([at(a, b) for b in range(nd)], -1) for a in range(nd)], -2)
+            if need >= 2 else None)
+    if space.weights is not None:   # the fields over the weight component
+        split = [(None, None) if d is None else (d[:, :-1], d[:, -1:]) for d in (val, grad, hess)]
+        val, grad, hess = _quotient(*zip(*split))
+    return val, grad, hess
 
 
 def _band_operator(table: _Table, test: int, trial: int | None = None) -> sp.csr_matrix:
@@ -183,10 +179,10 @@ def _contract(terms: dict, tables, cache: dict):
 
 
 def _face_measure(J: np.ndarray, face_dir: int) -> np.ndarray:
-    """Surface measure ``sqrt(det G^T G)`` of a face, ``G`` the Jacobian ``(E, q, dim, dim)``
+    """Surface measure ``sqrt(det G^T G)`` of a face, ``G`` the Jacobians ``(..., dim, dim)``
     without column ``face_dir``."""
-    G = np.delete(J, face_dir, axis=3)
-    return np.sqrt(np.linalg.det(np.einsum('eqka,eqkb->eqab', G, G)))
+    G = np.delete(J, face_dir, axis=-1)
+    return np.sqrt(np.linalg.det(np.einsum('...ka,...kb->...ab', G, G)))
 
 
 def at_points(f, x: np.ndarray) -> np.ndarray:
@@ -196,17 +192,17 @@ def at_points(f, x: np.ndarray) -> np.ndarray:
 
 
 class ElementBatcher:
-    """Iterates blocks of elements (or boundary faces) of a space under a geometry map.
+    """Iterates blocks of elements, or slabs of the Gauss grid, of a space under a geometry map.
 
     ``orders`` are univariate quadrature point counts, defaulting to
     ``degree + 1``.  :meth:`blocks` yields :class:`ElementBlock` with
     physical points, weighted measures and pulled-back basis derivatives
     up to the requested order (0 = values, 1 = +gradients, 2 = +Hessians);
-    :meth:`field_blocks` yields :class:`FieldBlock` with one field and its
-    physical gradient.  Both take ``face = (fixed_dir, side)`` to run over
-    a boundary face in place of the volume.
-    On an identity map (``geom.is_identity``) the parameter derivatives are
-    the physical ones, and ``jac`` and ``det`` are ``I`` and 1.
+    :meth:`grid_slabs` yields :class:`GridSlab` with the map and one field
+    on the global Gauss grid.  Both take ``face = (fixed_dir, side)`` to run
+    over a boundary face in place of the volume.
+    On an identity map (``geom.is_identity``) a basis block's parameter
+    derivatives are the physical ones, and ``jac`` and ``det`` are ``I`` and 1.
     """
 
     def __init__(self, space: DiscreteSpace, geom: GeometryMap, orders=None):
@@ -227,26 +223,6 @@ class ElementBatcher:
             self._weights.append(weights)
             self._tables.append(_table(kv, nodes))
             self._geo_tables.append(_table(kvg, nodes))
-
-    def _ranges(self, tables, point_bytes: int):
-        """Element-index blocks over the span grid of ``tables``, ``point_bytes``
-        per quadrature point within the byte budget."""
-        shape = tuple(t.first.size for t in tables)
-        n_el = int(np.prod(shape))
-        q = int(np.prod([t.ders.shape[1] for t in tables]))
-        size = max(1, _BLOCK_BYTES // (q * point_bytes))
-        for start in range(0, n_el, size):
-            index = np.arange(start, min(start + size, n_el))
-            yield index, np.unravel_index(index, shape)
-
-    def _quadrature_weights(self, multi, face_dir):
-        """Tensor quadrature weights ``(E, q)`` of a block, without ``face_dir``."""
-        E = multi[0].size
-        w = np.ones((E, 1))
-        for a in range(self.nd):
-            if a != face_dir:
-                w = (w[:, :, None] * self._weights[a][multi[a]][:, None, :]).reshape(E, -1)
-        return w
 
     def _tables_for(self, face):
         """Solution and geometry tables and the pinned direction of the volume
@@ -271,11 +247,20 @@ class ElementBatcher:
         """
         tables, geo_tables, face_dir = self._tables_for(face)
         nd = self.nd
+        shape = tuple(t.first.size for t in tables)
+        n_el = int(np.prod(shape))
+        q = int(np.prod([t.ders.shape[1] for t in tables]))
         m = int(np.prod([p + 1 for p in self.space.degrees]))
-        for index, multi in self._ranges(tables, 8 * m * sum(nd**k for k in range(need + 1))):
+        size = max(1, _BLOCK_BYTES // (q * 8 * m * sum(nd**k for k in range(need + 1))))
+        for start in range(0, n_el, size):
+            index = np.arange(start, min(start + size, n_el))
+            multi = np.unravel_index(index, shape)
             dofs, val, grad, hess = tensor_basis(self.space, *_rows(tables, multi), need)
             E, q, m = val.shape
-            w = self._quadrature_weights(multi, face_dir)
+            w = np.ones((E, 1))
+            for a in range(nd):
+                if a != face_dir:
+                    w = (w[:, :, None] * self._weights[a][multi[a]][:, None, :]).reshape(E, -1)
             if self.identity:
                 x = eval_geometry(self.geom, *_rows(geo_tables, multi), need=0)[0]
                 J = np.broadcast_to(np.eye(nd), (E, q, nd, nd))
@@ -298,63 +283,36 @@ class ElementBatcher:
                     hess = None if hess is None else hess.reshape(E, q, m, nd, nd)
             yield ElementBlock(index, dofs, x, w, val, grad, hess, J, det)
 
-    def grid_slabs(self, terminal: bool = False):
-        """Yield the univariate tables and the map at the ``P`` global Gauss points (C order) of
-        slabs of time spans within the byte budget, or of the face ``tau = 1`` (``terminal``):
-        points ``(P, dim)``, weights ``(P,)`` with det J or the surface measure, ``J^-1``
-        ``(dim, dim, P)`` and Hessian ``(dim, dim, dim, P)``.  Requires ``det J > 0``."""
-        nd = self.nd
-        tables, geo_tables, face_dir = self._tables_for((nd - 1, 1) if terminal else None)
-        spans, points = [t.first.size for t in tables], [t.ders.shape[1] for t in tables]
-        step = max(1, _BLOCK_BYTES // (8 * (nd + 1) ** 3 * int(np.prod(spans[:-1] + points))))
-        order = [k for pair in zip(range(nd), range(nd, 2 * nd)) for k in pair]
+    def grid_slabs(self, need: int = 1, coefficients=None, face=None):
+        """Yield the map, and one field if given, on the global Gauss grid of slabs of time spans.
 
-        def grid(a):  # block data (E, q, ...) as (..., P), points in grid order
-            a = a.reshape(*shape, *points, *a.shape[2:])
-            return a.transpose(*range(2 * nd, a.ndim), *order).reshape(*a.shape[2 * nd:], -1)
-
-        for start in range(0, spans[-1], step):
-            shape = (*spans[:-1], min(step, spans[-1] - start))
-            multi = np.unravel_index(np.arange(np.prod(shape)), shape)
-            multi = (*multi[:-1], multi[-1] + start)
-            w = self._quadrature_weights(multi, face_dir)
-            rows = _rows(geo_tables, multi)
-            x, J, H = _field(self.geom.space, *rows, self.geom.control_points, 2)
-            adj, det = _adjugate(J)
-            _require_orientation(det, x)
-            w = w * (det if face_dir is None else _face_measure(J, face_dir))
-            time = slice(start, start + shape[-1])
-            yield ([*tables[:-1], _Table(tables[-1].ders[time], tables[-1].first[time])],
-                   grid(x).T, grid(w), grid(adj / det[..., None, None]), grid(H))
-
-    def field_blocks(self, coefficients=None, need: int = 1, face=None):
-        """Yield one field and the map in blocks of elements, C order.
-
-        ``coefficients`` ``(space.dim,)`` define the field; without them a
-        block holds the map alone (``val`` and ``grad`` None).  ``need`` 1
-        adds the field's physical gradient, pulled back by the closed-form
-        inverse Jacobian.  ``face = (fixed_dir, side)`` restricts the blocks
-        to a boundary face, weighted as in :meth:`blocks`.  Raises
-        ``SingularGeometryError`` unless ``det J > 0`` at every point.
+        A slab takes as many whole time spans as fit the byte budget; ``face = (fixed_dir,
+        side)`` runs over a boundary face instead, weighted by its surface measure.  The map
+        comes with its Jacobian and, for ``need = 2``, its Hessian; the field ``coefficients``
+        ``(space.dim,)`` with its values and, for ``need >= 1``, its physical gradient, pulled
+        back by the closed-form inverse Jacobian.  Raises ``SingularGeometryError`` unless
+        ``det J > 0`` at every point.
         """
         nd = self.nd
         tables, geo_tables, face_dir = self._tables_for(face)
-        geo = self.geom
-        for index, multi in self._ranges(tables, 8 * (nd + 1) ** 2):
-            w = self._quadrature_weights(multi, face_dir)
+        weights = [np.ones((1, 1)) if a == face_dir else w for a, w in enumerate(self._weights)]
+        spans, points = [t.first.size for t in tables], [t.ders.shape[1] for t in tables]
+        per_span = int(np.prod(spans[:-1] + points))
+        step = max(1, _BLOCK_BYTES // (8 * (nd + 1) ** 3 * per_span))
+        for start in range(0, spans[-1], step):
+            time = slice(start, start + step)
+            slab, geo_slab = ([*t[:-1], _Table(t[-1].ders[time], t[-1].first[time])]
+                              for t in (tables, geo_tables))
+            x, J, H = _grid_field(self.geom.space, geo_slab, self.geom.control_points, max(need, 1))
+            adj, det = _adjugate(J)
+            _require_orientation(det, x)
+            w = reduce(np.multiply.outer, [v.ravel() for v in (*weights[:-1], weights[-1][time])])
+            w = w.ravel() * (det if face_dir is None else _face_measure(J, face_dir))
             val = grad = None
             if coefficients is not None:
-                val, grad = _field(self.space, *_rows(tables, multi), coefficients[:, None], need)
-                val, grad = val[..., 0], (None if grad is None else grad[..., 0, :])
-            if self.identity:
-                x = _field(geo.space, *_rows(geo_tables, multi), geo.control_points, 0)[0]
-                J = np.broadcast_to(np.eye(nd), x.shape + (nd,))
-            else:
-                x, J = _field(geo.space, *_rows(geo_tables, multi), geo.control_points, 1)
-                adj, det = _adjugate(J)
-                _require_orientation(det, x)
-                w = w * (det if face_dir is None else _face_measure(J, face_dir))
+                val, grad, _ = _grid_field(self.space, slab, coefficients[:, None], min(need, 1))
+                val = val[:, 0]
                 if grad is not None:
                     # grad_x u = J^{-T} grad_xi u, one vector per point
-                    grad = (grad[..., None, :] @ adj)[..., 0, :] / det[..., None]
-            yield FieldBlock(index, x, w, val, grad, J)
+                    grad = np.einsum('pa,paj->pj', grad[:, 0], adj) / det[:, None]
+            yield GridSlab(slab, x, w, J, H, val, grad)

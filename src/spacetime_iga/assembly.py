@@ -34,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._batch import ElementBatcher, _band_operator, _contract, at_points
-from .geometry import GeometryMap
+from .geometry import GeometryMap, _adjugate
 from .tensor_space import DiscreteSpace, DofMap, dirichlet_faces
 
 __all__ = [
@@ -283,13 +283,16 @@ def _assemble_grid(space, geom, case, params, orders, moving) -> LinearSystem:
     batcher = ElementBatcher(space, geom, orders)
     band = np.zeros((dims[-1] * widths[-1], int(np.prod(dims[:-1] * widths[:-1]))))
     rhs, cache = np.zeros((dims[-1], int(np.prod(dims[:-1])))), {}
-    slabs = chain(((s, case.f) for s in batcher.grid_slabs()),
-                  ((s, None) for s in (batcher.grid_slabs(terminal=True) if moving else ())))
-    for (tables, *grid), f in slabs:
+    terminal = batcher.grid_slabs(need=2, face=(nd - 1, 1)) if moving else ()
+    slabs = chain(((s, case.f) for s in batcher.grid_slabs(need=2)), ((s, None) for s in terminal))
+    for s, f in slabs:
+        adj, det = _adjugate(s.jac)
+        grid = [s.x, s.w, *(np.ascontiguousarray(np.moveaxis(a, 0, -1))     # J^-1, H points last
+                            for a in (adj / det[:, None, None], s.hess))]
         for target, w, terms in zip((band, rhs), (widths[-1], 1), _grid_terms(*grid, th, moving, f)):
-            out = _contract(terms, tables, cache)
+            out = _contract(terms, s.tables, cache)
             if out is not None:
-                start = tables[-1].first[0] * w
+                start = s.tables[-1].first[0] * w
                 target[start:start + out.shape[0]] += out.reshape(-1, target.shape[1])
     index = np.int32 if band.size < 2**31 else np.int64
     stride, order = np.cumprod([1, *dims[:-1]]).astype(index), range(nd - 1, -1, -1)

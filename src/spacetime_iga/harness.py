@@ -21,12 +21,12 @@ from numbers import Real
 
 import numpy as np
 
-from ._batch import _rows, _span_rule, _table
+from ._batch import _grid_field, _span_rule, _table
 from .assembly import (LinearSystem, ManufacturedCase, SchemeParams, StabilityWarning,
                        _assemble_form, _assemble_grid, apply_dirichlet, assemble_fixed,
                        assemble_moving, assemble_norm_matrices)
-from .geometry import (GeometryMap, SingularGeometryError, eval_geometry, hessian, jacobian,
-                       map_point, mesh_metrics)
+from .geometry import (GeometryMap, SingularGeometryError, hessian, jacobian, map_point,
+                       mesh_metrics)
 from .linsolve import (ConvergenceError, SingularSystemError, cylinder_preconditioner,
                        solve_direct, solve_fd, solve_gmres)
 from .postproc import (ConvergenceReport, DiscreteField, LevelRecord, a_priori_theta_bound,
@@ -225,13 +225,16 @@ def _check_time_is_tau(gmap: GeometryMap):
     """Raise ``ValueError`` unless the time coordinate of ``gmap`` is ``tau``.
 
     On a span the numerator of ``t - tau`` has degree at most ``p_a + 1`` in
-    direction ``a``, so a grid of ``p_a + 2`` points per span decides it."""
+    direction ``a``, so a grid of ``p_a + 2`` points per span decides it.
+    Only the map's values are evaluated, so a folded map passes here and
+    fails at its first level."""
     kvs = gmap.space.knot_vectors
-    axes = [_span_rule(kv, kv.degree + 2)[0].reshape(-1, 1) for kv in kvs]
-    multi = np.unravel_index(np.arange(np.prod([a.size for a in axes])), [a.size for a in axes])
-    xi = np.stack([a[i, 0] for a, i in zip(axes, multi)], axis=1)
-    x = eval_geometry(gmap, *_rows([_table(kv, a) for kv, a in zip(kvs, axes)], multi), need=0)[0]
-    gap = x[:, 0, -1] - xi[:, -1]
+    nodes = [_span_rule(kv, kv.degree + 2)[0] for kv in kvs]
+    x = _grid_field(gmap.space, [_table(kv, n) for kv, n in zip(kvs, nodes)],
+                    gmap.control_points, 0)[0]
+    xi = np.stack(np.meshgrid(*[n.ravel() for n in nodes], indexing='ij'), axis=-1)
+    xi = xi.reshape(-1, len(kvs))
+    gap = x[:, -1] - xi[:, -1]
     k = int(np.argmax(np.abs(gap)))
     if abs(gap[k]) > 1e-12:
         where = ', '.join(f'{c:.6g}' for c in xi[k])

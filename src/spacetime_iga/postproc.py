@@ -1,11 +1,12 @@
 """Error measures, convergence rates and stability constants.
 
-Errors against a manufactured solution are integrated element by element
-with a quadrature one point richer than assembly, so the reported norms
-are not polluted by the integration of the scheme itself.  The discrete
-solution and the map are evaluated on each element's tensor grid of
-points by sum factorization (field blocks of the internal ``_batch``
-module); only the inverse-constant estimate builds the full basis blocks.
+Errors against a manufactured solution are integrated with a Gauss rule one
+point per direction richer than assembly, so the reported norms are not
+polluted by the integration of the scheme itself.  The discrete solution
+and the map are evaluated on the global Gauss grid, slab by slab of time
+spans, by the one sum-factorized field kernel of the internal ``_batch``
+module (``ElementBatcher.grid_slabs``); only the inverse-constant estimate
+builds the full basis blocks.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._batch import ElementBatcher, at_points
+from ._batch import ElementBatcher
 from .assembly import ManufacturedCase, SchemeParams
 from .geometry import GeometryMap, PhysicalMesh
 from .linsolve import SolveReport
@@ -57,8 +58,8 @@ def error_l2(field: DiscreteField, case: ManufacturedCase, orders=None) -> float
     """L2(Q) distance between the field and the exact solution."""
     batcher = ElementBatcher(field.space, field.geom, _error_orders(field.space, orders))
     total = 0.0
-    for blk in batcher.field_blocks(field.coefficients, need=0):
-        total += float(np.sum(blk.w * (blk.val - at_points(case.u, blk.x)) ** 2))
+    for s in batcher.grid_slabs(need=0, coefficients=field.coefficients):
+        total += float(np.sum(s.w * (s.val - case.u(s.x)) ** 2))
     return np.sqrt(total)
 
 
@@ -78,15 +79,15 @@ def error_energy(field: DiscreteField, case: ManufacturedCase, params: SchemePar
     c = field.coefficients
     batcher = ElementBatcher(field.space, field.geom, _error_orders(field.space, orders))
     total = 0.0
-    for blk in batcher.field_blocks(c):
-        e_gx = blk.grad[..., :d] - at_points(case.grad_u, blk.x)
-        e_t = blk.grad[..., d] - at_points(case.u_t, blk.x)
-        total += float(np.sum(blk.w * ((e_gx**2).sum(axis=2) + th * e_t**2)))
-    for blk in batcher.field_blocks(c, need=1 if moving else 0, face=(d, 1)):
-        total += 0.5 * float(np.sum(blk.w * (blk.val - at_points(case.u, blk.x)) ** 2))
+    for s in batcher.grid_slabs(coefficients=c):
+        e_gx = s.grad[:, :d] - case.grad_u(s.x)
+        e_t = s.grad[:, d] - case.u_t(s.x)
+        total += float(np.sum(s.w * ((e_gx**2).sum(axis=1) + th * e_t**2)))
+    for s in batcher.grid_slabs(need=1 if moving else 0, coefficients=c, face=(d, 1)):
+        total += 0.5 * float(np.sum(s.w * (s.val - case.u(s.x)) ** 2))
         if moving:
-            e_gx = blk.grad[..., :d] - at_points(case.grad_u, blk.x)
-            total += th * float(np.sum(blk.w * (e_gx**2).sum(axis=2)))
+            e_gx = s.grad[:, :d] - case.grad_u(s.x)
+            total += th * float(np.sum(s.w * (e_gx**2).sum(axis=1)))
     return np.sqrt(total)
 
 

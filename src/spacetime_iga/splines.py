@@ -57,6 +57,8 @@ class KnotVector:
             raise ValueError(f'degree must be a positive integer, got {self.degree}')
         if knots.ndim != 1 or knots.size < 2 * (p + 1):
             raise ValueError(f'need at least {2 * (p + 1)} knots for degree {p}, got {knots.size}')
+        if not np.all(np.isfinite(knots)):
+            raise ValueError(f'knots must be finite, got {knots[~np.isfinite(knots)][0]}')
         if np.any(np.diff(knots) < 0.0):
             raise ValueError('knots must be non-decreasing')
         if knots[0] != 0.0 or knots[-1] != 1.0:

@@ -49,8 +49,8 @@ class DiscreteSpace:
             w = np.ascontiguousarray(np.asarray(self.weights, dtype=float))
             if w.shape != (self.dim,):
                 raise ValueError(f'weights must have shape ({self.dim},), got {w.shape}')
-            if np.any(w <= 0.0):
-                raise ValueError('NURBS weights must be positive')
+            if not np.all(np.isfinite(w) & (w > 0.0)):
+                raise ValueError('NURBS weights must be positive and finite')
             object.__setattr__(self, 'weights', w)
 
     @property
@@ -130,23 +130,21 @@ def _combine(rows, sig) -> np.ndarray:
     return out
 
 
-def _rationalize(val, grad, hess, w_act):
-    bw = val * w_act[:, None, :]
-    W = bw.sum(axis=2, keepdims=True)
-    R = bw / W
-    Rg = Rh = None
-    if grad is not None:
-        gw = grad * w_act[:, None, :, None]
-        Wg = gw.sum(axis=2, keepdims=True)
-        Rg = (gw - R[..., None] * Wg) / W[..., None]
-    if hess is not None:
-        hw = hess * w_act[:, None, :, None, None]
-        Wh = hw.sum(axis=2, keepdims=True)
-        Rh = (hw
-              - Rg[..., :, None] * Wg[..., None, :]
-              - Rg[..., None, :] * Wg[..., :, None]
-              - R[..., None, None] * Wh) / W[..., None, None]
-    return R, Rg, Rh
+def _quotient(num, den):
+    """The quotient rule through second order: value, gradient and Hessian of ``a / W`` from
+    ``num = (a, a', a'')`` and ``den = (W, W', W'')``, derivative axes last and broadcasting;
+    a derivative that is None in ``num`` is None in the result."""
+    (a, ag, ah), (W, Wg, Wh) = num, den
+    r = a / W
+    rg = rh = None
+    if ag is not None:
+        rg = (ag - r[..., None] * Wg) / W[..., None]
+    if ah is not None:
+        rh = (ah
+              - rg[..., :, None] * Wg[..., None, :]
+              - rg[..., None, :] * Wg[..., :, None]
+              - r[..., None, None] * Wh) / W[..., None, None]
+    return r, rg, rh
 
 
 def active_dofs(space: DiscreteSpace, firsts) -> np.ndarray:
@@ -196,7 +194,11 @@ def tensor_basis(space: DiscreteSpace, rows, firsts, need: int):
                 sig[b] += 1
                 hess[..., a, b] = hess[..., b, a] = _combine(rows, sig)
     if space.weights is not None:
-        val, grad, hess = _rationalize(val, grad, hess, space.weights[active])
+        w = space.weights[active][:, None, :]
+        num = [d if d is None else d * w.reshape(w.shape + (1,) * k)
+               for k, d in enumerate((val, grad, hess))]
+        val, grad, hess = _quotient(num, [d if d is None else d.sum(axis=2, keepdims=True)
+                                          for d in num])
     return active, val, grad, hess
 
 

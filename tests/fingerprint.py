@@ -7,7 +7,9 @@ line of sha256 digests (the first 16 hex digits) of
 - the Dirichlet values;
 - the reduced matrix and its load;
 - the solution;
-- the ``repr`` of the L2 and energy errors.
+
+followed by the ``repr`` of the L2 and energy errors, so a diff shows which
+error moved and by how much.
 
 The values are captured around ``run_case`` by wrapping the functions it
 reaches through the ``harness`` module, so the package itself is not
@@ -69,7 +71,7 @@ def fingerprint(key: str) -> list:
 
     def traced_error_energy(*args, **kwargs):
         energy = error_energy(*args, **kwargs)
-        level['errors'] = hashlib.sha256(repr((level.pop('_l2'), energy)).encode()).hexdigest()[:16]
+        level.update(l2=repr(float(level.pop('_l2'))), energy=repr(float(energy)))
         lines.append(f'{key} L{len(lines)} ' + ' '.join(f'{k}={v}' for k, v in level.items()))
         level.clear()
         return energy

@@ -1,12 +1,14 @@
-"""Block-size invariance of every stage that integrates over element blocks.
+"""Block- and slab-size invariance of every stage that integrates over a level.
 
-The element loop evaluates blocks of elements whose size follows from
-the byte budget ``_batch._BLOCK_BYTES``.  Results must not depend on it:
-one element per block, the default, and a whole level per block agree
-to round-off.  The NURBS quarter annulus runs the blocked quotient rule,
-which no built-in case exercises, and fixed-2d the identity-map shortcut.
+Basis blocks hold a number of elements, and grid slabs (d >= 2 assembly,
+the error integrals, mesh metrics) a number of whole time spans, that
+follow from the byte budget ``_batch._BLOCK_BYTES``.  Results must not
+depend on it: one element per block and one time span per slab, the
+default, and a whole level per block and per slab agree to round-off.
+The NURBS quarter annulus runs the quotient rule of both, which no
+built-in case exercises, and fixed-2d the identity-map shortcut.
 
-On an identity map (``GeometryMap.is_identity``) the blocks skip the
+On an identity map (``GeometryMap.is_identity``) the basis blocks skip the
 geometry Jacobian and the pullback; the general path must give the same
 results: bit for bit where the Jacobians are exactly ``I`` (fixed-1d),
 to round-off where they are ``I`` up to a few ulps (fixed-2d).
@@ -66,15 +68,22 @@ def block_sizes(name, level):
     return [blk.index.size for blk in batch.ElementBatcher(space, geom).blocks(need=2)]
 
 
+def slab_spans(name, level):
+    case, geom, space = setup(name, level)
+    return [s.tables[-1].first.size for s in batch.ElementBatcher(space, geom).grid_slabs(need=2)]
+
+
 @pytest.mark.parametrize('name,level', CASES)
 @pytest.mark.parametrize('budget', ['one-element', 'whole-level'])
 def test_results_do_not_depend_on_block_size(monkeypatch, name, level, budget):
     reference = stage_results(name, level)
     n_el = int(np.prod([kv.spans.shape[0] for kv in setup(name, level)[2].knot_vectors]))
     monkeypatch.setattr(batch, '_BLOCK_BYTES', 1 if budget == 'one-element' else 1 << 62)
-    # the budget really sets the block size
+    # the budget really sets the block and slab sizes
     expected = [1] * n_el if budget == 'one-element' else [n_el]
     assert block_sizes(name, level) == expected
+    n_time = setup(name, level)[2].knot_vectors[-1].spans.shape[0]
+    assert slab_spans(name, level) == ([1] * n_time if budget == 'one-element' else [n_time])
     blocked = stage_results(name, level)
     for key, arrays in reference.items():
         for ref, got in zip(arrays, blocked[key]):

@@ -1,11 +1,14 @@
 """Sum-factorized field evaluation: the kernel and the error integrals on it.
 
-``_batch._field`` evaluates spline fields on a block of elements by
-contracting the coefficients with the univariate tables one direction at
-a time.  It must agree with the full basis blocks of ``tensor_basis``
-contracted with the same coefficients.  The error integrals built on it
-must agree with the basis-contraction formulas they replaced, which are
-kept below as the oracle, and must still refuse a folded map.
+``_batch._grid_field`` evaluates spline fields on the tensor grid of the
+Gauss points of a space's spans (or of a slab of them, or of a face) by
+contracting the coefficient tensor with the univariate tables one
+direction at a time.  It must agree with the full basis blocks of ``tensor_basis``
+contracted with the same coefficients, on the volume and with one
+direction pinned to a point, and a grid cut into slabs of spans must give
+the whole grid's values.  The error integrals built on it must agree with
+the basis-contraction formulas they replaced, which are kept below as the
+oracle, and must still refuse a folded map.
 """
 import numpy as np
 import pytest
@@ -13,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geometries import quarter_annulus_cylinder
-from spacetime_iga._batch import ElementBatcher, _field, _rows, _span_rule, _table, at_points
+from spacetime_iga._batch import (ElementBatcher, _grid_field, _rows, _span_rule, _table, _Table,
+                                  at_points)
 from spacetime_iga.assembly import SchemeParams
 from spacetime_iga.geometry import (GeometryMap, SingularGeometryError, greville_grid,
                                     map_point, mesh_metrics)
@@ -24,8 +28,8 @@ from spacetime_iga.tensor_space import DiscreteSpace, tensor_basis
 
 
 @st.composite
-def field_blocks(draw):
-    """Every element of a random space with its tables, and ``k`` random fields.
+def field_grids(draw):
+    """A random space with the tables of its Gauss grid, and ``k`` random fields.
 
     Two or three directions of degree 1-3, each with up to three interior
     knots drawn from the multiples of 1/20 (non-uniform spans), Gauss rules
@@ -45,45 +49,86 @@ def field_blocks(draw):
     space = DiscreteSpace(kvs, None if weights is None else np.array(weights))
     k = draw(st.integers(1, 3))
     coefficients = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-1, 1, (n, k))
+    return space, tables, coefficients
+
+
+def contracted_basis(space, tables, coefficients, need):
+    """The oracle: ``tensor_basis`` on every element of the grid of ``tables``, contracted with
+    the coefficients by ``einsum``, and its sums of absolute terms, as
+    ``[(values, scale), (gradients, scale), ...]`` up to ``need``, points in grid order."""
     shape = tuple(t.first.size for t in tables)
     multi = np.unravel_index(np.arange(np.prod(shape)), shape)
-    return space, _rows(tables, multi), coefficients
+    active, *basis = tensor_basis(space, *_rows(tables, multi), need)
+    local = coefficients[active]
+    grid = [n for t in tables for n in (t.first.size, t.ders.shape[1])]
+    nd, out = len(tables), []
+    for order, b in enumerate(basis[:need + 1]):
+        sub = 'eqm' + 'abc'[:order] + ',emk->eqk' + 'abc'[:order]
+        ref, scale = np.einsum(sub, b, local), np.einsum(sub, np.abs(b), np.abs(local)).max()
+        # (E, q, ...) to grid order: (s_0, ..., s_last, q_0, ..., q_last) -> (s_0, q_0, ...)
+        ref = ref.reshape(*grid[::2], *grid[1::2], *ref.shape[2:])
+        ref = ref.transpose(*(k for a in range(nd) for k in (a, nd + a)), *range(2 * nd, ref.ndim))
+        out.append((ref.reshape(-1, *ref.shape[2 * nd:]), scale))
+    return out
 
 
 @settings(max_examples=60, deadline=None)
-@given(block=field_blocks())
-def test_field_kernel_matches_the_contracted_basis(block):
-    space, (rows, firsts), coefficients = block
-    val, grad = _field(space, rows, firsts, coefficients, 1)
-    active, b_val, b_grad, _ = tensor_basis(space, rows, firsts, 1)
-    local = coefficients[active]
-    ref_val = np.einsum('eqm,emk->eqk', b_val, local)
-    ref_grad = np.einsum('eqma,emk->eqka', b_grad, local)
-    assert val.shape == ref_val.shape and grad.shape == ref_grad.shape
+@given(grid=field_grids())
+def test_field_kernel_matches_the_contracted_basis(grid):
+    space, tables, coefficients = grid
+    got = _grid_field(space, tables, coefficients, 1)
     # relative to the largest sum of absolute terms: random coefficients can
     # cancel a field down to round-off, in any order of summation
-    val_scale = np.einsum('eqm,emk->eqk', np.abs(b_val), np.abs(local)).max()
-    grad_scale = np.einsum('eqma,emk->eqka', np.abs(b_grad), np.abs(local)).max()
-    assert np.abs(val - ref_val).max() <= 1e-13 * val_scale
-    assert np.abs(grad - ref_grad).max() <= 1e-13 * grad_scale
-    assert _field(space, rows, firsts, coefficients, 0)[1] is None
+    for value, (ref, scale) in zip(got, contracted_basis(space, tables, coefficients, 1)):
+        assert value.shape == ref.shape
+        assert np.abs(value - ref).max() <= 1e-13 * scale
+    assert got[2] is None and _grid_field(space, tables, coefficients, 0)[1] is None
 
 
 @settings(max_examples=40, deadline=None)
-@given(block=field_blocks())
-def test_field_kernel_second_derivatives_match_the_contracted_basis(block):
+@given(grid=field_grids())
+def test_field_kernel_second_derivatives_match_the_contracted_basis(grid):
     # need = 2 adds the Hessians, NURBS quotient rule included, and keeps
     # the values and gradients
-    space, (rows, firsts), coefficients = block
-    val, grad, hess = _field(space, rows, firsts, coefficients, 2)
-    active, b_val, b_grad, b_hess = tensor_basis(space, rows, firsts, 2)
-    local = coefficients[active]
-    for got, basis, sub in ((val, b_val, 'eqm,emk->eqk'), (grad, b_grad, 'eqma,emk->eqka'),
-                            (hess, b_hess, 'eqmab,emk->eqkab')):
-        ref = np.einsum(sub, basis, local)
-        scale = np.einsum(sub, np.abs(basis), np.abs(local)).max()
-        assert got.shape == ref.shape
-        assert np.abs(got - ref).max() <= 1e-12 * scale
+    space, tables, coefficients = grid
+    got = _grid_field(space, tables, coefficients, 2)
+    for value, (ref, scale) in zip(got, contracted_basis(space, tables, coefficients, 2)):
+        assert value.shape == ref.shape
+        assert np.abs(value - ref).max() <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=field_grids(), data=st.data())
+def test_field_kernel_on_a_face_matches_the_contracted_basis(grid, data):
+    # one direction pinned to a point, an end of the interval or inside it
+    space, tables, coefficients = grid
+    a = data.draw(st.integers(0, space.ndim - 1))
+    xi = data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    tables[a] = _table(space.knot_vectors[a], np.array([[xi]]))
+    got = _grid_field(space, tables, coefficients, 2)
+    for value, (ref, scale) in zip(got, contracted_basis(space, tables, coefficients, 2)):
+        assert value.shape == ref.shape
+        assert np.abs(value - ref).max() <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=field_grids(), data=st.data())
+def test_field_kernel_on_slabs_of_spans_is_the_whole_grid(grid, data):
+    # the last direction cut into consecutive runs of spans, as grid slabs cut time
+    space, tables, coefficients = grid
+    last = tables[-1]
+    cuts = sorted(data.draw(st.sets(st.integers(1, last.first.size - 1), max_size=3))
+                  if last.first.size > 1 else [])
+    whole = _grid_field(space, tables, coefficients, 2)
+    parts = [_grid_field(space, [*tables[:-1], _Table(last.ders[i:j], last.first[i:j])],
+                         coefficients, 2)
+             for i, j in zip([0, *cuts], [*cuts, None])]
+    points = [t.first.size * t.ders.shape[1] for t in tables[:-1]]
+    for k, ref in enumerate(whole):
+        got = np.concatenate([p[k].reshape(*points, -1, *ref.shape[1:]) for p in parts],
+                             axis=len(points))
+        scale = np.abs(ref).max()
+        assert np.abs(got.reshape(ref.shape) - ref).max() <= 1e-13 * scale
 
 
 def reference_errors(field, case, params, moving):

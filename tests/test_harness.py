@@ -325,7 +325,18 @@ def _run_custom(tmp_path, geometry):
     (dict(IDENTITY_GEOMETRY, control_points=IDENTITY_GEOMETRY['control_points'][:3]),
      'control points must have shape (4, 2)'),
     (dict(IDENTITY_GEOMETRY, weights=[1.0, 1.0, 1.0]), 'weights must have shape (4,)'),
-], ids=['non-open-knots', 'control-point-count', 'weight-count'])
+    (dict(IDENTITY_GEOMETRY, control_points=[[0, 0], [1, 0], [0, 1], [float('nan'), 1]]),
+     'control points must be finite, got nan'),
+    (dict(IDENTITY_GEOMETRY, control_points=[[0, 0], [1, 0], [0, float('inf')], [1, 1]]),
+     'control points must be finite, got inf'),
+    (dict(IDENTITY_GEOMETRY, weights=[1.0, float('nan'), 1.0, 1.0]),
+     'NURBS weights must be positive and finite'),
+    (dict(IDENTITY_GEOMETRY, weights=[1.0, 1.0, float('inf'), 1.0]),
+     'NURBS weights must be positive and finite'),
+    (dict(IDENTITY_GEOMETRY, knots=[[0, 0, 1, 1], [0, 0, float('nan'), 1, 1]]),
+     'knots must be finite, got nan'),
+], ids=['non-open-knots', 'control-point-count', 'weight-count', 'nan-control-point',
+        'infinite-control-point', 'nan-weight', 'infinite-weight', 'nan-knot'])
 def test_cli_malformed_custom_geometry_is_one_line(tmp_path, capsys, geometry, message):
     assert _run_custom(tmp_path, geometry) == 2
     captured = capsys.readouterr()

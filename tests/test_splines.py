@@ -254,12 +254,15 @@ def test_knot_vector_validation():
         KnotVector(np.array([0.1, 0.1, 0.5, 1, 1.]), 1)  # wrong interval
     with pytest.raises(ValueError):
         KnotVector(np.array([0, 0, 0.5, 0.5, 0.5, 1, 1.]), 1)  # multiplicity 3 > p+1
+    with pytest.raises(ValueError, match='knots must be finite'):
+        KnotVector(np.array([0, 0, np.nan, 1, 1.]), 1)
 
 
 @st.composite
-def open_knot_vectors(draw):
-    """Degree 1-4, 1-6 interior knots on a 1/16 grid, multiplicity at most the degree."""
-    p = draw(st.integers(1, 4))
+def open_knot_vectors(draw, max_degree=4):
+    """Degree 1-``max_degree``, 1-6 interior knots on a 1/16 grid, multiplicity at most the
+    degree."""
+    p = draw(st.integers(1, max_degree))
     ticks = draw(st.lists(st.integers(1, 15), min_size=1, max_size=6)
                  .filter(lambda t: max(Counter(t).values()) <= p))
     return KnotVector(np.concatenate((np.zeros(p + 1), np.sort(ticks) / 16, np.ones(p + 1))), p)
@@ -278,3 +281,28 @@ def test_array_kernel_matches_dense_recursion_on_random_knots(kv, xs):
     sums = rows.sum(axis=-1)
     assert_allclose(sums[:, 0], 1.0, rtol=0, atol=1e-13)
     assert_allclose(sums[:, 1:], 0.0, rtol=0, atol=1e-12 * scale[2])
+
+
+def spline_values(kv, coefficients, xi):
+    first, ders = eval_basis(kv, xi)
+    local = coefficients[first[:, None] + np.arange(kv.degree + 1)]
+    return np.einsum('nm,nm->n', ders[:, 0], local)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kv=open_knot_vectors(max_degree=3), seed=st.integers(0, 2**32 - 1),
+       xs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
+def test_refined_spline_equals_the_coarse_one(kv, seed, xs):
+    # the fine coefficients interpolate the coarse spline at the fine Greville
+    # points; nested spaces make the interpolant the coarse spline itself
+    coarse = np.random.default_rng(seed).uniform(-1, 1, kv.n)
+    fine = refine_uniform(kv)
+    greville = fine.greville()
+    first, ders = eval_basis(fine, greville)
+    collocation = np.zeros((fine.n, fine.n))
+    np.put_along_axis(collocation, first[:, None] + np.arange(fine.degree + 1), ders[:, 0], axis=1)
+    refined = np.linalg.solve(collocation, spline_values(kv, coarse, greville))
+    xs = np.concatenate((xs, fine.breakpoints))
+    scale = np.abs(coarse).max()
+    assert_allclose(spline_values(fine, refined, xs), spline_values(kv, coarse, xs),
+                    rtol=0, atol=1e-12 * scale)
