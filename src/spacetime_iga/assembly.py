@@ -19,9 +19,10 @@ over the full dof set and reduced by :func:`apply_dirichlet`.
 In d >= 2 both forms are assembled by sum factorization on the global Gauss grid
 (Antolin et al., CMAME 285, 2015), exact for any map: coefficient fields from det J,
 J^-1 and the map's Hessian are contracted one direction at a time onto the banded
-pattern.  d = 1 stays on the element path, as do the norm matrices and the boundary
-projection: its regression sweeps' direct solves amplify the matrix's last bits, which
-another summation order moves beyond the test's 1e-10 (2.5e-10 at fixed-1d p1 L6).
+pattern.  The boundary projection is sum-factorized the same way on each Dirichlet
+face, in every d.  The d = 1 forms stay on the element path, as do the norm matrices:
+their regression sweeps' direct solves amplify the matrix's last bits, which another
+summation order moves beyond the test's 1e-10 (2.5e-10 at fixed-1d p1 L6).
 """
 from __future__ import annotations
 
@@ -274,30 +275,28 @@ def _grid_terms(x, w, inv, hess, th: float, moving: bool, f=None):
     return matrix, load
 
 
-def _assemble_grid(space, geom, case, params, orders, moving) -> LinearSystem:
-    """Both forms in d >= 2 by sum factorization: slabs (the terminal face one more) add into
-    the rows of their time functions in one banded array ``(n_last w_last, N_0 ...)``,
-    ``N_a = n_a (2 p_a + 1)``, which becomes the CSR on the element pattern."""
-    th, nd, p = params.theta * params.h, space.ndim, space.degrees
-    dims, widths = np.array(space.dims), 2 * np.array(p) + 1
-    batcher = ElementBatcher(space, geom, orders)
+def _banded_system(batcher: ElementBatcher, directions, slabs):
+    """CSR on the element pattern and load (direction 0 fastest) over the functions of
+    ``directions``, from ``slabs`` of ``((matrix, load) fields, the slab's tables)``, each added
+    by :func:`_contract` into the rows of its last direction's functions in one banded array
+    ``(n_last w_last, N_0 ...)``, ``N_a = n_a (2 p_a + 1)``.  Fields hold no NURBS weights."""
+    if batcher.space.weights is not None:
+        raise ValueError('sum factorization needs a B-spline solution space, got NURBS weights')
+    tables, nd = [batcher._tables[a] for a in directions], len(directions)
+    p = np.array(batcher.space.degrees)[directions]
+    dims, widths = np.array(batcher.space.dims)[directions], 2 * p + 1
     band = np.zeros((dims[-1] * widths[-1], int(np.prod(dims[:-1] * widths[:-1]))))
     rhs, cache = np.zeros((dims[-1], int(np.prod(dims[:-1])))), {}
-    terminal = batcher.grid_slabs(need=2, face=(nd - 1, 1)) if moving else ()
-    slabs = chain(((s, case.f) for s in batcher.grid_slabs(need=2)), ((s, None) for s in terminal))
-    for s, f in slabs:
-        adj, det = _adjugate(s.jac)
-        grid = [s.x, s.w, *(np.ascontiguousarray(np.moveaxis(a, 0, -1))     # J^-1, H points last
-                            for a in (adj / det[:, None, None], s.hess))]
-        for target, w, terms in zip((band, rhs), (widths[-1], 1), _grid_terms(*grid, th, moving, f)):
-            out = _contract(terms, s.tables, cache)
+    for terms, slab in slabs:
+        for target, w, fields in zip((band, rhs), (widths[-1], 1), terms):
+            out = _contract(fields, slab, cache)
             if out is not None:
-                start = s.tables[-1].first[0] * w
+                start = slab[-1].first[0] * w
                 target[start:start + out.shape[0]] += out.reshape(-1, target.shape[1])
     index = np.int32 if band.size < 2**31 else np.int64
     stride, order = np.cumprod([1, *dims[:-1]]).astype(index), range(nd - 1, -1, -1)
     flat = [*range(0, 2 * nd, 2), *range(1, 2 * nd, 2)]   # (n..., w...), direction 0 fastest
-    mask = reduce(np.multiply.outer, [np.diff(_band_operator(batcher._tables[a], 0, 0).indptr)
+    mask = reduce(np.multiply.outer, [np.diff(_band_operator(tables[a], 0, 0).indptr)
                                       .reshape(-1, widths[a]) > 0 for a in order]).transpose(flat)
     cols = [stride[a] * (np.arange(dims[a], dtype=index)[:, None]
                          + np.arange(-p[a], p[a] + 1, dtype=index)) for a in order]
@@ -307,7 +306,24 @@ def _assemble_grid(space, geom, case, params, orders, moving) -> LinearSystem:
     values = band.transpose([2 * j for j in pairs] + [2 * j + 1 for j in pairs])[mask]
     indptr = np.concatenate(([0], np.cumsum(mask.reshape(dims.prod(), -1).sum(1), dtype=index)))
     matrix = sp.csr_matrix((values, indices, indptr), shape=(dims.prod(),) * 2)
-    return LinearSystem(matrix, rhs.reshape(dims[-1], *dims[:-1]).transpose(pairs).ravel())
+    return matrix, rhs.reshape(dims[-1], *dims[:-1]).transpose(pairs).ravel()
+
+
+def _assemble_grid(space, geom, case, params, orders, moving) -> LinearSystem:
+    """Both forms in d >= 2 by sum factorization (:func:`_banded_system`) over the volume's
+    slabs, and for the moving form the terminal face as one more."""
+    th, nd = params.theta * params.h, space.ndim
+    batcher = ElementBatcher(space, geom, orders)
+    terminal = batcher.grid_slabs(need=2, face=(nd - 1, 1)) if moving else ()
+
+    def fields(s, f):
+        adj, det = _adjugate(s.jac)
+        grid = [s.x, s.w, *(np.ascontiguousarray(np.moveaxis(a, 0, -1))     # J^-1, H points last
+                            for a in (adj / det[:, None, None], s.hess))]
+        return _grid_terms(*grid, th, moving, f), s.tables
+    slabs = chain((fields(s, case.f) for s in batcher.grid_slabs(need=2)),
+                  (fields(s, None) for s in terminal))
+    return LinearSystem(*_banded_system(batcher, list(range(nd)), slabs))
 
 
 def assemble_fixed(space: DiscreteSpace, geom: GeometryMap, case: ManufacturedCase,
@@ -368,30 +384,44 @@ def assemble_norm_matrices(space: DiscreteSpace, geom: GeometryMap,
     return NormMatrices(n_fixed, (n_fixed + th * face_gradient).tocsr(), face_gradient)
 
 
+def _face_system(batcher: ElementBatcher, g, face) -> LinearSystem:
+    """Mass matrix and moments of ``g`` on ``face = (direction, side)`` over all dofs, by sum
+    factorization on the face's Gauss grid over the directions free on it: rows and columns
+    are the face's functions only, those of the end index of the pinned direction (on an open
+    knot vector the one function nonzero there)."""
+    (a, side), space = face, batcher.space
+    free = [b for b in range(space.ndim) if b != a]
+
+    def fields(s):
+        value = s.tables[a].ders[0, 0, 0, -1 if side else 0]      # that function's trace
+        return ({((0, 0),) * len(free): value**2 * s.w},
+                {((0,),) * len(free): value * s.w * g(s.x)}), [s.tables[b] for b in free]
+    mass, load = _banded_system(batcher, free, map(fields, batcher.grid_slabs(need=0, face=face)))
+    on_face = np.arange(space.dim) // space.strides[a] % space.dims[a] == side * (space.dims[a] - 1)
+    dofs = np.flatnonzero(on_face)                      # in the face's own order
+    indptr = mass.indptr[np.searchsorted(dofs, np.arange(space.dim + 1))]
+    return LinearSystem(sp.csr_matrix((mass.data, dofs[mass.indices], indptr), (space.dim,) * 2),
+                        np.bincount(dofs, load, space.dim))
+
+
 def boundary_l2_project(space: DiscreteSpace, geom: GeometryMap, g,
                         dirichlet_mask: np.ndarray, orders=None) -> np.ndarray:
     """L2 projection of boundary data onto the Dirichlet dofs.
 
     One joint projection over the lateral boundary and the initial face:
-    assemble the boundary mass matrix and moment vector of ``g`` over the
-    :func:`~spacetime_iga.tensor_space.dirichlet_faces` in turn, restrict
-    to the Dirichlet set, solve.  Returns a full-length
+    sum the boundary mass matrices and moment vectors of ``g`` of the
+    :func:`~spacetime_iga.tensor_space.dirichlet_faces` (:func:`_face_system`),
+    restrict to the Dirichlet set, solve.  Returns a full-length
     coefficient vector, zero on free dofs.
     """
     from .linsolve import solve_direct
 
     batcher = ElementBatcher(space, geom, orders)
-    acc = _Accumulator(space.dim)
-    load = np.zeros(space.dim)
-    for face in dirichlet_faces(space.ndim):
-        for blk in batcher.blocks(need=0, face=face):
-            valw_t = np.swapaxes(blk.val * blk.w[:, :, None], 1, 2)
-            acc.add(blk.dofs, valw_t @ blk.val)
-            np.add.at(load, blk.dofs, (valw_t @ at_points(g, blk.x)[..., None])[..., 0])
+    faces = [_face_system(batcher, g, face) for face in dirichlet_faces(space.ndim)]
+    mass = sum((f.matrix for f in faces[1:]), faces[0].matrix)
     idx = np.flatnonzero(dirichlet_mask)
-    mdd = _restrict(acc.result(), idx)
     values = np.zeros(space.dim)
-    values[idx], _ = solve_direct(mdd, load[idx])
+    values[idx], _ = solve_direct(_restrict(mass, idx), sum(f.rhs for f in faces)[idx])
     return values
 
 

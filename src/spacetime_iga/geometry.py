@@ -198,11 +198,28 @@ def _largest_eigenvalue(s: np.ndarray) -> np.ndarray:
     p = np.sqrt((a * a + b * b + c * c + 2 * (d * d + e * e + f * f)) / 6)
     with np.errstate(divide='ignore', invalid='ignore'):
         r = (a * b * c + 2 * d * e * f - a * f * f - b * e * e - c * d * d) / (2 * p**3)
-    lam = q + 2 * p * np.cos(np.arccos(np.clip(r, -1.0, 1.0)) / 3)
-    # LAPACK where the formula fails: at a multiple of I (p = 0, r is nan) and near a
-    # double largest eigenvalue (r -> -1), where the arccos loses digits
-    near = ~(r > 1e-4 - 1.0)
-    lam[near] = np.linalg.eigvalsh(s[near])[..., -1]
+    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3
+    lam = q + 2 * p * np.cos(phi)
+    # near a double largest eigenvalue (r -> -1) the arccos loses digits; there the smallest
+    # eigenvalue is well separated, its eigenvector v a column of the adjugate of S - lam_3 I
+    # (a multiple of v v^T), and the largest that of S on the plane orthogonal to v, spanned
+    # by the branchless basis of Duff et al. (JCGT 6, 2017)
+    near = r < 1e-4 - 1.0
+    low = 2 * p[near] * np.cos(phi[near] + 2 * np.pi / 3)
+    (A, B, C), (D, E, F) = (x[near] - low for x in (a, b, c)), (x[near] for x in (d, e, f))
+    adj = np.array([[B * C - F * F, E * F - C * D, D * F - B * E],
+                    [E * F - C * D, A * C - E * E, D * E - A * F],
+                    [D * F - B * E, D * E - A * F, A * B - D * D]])
+    v = adj[np.argmax(np.abs(adj[[0, 1, 2], [0, 1, 2]]), axis=0), :, np.arange(low.size)]
+    with np.errstate(invalid='ignore'):     # v = 0 only at a multiple of I
+        x, y, z = (v / np.copysign(np.sqrt((v * v).sum(axis=1)), v[:, 2])[:, None]).T  # z >= 0
+    h = 1.0 / (1.0 + z)
+    plane = np.stack((1 - x * x * h, -x * y * h, -x, -x * y * h, 1 - y * y * h, -y),
+                     axis=1).reshape(-1, 2, 3)
+    lam[near] = _largest_eigenvalue(plane @ s[near] @ plane.transpose(0, 2, 1))
+    # LAPACK where the formula fails: at a multiple of I (p = 0, r is nan)
+    bad = ~np.isfinite(lam)
+    lam[bad] = np.linalg.eigvalsh(s[bad])[..., -1]
     return lam
 
 

@@ -351,11 +351,9 @@ def run_case(config: CaseConfig) -> ConvergenceReport:
                     c_inv = estimate_inverse_constant(space, geom, mesh)
                 theta_bound = a_priori_theta_bound(c_inv, mesh)
             params = SchemeParams(config.theta, space.h_hat, theta_bound)
-            if case.moving:
-                full = assemble_moving(space, geom, case, params)
-            else:
-                full = assemble_fixed(space, geom, case, params)
-            reduced = apply_dirichlet(full, dofmap, case, space, geom)
+            assemble = assemble_moving if case.moving else assemble_fixed
+            # no name holds the full-space system, so it is freed once reduced, before the solve
+            reduced = apply_dirichlet(assemble(space, geom, case, params), dofmap, case, space, geom)
             x, report = _solve(reduced, config, space, params, definition)
             coeffs = reduced.dirichlet_values.copy()
             coeffs[dofmap.free] = x

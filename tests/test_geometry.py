@@ -329,20 +329,29 @@ def lapack_largest_eigenvalue(s):
     return np.linalg.eigvalsh(s)[..., -1]
 
 
-def test_largest_eigenvalue_matches_lapack():
-    # closed forms for 2x2 and 3x3, including multiples of I and double
-    # eigenvalues, where the 3x3 formula hands over to LAPACK
+def test_largest_eigenvalue_matches_lapack(monkeypatch):
+    # closed forms for 2x2 and 3x3, including multiples of I and exactly and nearly double
+    # largest eigenvalues, rotated and diagonal; the 3x3 formula hands only a multiple of I
+    # over to LAPACK
     rng = np.random.default_rng(14)
+    lapack, fallback = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, 'eigvalsh', lambda s: fallback.append(len(s)) or lapack(s))
     for n in (2, 3, 4):
         q = np.linalg.qr(rng.standard_normal((3000, n, n)))[0]
+        rest = np.ones((3000, n - 2))
         spectra = [rng.uniform(0.01, 10.0, (3000, n)), np.full((3000, n), 2.5),
-                   np.concatenate((np.full((3000, 2), 4.0), np.ones((3000, n - 2))), axis=1),
+                   np.concatenate((np.full((3000, 2), 4.0), rest), axis=1),
                    np.concatenate((np.full((3000, 2), 4.0), np.full((3000, n - 2), 4.0 - 1e-7)), axis=1)]
-        for ev in spectra:
-            s = q @ (ev[:, :, None] * np.swapaxes(q, 1, 2))
-            s = 0.5 * (s + np.swapaxes(s, 1, 2))
-            ref = lapack_largest_eigenvalue(s)
-            assert np.max(np.abs(geometry._largest_eigenvalue(s) - ref) / ref) < 1e-13
+        spectra += [np.concatenate((np.full((3000, 1), 4.0), np.full((3000, 1), 4.0 - gap), rest),
+                                   axis=1) for gap in (1e-12, 1e-8, 1e-4, 1e-2)]
+        for k, ev in enumerate(spectra):
+            for rotation in (q, np.eye(n)[rng.permutation(n)]):
+                s = rotation @ (ev[:, :, None] * np.swapaxes(rotation, -1, -2))
+                s = 0.5 * (s + np.swapaxes(s, -1, -2))
+                ref = lapack(s)[..., -1]
+                fallback.clear()
+                assert np.max(np.abs(geometry._largest_eigenvalue(s) - ref) / ref) < 1e-13
+                assert n != 3 or k == 1 or not sum(fallback), (k, sum(fallback))
         assert np.array_equal(geometry._largest_eigenvalue(np.broadcast_to(np.eye(n), (5, n, n))),
                               np.ones(5))
 

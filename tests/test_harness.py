@@ -4,6 +4,7 @@ import json
 import os
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -126,6 +127,29 @@ def test_run_case_fixed_sweep():
     assert 0.5 < report.records[2].rate_energy < 1.5
     errors = report.errors_l2
     assert np.all(errors[1:] < errors[:-1])
+
+
+@pytest.mark.parametrize('case', ['fixed-1d', 'moving-curvi-1d'])
+def test_full_system_is_freed_before_the_solve(monkeypatch, case):
+    # the level's solve and error integrals run without the full-space matrix
+    refs, freed = [], []
+    for name in ('assemble_fixed', 'assemble_moving'):
+        def recorded(*args, _assemble=getattr(harness, name), **kwargs):
+            system = _assemble(*args, **kwargs)
+            refs.append((weakref.ref(system), weakref.ref(system.matrix)))
+            return system
+        monkeypatch.setattr(harness, name, recorded)
+    solve = harness._solve
+
+    def checked(*args, **kwargs):
+        freed.append(all(ref() is None for ref in refs[-1]))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(harness, '_solve', checked)
+    with warnings.catch_warnings():
+        warnings.simplefilter('ignore', StabilityWarning)
+        run_case(CaseConfig(case=case, degree=1, levels=2))
+    assert len(refs) == 2 and freed == [True, True]
 
 
 def test_solver_override_agrees_with_direct():
