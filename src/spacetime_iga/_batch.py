@@ -5,14 +5,14 @@ univariate basis tables of every knot span (one array call of
 :func:`splines.eval_basis` per direction), iterated in two ways, each
 sized by one fixed byte budget.
 
-Basis blocks (d = 1 assembly, the norm matrices, the inverse-constant
-estimate) hold ``E`` elements with every active function, as arrays with a
-leading element axis: the tensor combination, the NURBS quotient rule, the
-geometry evaluation and the pullback are the batched kernels of
-:mod:`tensor_space` and :mod:`geometry`.  On an identity map they skip the
+Basis blocks (the norm matrices, the inverse-constant estimate, the element
+form kept as the assembly oracle) hold ``E`` elements with every active
+function, as arrays with a leading element axis: the tensor combination, the
+NURBS quotient rule, the geometry evaluation and the pullback are the batched
+kernels of :mod:`tensor_space` and :mod:`geometry`.  On an identity map they skip the
 Jacobian and the pullback.
 
-Grid slabs (d >= 2 assembly, the boundary projection, the error integrals,
+Grid slabs (assembly, the boundary projection, the error integrals,
 mesh metrics) hold the global Gauss grid of whole time spans or of a face.  One
 kernel, :func:`_grid_field`, evaluates every field on it, the map and the
 discrete solution alike: the coefficient tensor is contracted with the

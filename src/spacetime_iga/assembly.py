@@ -16,13 +16,12 @@ both tested against v + theta*h dt(v) on the right-hand side.  The global
 mesh size h enters the stabilization uniformly; matrices are returned
 over the full dof set and reduced by :func:`apply_dirichlet`.
 
-In d >= 2 both forms are assembled by sum factorization on the global Gauss grid
+In every d both forms are assembled by sum factorization on the global Gauss grid
 (Antolin et al., CMAME 285, 2015), exact for any map: coefficient fields from det J,
 J^-1 and the map's Hessian are contracted one direction at a time onto the banded
 pattern.  The boundary projection is sum-factorized the same way on each Dirichlet
-face, in every d.  The d = 1 forms stay on the element path, as do the norm matrices:
-their regression sweeps' direct solves amplify the matrix's last bits, which another
-summation order moves beyond the test's 1e-10 (2.5e-10 at fixed-1d p1 L6).
+face.  The norm matrices stay on element blocks, and the element form
+(``_assemble_form``) is kept as the oracle the sum-factorized forms are checked against.
 """
 from __future__ import annotations
 
@@ -34,7 +33,7 @@ from itertools import chain
 import numpy as np
 import scipy.sparse as sp
 
-from ._batch import ElementBatcher, _band_operator, _contract, at_points
+from ._batch import ElementBatcher, _contract, at_points
 from .geometry import GeometryMap, _adjugate
 from .tensor_space import DiscreteSpace, DofMap, dirichlet_faces
 
@@ -219,6 +218,8 @@ def _volume_terms(blk, th: float, d: int, moving: bool):
 
 
 def _assemble_form(space, geom, case, params, orders, moving) -> LinearSystem:
+    """Either form by element blocks and the COO scatter: the oracle of the sum-factorized
+    :func:`_assemble_grid` (``harness.assembly_paths_gap``)."""
     d = space.ndim - 1
     th = params.theta * params.h
     batcher = ElementBatcher(space, geom, orders)
@@ -275,6 +276,16 @@ def _grid_terms(x, w, inv, hess, th: float, moving: bool, f=None):
     return matrix, load
 
 
+def _band_mask(table) -> np.ndarray:
+    """``(n, 2p + 1)``: whether functions ``i`` and ``i + o - p`` share a span of ``table``,
+    the pattern of ``_batch._band_operator(table, 0, 0)``."""
+    m = table.ders.shape[-1]
+    mask = np.zeros((table.first[-1] - table.first[0] + m, 2 * m - 1), bool)
+    own = (table.first - table.first[0])[:, None, None] + np.arange(m)[:, None]      # (ns, m, 1)
+    mask[own, np.arange(m) - np.arange(m)[:, None] + m - 1] = True
+    return mask
+
+
 def _banded_system(batcher: ElementBatcher, directions, slabs):
     """CSR on the element pattern and load (direction 0 fastest) over the functions of
     ``directions``, from ``slabs`` of ``((matrix, load) fields, the slab's tables)``, each added
@@ -296,8 +307,7 @@ def _banded_system(batcher: ElementBatcher, directions, slabs):
     index = np.int32 if band.size < 2**31 else np.int64
     stride, order = np.cumprod([1, *dims[:-1]]).astype(index), range(nd - 1, -1, -1)
     flat = [*range(0, 2 * nd, 2), *range(1, 2 * nd, 2)]   # (n..., w...), direction 0 fastest
-    mask = reduce(np.multiply.outer, [np.diff(_band_operator(tables[a], 0, 0).indptr)
-                                      .reshape(-1, widths[a]) > 0 for a in order]).transpose(flat)
+    mask = reduce(np.multiply.outer, [_band_mask(tables[a]) for a in order]).transpose(flat)
     cols = [stride[a] * (np.arange(dims[a], dtype=index)[:, None]
                          + np.arange(-p[a], p[a] + 1, dtype=index)) for a in order]
     indices = reduce(np.add.outer, cols).transpose(flat)[mask]
@@ -310,7 +320,7 @@ def _banded_system(batcher: ElementBatcher, directions, slabs):
 
 
 def _assemble_grid(space, geom, case, params, orders, moving) -> LinearSystem:
-    """Both forms in d >= 2 by sum factorization (:func:`_banded_system`) over the volume's
+    """Both forms by sum factorization (:func:`_banded_system`) over the volume's
     slabs, and for the moving form the terminal face as one more."""
     th, nd = params.theta * params.h, space.ndim
     batcher = ElementBatcher(space, geom, orders)
@@ -334,8 +344,7 @@ def assemble_fixed(space: DiscreteSpace, geom: GeometryMap, case: ManufacturedCa
     the row.  Quadrature defaults to ``degree + 1`` Gauss points per
     direction.
     """
-    return (_assemble_grid if space.ndim > 2 else _assemble_form)(space, geom, case, params,
-                                                                  orders, moving=False)
+    return _assemble_grid(space, geom, case, params, orders, moving=False)
 
 
 def assemble_moving(space: DiscreteSpace, geom: GeometryMap, case: ManufacturedCase,
@@ -350,8 +359,7 @@ def assemble_moving(space: DiscreteSpace, geom: GeometryMap, case: ManufacturedC
             f'theta = {params.theta} exceeds the estimated coercivity bound '
             f'{params.theta_bound:.4g}; the moving-domain form may lose stability',
             StabilityWarning, stacklevel=2)
-    return (_assemble_grid if space.ndim > 2 else _assemble_form)(space, geom, case, params,
-                                                                  orders, moving=True)
+    return _assemble_grid(space, geom, case, params, orders, moving=True)
 
 
 def assemble_norm_matrices(space: DiscreteSpace, geom: GeometryMap,

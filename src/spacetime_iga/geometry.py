@@ -123,8 +123,7 @@ def eval_geometry(geom: GeometryMap, rows, firsts, need: int):
     if need < 1:
         return x, None, None, None
     J = np.einsum('eqma,emk->eqka', grad, P)
-    # a 2x2 determinant by LAPACK keeps the d = 1 quadrature weights' last bits
-    det = _adjugate(J)[1] if J.shape[-1] == 3 else np.linalg.det(J)
+    det = _adjugate(J)[1]
     _require_orientation(det, x)
     H = np.einsum('eqmab,emk->eqkab', hess, P) if need >= 2 else None
     return x, J, det, H
@@ -231,13 +230,11 @@ def pullback_derivatives(jac, grads, hessians=None, hess_geom=None):
     physical gradient ``g``.  A block of ``E`` elements with ``q``
     points each is passed as ``E * q`` points.
 
-    A 3x3 Jacobian (d = 2) is inverted in closed form from its cofactors,
-    once per point, and raises ``SingularGeometryError`` on a zero or
-    non-finite determinant.  Every other size solves ``J^T g = g_param``
-    and inverts ``J`` by LAPACK: a closed-form 2x2 inverse moves the d = 1
-    errors by about 1e-10 relative, the regression test's tolerance.
-    Either way the gradients come back in derivative-major memory (a
-    transposed ``(n, dim, m)`` array), the layout the element kernels use.
+    The Jacobian is inverted by :func:`_adjugate` (in closed form for
+    d = 1 and 2), once per point, and a zero or non-finite determinant
+    raises ``SingularGeometryError``.  The gradients come back in
+    derivative-major memory (a transposed ``(n, dim, m)`` array), the
+    layout the element kernels use.
 
     Parameters
     ----------
@@ -254,22 +251,15 @@ def pullback_derivatives(jac, grads, hessians=None, hess_geom=None):
     -------
     (grads_phys, hess_phys or None)
     """
-    grads_t = np.transpose(grads, (0, 2, 1))
-    if jac.shape[-1] == 3:
-        adj, det = _adjugate(jac)
-        bad = ~np.isfinite(det) | (det == 0.0)
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise SingularGeometryError(f'singular Jacobian: determinant {det[k]:.6g} at point {k}')
-        Jinv = adj / det[:, None, None]
-        g = np.matmul(np.transpose(Jinv, (0, 2, 1)), grads_t).transpose(0, 2, 1)
-    else:
-        Jinv = None
-        g = np.linalg.solve(np.transpose(jac, (0, 2, 1)), grads_t).transpose(0, 2, 1)
+    adj, det = _adjugate(jac)
+    bad = ~np.isfinite(det) | (det == 0.0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise SingularGeometryError(f'singular Jacobian: determinant {det[k]:.6g} at point {k}')
+    Jinv = adj / det[:, None, None]
+    g = np.matmul(np.transpose(Jinv, (0, 2, 1)), np.transpose(grads, (0, 2, 1))).transpose(0, 2, 1)
     if hessians is None:
         return g, None
-    if Jinv is None:
-        Jinv = np.linalg.inv(jac)
     corr = hessians - np.einsum('nmk,nkab->nmab', g, hess_geom)
     return g, np.einsum('nia,nmij,njb->nmab', Jinv, corr, Jinv, optimize=True)
 

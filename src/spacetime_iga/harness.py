@@ -504,7 +504,7 @@ def moving_coercivity(name: str, degree: int, level: int) -> tuple[float, bool, 
 
 
 def assembly_paths_gap(space, geom, case, params, orders=None, moving=False) -> float:
-    """Largest gap of the sum-factorized d >= 2 form to the element path, relative to
+    """Largest gap of the sum-factorized form to the element path, relative to
     the largest matrix entry or load; infinite if the sparsity patterns differ."""
     args = (space, geom, case, params, orders, moving)
     ref, got = _assemble_form(*args), _assemble_grid(*args)
@@ -592,11 +592,12 @@ def _check_manufactured_residuals():
 
 
 def _check_assembly_paths():
-    # the sum-factorized d >= 2 forms against the element path, mapped and identity cylinder
+    # the sum-factorized forms against the element path, mapped and identity cylinders
     worst = max(assembly_paths_gap(space, c.geometry, c.case, SchemeParams(0.1, space.h_hat),
                                    moving=moving)
-                for c in map(builtin_cases().get, ('moving-curvi-2d', 'fixed-2d'))
-                for space in [solution_space(c.geometry, 2, 1)] for moving in (False, True))
+                for name, level in (('moving-curvi-2d', 1), ('fixed-2d', 1), ('moving-curvi-1d', 2))
+                for c in [builtin_cases()[name]]
+                for space in [solution_space(c.geometry, 2, level)] for moving in (False, True))
     return worst <= 1e-13, f'max relative gap {worst:.2e}'
 
 

@@ -21,9 +21,9 @@ The sparse scatter is held to scipy's one-shot COO-to-CSR conversion: bit
 for bit when the triplets fit one chunk of its byte budget, and to the
 same pattern and round-off when a tiny budget cuts them into many chunks.
 
-In d >= 2 both forms are assembled by sum factorization; the element path
-they replaced (``_assemble_form``, still the d = 1 path) is the oracle:
-the same CSR pattern, entries and loads within 1e-13 of the largest.
+Both forms are assembled by sum factorization in every d; the element path
+they replaced (``_assemble_form``) is the oracle: the same CSR pattern,
+entries and loads within 1e-13 of the largest.
 The boundary projection, sum-factorized on each face, is held to the element
 face blocks it replaced, and the one-pass Dirichlet restriction to scipy's
 two-step slicing.
@@ -48,6 +48,7 @@ from spacetime_iga.harness import assembly_paths_gap, builtin_cases, solution_sp
 from spacetime_iga.linsolve import SingularSystemError, solve_direct
 from spacetime_iga.postproc import (DiscreteField, a_priori_theta_bound, error_energy,
                                     estimate_inverse_constant, mesh_ratio)
+from spacetime_iga.splines import KnotVector
 from spacetime_iga.tensor_space import (DiscreteSpace, classify_dirichlet, dirichlet_faces,
                                         point_rows, tensor_basis)
 
@@ -381,8 +382,8 @@ def test_scatter_of_one_chunk_is_the_one_shot_csr():
 
 
 def scatter_results(name, level):
-    """The result of every scatter on one level (both forms, ``n_fixed``, the face
-    gradient), then ``n_moving``; the boundary projection runs too, and scatters nothing."""
+    """The result of every scatter on one level (``n_fixed``, the face gradient), then
+    ``n_moving``; both forms and the boundary projection run too, and scatter nothing."""
     case, geom, space, mesh, params = setup(name, 2, level)
     results = []
 
@@ -400,8 +401,8 @@ def scatter_results(name, level):
     return results + [norms.n_moving]
 
 
-@pytest.mark.parametrize('name,level,scatters', [('moving-curvi-1d', 3, 5), ('moving-curvi-2d', 2, 3)],
-                         ids=['moving-curvi-1d-3', 'moving-curvi-2d-2'])
+@pytest.mark.parametrize('name,level,scatters', [('moving-curvi-1d', 4, 3), ('moving-curvi-2d', 2, 3)],
+                         ids=['moving-curvi-1d-4', 'moving-curvi-2d-2'])
 def test_scatter_chunks_keep_the_pattern(monkeypatch, name, level, scatters):
     # a budget of 97 triplets cuts blocks and local matrices into many chunks;
     # the merged matrices keep the one-chunk pattern, explicit zeros included
@@ -422,7 +423,7 @@ def test_scatter_chunks_keep_the_pattern(monkeypatch, name, level, scatters):
     chunked = scatter_results(name, level)
     assert sum(triplets) > 100 * 97
     assert any(p % m for p, m in zip(pending, sizes))  # cut inside a local matrix
-    # the d = 2 forms and the boundary projection are sum-factorized and do not scatter
+    # the forms and the boundary projection are sum-factorized and do not scatter
     assert len(reference) == len(chunked) == scatters
     assert any((m.data == 0.0).any() for m in reference)
     for ref, got in zip(reference, chunked):
@@ -461,14 +462,16 @@ def agreement_setup(name, degree, level):
 
 
 @pytest.mark.parametrize('degree', [1, 2, 3])
-@pytest.mark.parametrize('name', ['moving-curvi-2d', 'fixed-2d', 'quarter-annulus', 'perturbed'])
+@pytest.mark.parametrize('name', ['moving-curvi-2d', 'fixed-2d', 'quarter-annulus', 'perturbed',
+                                  'fixed-1d', 'moving-simple-1d', 'moving-curvi-1d'])
 def test_sum_factorized_forms_match_the_element_path(name, degree):
     # a moving B-spline map, the identity cylinder, a NURBS map and a NURBS map
     # whose J^-1 and Hessian are full (the shipped maps leave most chain-rule
-    # coefficients zero), at the default and at elevated quadrature
+    # coefficients zero), and the three d = 1 cylinders, at the default and at
+    # elevated quadrature
     for level in (1, 2):
         space, geom, case, params = agreement_setup(name, degree, level)
-        for orders in (None, [degree + 3] * 3):
+        for orders in (None, [degree + 3] * space.ndim):
             for moving in (False, True):
                 gap = assembly_paths_gap(space, geom, case, params, orders, moving)
                 assert gap <= 1e-13, (level, orders, moving, gap)
@@ -648,10 +651,24 @@ def test_grid_path_rejects_a_nurbs_solution_space():
         case, geom, plain, mesh, params = setup(name, 2, 1)
         space = DiscreteSpace(plain.knot_vectors, rng.uniform(0.5, 1.5, plain.dim))
         mask = classify_dirichlet(space).dirichlet_mask
-        calls = [lambda: boundary_l2_project(space, geom, case.u, mask)]
-        if space.ndim > 2:
-            calls += [lambda: assemble_fixed(space, geom, case, params),
-                      lambda: assemble_moving(space, geom, case, params)]
-        for call in calls:
+        for call in (lambda: boundary_l2_project(space, geom, case.u, mask),
+                     lambda: assemble_fixed(space, geom, case, params),
+                     lambda: assemble_moving(space, geom, case, params)):
             with pytest.raises(ValueError, match='NURBS weights'):
                 call()
+
+
+@pytest.mark.parametrize('degree', [1, 2, 3])
+def test_band_mask_is_the_band_operator_pattern(degree):
+    # the banded pattern read from ``first`` is the row pattern of the scipy operator,
+    # on the whole span list, on slabs of it and on a pinned face point, with repeated knots
+    rng = np.random.default_rng(degree)
+    inner = np.sort(np.concatenate((rng.uniform(0, 1, 6), [0.5] * degree)))
+    kv = KnotVector(np.concatenate(([0.0] * (degree + 1), inner, [1.0] * (degree + 1))), degree)
+    full = _batch._table(kv, _batch._span_rule(kv, degree + 1)[0])
+    tables = [full, _batch._Table(full.ders[2:5], full.first[2:5]),
+              _batch._table(kv, np.array([[1.0]]))]
+    for table in tables:
+        width = 2 * degree + 1
+        want = np.diff(_batch._band_operator(table, 0, 0).indptr).reshape(-1, width) > 0
+        assert np.array_equal(assembly._band_mask(table), want)
