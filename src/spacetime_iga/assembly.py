@@ -127,7 +127,7 @@ class NormMatrices:
 
 
 # Bytes of the scatter's pending (row, column, value) triplets: 524,288 of them
-# with 32-bit indices, more than any regression-sweep assembly has (419,904).
+# with 32-bit indices.
 _SCATTER_BYTES = 1 << 23
 
 
