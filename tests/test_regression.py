@@ -13,11 +13,15 @@ with ``A`` the reduced matrix and ``x`` the solution of that level, both
 1-norms estimated by ``onenormest`` (``A^-1`` applied through ``splu``).
 A change of the matrix's last bits, such as another summation order, moves
 the solution by up to that much; on the finest d = 1 levels the relative
-1e-10 alone is below it.  The energy error has no floor.
+1e-10 alone is below it.  The energy error has the same bound carried into
+the energy norm, ``energy_floor = l2_floor sqrt(sum_ij |N_ij|)`` with ``N``
+the level's norm matrix on the free dofs (``n_moving`` on a moving case,
+else ``n_fixed``): a coefficient error ``dx`` with ``||dx||_inf <= l2_floor``
+has ``dx^T N dx <= l2_floor^2 sum_ij |N_ij|``.
 
 The stored values change only with a deliberate change of the numbers;
 regenerate them with ``PYTHONPATH=src python tests/test_regression.py``.
-With ``--floors-only`` the script recomputes the floors alone and keeps
+With ``--floors-only`` the script recomputes both floors alone and keeps
 every stored error value as it is.
 """
 import json
@@ -31,8 +35,9 @@ import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 import spacetime_iga.harness as harness
-from spacetime_iga.assembly import StabilityWarning
+from spacetime_iga.assembly import StabilityWarning, assemble_norm_matrices
 from spacetime_iga.harness import CaseConfig, builtin_cases, run_case
+from spacetime_iga.tensor_space import classify_dirichlet
 
 DATA = os.path.join(os.path.dirname(__file__), 'data', 'regression.json')
 RTOL = 1e-10
@@ -66,13 +71,23 @@ def _forward_error_floor(matrix, x) -> float:
     return float(np.finfo(float).eps * kappa * np.abs(x).max())
 
 
-def _regenerate(config: CaseConfig) -> dict:
-    """:func:`_errors` plus each level's ``l2_floor``, from the systems ``run_case`` solves."""
-    floors, solve = [], harness._solve
+def _energy_scale(space, params, definition) -> float:
+    """``sqrt(sum_ij |N_ij|)`` of the level's energy-norm matrix on the free dofs."""
+    norms = assemble_norm_matrices(space, definition.geometry, params)
+    free = classify_dirichlet(space).free
+    matrix = norms.n_moving if definition.case.moving else norms.n_fixed
+    return float(np.sqrt(abs(matrix[free][:, free]).sum()))
 
-    def recording_solve(system, *args, **kwargs):
-        x, report = solve(system, *args, **kwargs)
+
+def _regenerate(config: CaseConfig) -> dict:
+    """:func:`_errors` plus each level's ``l2_floor`` and ``energy_floor``, from the systems
+    ``run_case`` solves."""
+    floors, energy_floors, solve = [], [], harness._solve
+
+    def recording_solve(system, config, space, params, definition):
+        x, report = solve(system, config, space, params, definition)
         floors.append(_forward_error_floor(system.matrix, x))
+        energy_floors.append(floors[-1] * _energy_scale(space, params, definition))
         return x, report
 
     harness._solve = recording_solve
@@ -80,7 +95,7 @@ def _regenerate(config: CaseConfig) -> dict:
         out = _errors(config)
     finally:
         harness._solve = solve
-    return {**out, 'l2_floor': floors}
+    return {**out, 'l2_floor': floors, 'energy_floor': energy_floors}
 
 
 SWEEPS = dict(_sweeps())
@@ -91,18 +106,19 @@ def test_errors_match_stored_values(key):
     with open(DATA) as fh:
         stored = json.load(fh)[key]
     got = _errors(SWEEPS[key])
-    assert got['levels'] == stored['levels'] == len(stored['l2_floor'])
-    for level, floor in enumerate(stored['l2_floor']):
-        assert_allclose(got['error_l2'][level], stored['error_l2'][level], rtol=RTOL,
-                        atol=floor, err_msg=f'L2 error, level {level}')
-    assert_allclose(got['error_energy'], stored['error_energy'], rtol=RTOL, atol=0.0)
+    assert (got['levels'] == stored['levels'] == len(stored['l2_floor'])
+            == len(stored['energy_floor']))
+    for level in range(got['levels']):
+        for norm in ('l2', 'energy'):
+            assert_allclose(got[f'error_{norm}'][level], stored[f'error_{norm}'][level], rtol=RTOL,
+                            atol=stored[f'{norm}_floor'][level], err_msg=f'{norm} error, level {level}')
 
 
 if __name__ == '__main__':
     out = {key: _regenerate(config) for key, config in SWEEPS.items()}
     if sys.argv[1:] == ['--floors-only']:
         with open(DATA) as fh:
-            out = {key: {**stored, 'l2_floor': out[key]['l2_floor']}
+            out = {key: {**stored, **{k: out[key][k] for k in ('l2_floor', 'energy_floor')}}
                    for key, stored in json.load(fh).items()}
     with open(DATA, 'w') as fh:
         json.dump(out, fh, indent=1)
