@@ -3,7 +3,8 @@
 Internal machinery shared by assembly, mesh metrics and postprocessing:
 univariate basis tables of every knot span (one array call of
 :func:`splines.eval_basis` per direction), iterated in two ways, each
-sized by one fixed byte budget.
+sized by one fixed byte budget.  A level's span rules, tables and band
+operators are built once, kept with its space (:func:`_memo`) and freed with it.
 
 Basis blocks (the norm matrices, the inverse-constant estimate, the element
 form kept as the assembly oracle) hold ``E`` elements with every active
@@ -16,13 +17,13 @@ Grid slabs (assembly, the boundary projection, the error integrals,
 mesh metrics) hold the global Gauss grid of whole time spans or of a face.  One
 kernel, :func:`_grid_field`, evaluates every field on it, the map and the
 discrete solution alike: the coefficient tensor is contracted with the
-univariate tables one direction at a time (sum factorization).  The Jacobian
-is inverted in closed form and one gradient per point is pulled back;
-:func:`_contract` reduces the slab's coefficient fields onto the banded pattern.
+univariate tables one direction at a time (sum factorization).  Grid arrays hold
+the points last, ``(k, dim, P)``: the slab's one adjugate works on contiguous rows,
+and :func:`_contract` reduces the slab's coefficient fields onto the banded pattern.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -60,23 +61,40 @@ class ElementBlock:
 @dataclass(frozen=True)
 class GridSlab:
     """The map, and optionally one field, at the ``P`` global Gauss points of a slab of time
-    spans (or of a face), C order with direction 0 slowest."""
+    spans (or of a face), C order with direction 0 slowest, points last."""
 
     tables: list              # the slab's univariate tables of the solution space
-    x: np.ndarray             # (P, dim) physical points
+    x: np.ndarray             # (dim, P) physical points
     w: np.ndarray             # (P,) weights incl. det J (volume) or surface metric (face)
-    jac: np.ndarray           # (P, dim, dim)
-    hess: np.ndarray | None   # (P, dim, dim, dim) map Hessian, H[k, a, b]
+    jac: np.ndarray           # (dim, dim, P), J[k, a] = d x_k / d xi_a
+    adj: np.ndarray           # (dim, dim, P) adjugate of J; adj / det is J^-1
+    det: np.ndarray           # (P,) det J
+    hess: np.ndarray | None   # (dim, dim, dim, P) map Hessian, H[k, a, b]
     val: np.ndarray | None    # (P,) field values
-    grad: np.ndarray | None   # (P, dim) physical field gradient
+    grad: np.ndarray | None   # (dim, P) physical field gradient
 
 
 @dataclass(frozen=True)
 class _Table:
-    """Univariate rows of one direction, one table row per node row."""
+    """Univariate rows of one direction, one table row per node row, read-only."""
 
     ders: np.ndarray         # (ns, q, 3, p+1)
     first: np.ndarray        # (ns,) first active univariate index
+    built: dict = field(default_factory=dict, repr=False, compare=False)   # windows, operators
+
+
+def _memo(store: dict, key, build):
+    """``store[key]``, from ``build()`` on first use: a space's rules and tables, a table's slab
+    windows and band operators, so nothing outlives its level."""
+    if key not in store:
+        store[key] = build()
+    return store[key]
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _table(kv: KnotVector, nodes: np.ndarray) -> _Table:
@@ -85,14 +103,19 @@ def _table(kv: KnotVector, nodes: np.ndarray) -> _Table:
     row_first = find_span(kv, 0.5 * (nodes[:, 0] + nodes[:, -1])) - kv.degree
     if np.any(first != row_first[:, None]):
         raise ValueError('solution spans must refine geometry spans')
-    return _Table(ders, row_first)
+    return _Table(*_read_only(ders, row_first))
 
 
 def _span_rule(kv: KnotVector, n: int):
     """Nodes and weights ``(ns, n)`` of the ``n``-point Gauss rule on every span of ``kv``."""
     nodes, weights = gauss_1d(n)
     lengths = np.diff(kv.spans, axis=1)
-    return kv.spans[:, :1] + lengths * nodes[None, :], lengths * weights[None, :]
+    return _read_only(kv.spans[:, :1] + lengths * nodes[None, :], lengths * weights[None, :])
+
+
+def _knots(kv: KnotVector) -> tuple:
+    """A cache key of ``kv``: its degree and knots, so equal sizes with other knots differ."""
+    return kv.degree, kv.knots.tobytes()
 
 
 def _rows(tables, multi):
@@ -109,9 +132,9 @@ def _grid_field(space: DiscreteSpace, tables, coefficients: np.ndarray, need: in
     slot takes each span's rows ``(q, p + 1)`` times the coefficients of its ``p + 1`` active
     functions, and each direction splits slots of higher order off those of lower order.  On
     a NURBS space the weights ride along as one more component and the quotient rule is
-    applied at the end.  Returns values ``(P, k)``, gradients ``(P, k, dim)`` for ``need >= 1``
-    and Hessians ``(P, k, dim, dim)`` for ``need = 2`` (else None) at the ``P`` grid points,
-    C order with direction 0 slowest.
+    applied at the end.  Returns values ``(k, P)``, gradients ``(k, dim, P)`` for ``need >= 1``
+    and Hessians ``(k, dim, dim, P)`` for ``need = 2`` (else None) at the ``P`` grid points,
+    C order with direction 0 slowest: points last, each slot written in place as rows.
     """
     nd = space.ndim
     if space.weights is not None:
@@ -133,56 +156,61 @@ def _grid_field(space: DiscreteSpace, tables, coefficients: np.ndarray, need: in
                 contracted[(o, *key)] = np.matmul(t.ders[:, :, o], local).reshape(ns * q, -1)
         slots = contracted
 
-    def at(*dirs):  # the slot differentiated once in each of ``dirs``, as (P, k)
-        return slots[tuple(np.bincount(dirs, minlength=nd))].reshape(-1, k)
-    val = at()
-    grad = np.stack([at(a) for a in range(nd)], axis=-1) if need >= 1 else None
-    hess = (np.stack([np.stack([at(a, b) for b in range(nd)], -1) for a in range(nd)], -2)
-            if need >= 2 else None)
+    size = slots[(0,) * nd].size // k
+    fields = [np.empty((k, *(nd,) * o, size)) for o in range(need + 1)] + [None] * (2 - need)
+    for o in range(need + 1):
+        for dirs in np.ndindex(*(nd,) * o):   # the slot differentiated once in each of ``dirs``
+            slot = slots[tuple(np.bincount(dirs, minlength=nd))]
+            fields[o][(slice(None), *dirs)] = slot.reshape(-1, k).T
     if space.weights is not None:   # the fields over the weight component
-        split = [(None, None) if d is None else (d[:, :-1], d[:, -1:]) for d in (val, grad, hess)]
-        val, grad, hess = _quotient(*zip(*split))
-    return val, grad, hess
+        split = [(None, None) if d is None else (d[:-1], d[-1:]) for d in fields]
+        fields = _quotient(*zip(*split), axis=1)
+    return tuple(fields)
 
 
 def _band_operator(table: _Table, test: int, trial: int | None = None) -> sp.csr_matrix:
     """One direction's points (columns) onto its functions from ``table.first[0]``: row ``i``
     holds derivative ``test`` of function ``i``, or with ``trial`` row ``i * (2p + 1) + o``
-    its product with derivative ``trial`` of function ``i + o - p``, the banded pattern."""
+    its product with derivative ``trial`` of function ``i + o - p``, the banded pattern.
+    Built compressed: the (span, functions) entries sorted by row and span bring their
+    span's points, so every row lists its columns in order, as a COO-to-CSR would."""
     ns, q, _, m = table.ders.shape
-    own = (table.first - table.first[0])[:, None, None] + np.arange(m)     # (ns, 1, m)
-    rows, vals, cols = own, table.ders[:, :, test, :], np.arange(ns * q).reshape(ns, q, 1)
-    width = 1 if trial is None else 2 * m - 1
+    own = (table.first - table.first[0])[:, None] + np.arange(m)           # (ns, m)
+    rows, vals, width = own, table.ders[:, :, test, :].transpose(0, 2, 1), 1   # (ns, m, q)
     if trial is not None:
+        width = 2 * m - 1
         rows = own[..., None] * width + (np.arange(m) - np.arange(m)[:, None] + m - 1)
-        vals, cols = vals[..., None] * table.ders[:, :, trial, None, :], cols[..., None]
-    rows, cols, vals = np.broadcast_arrays(rows, cols, vals)
-    return sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
-                         shape=((own[-1, 0, -1] + 1) * width, ns * q))
+        vals = (table.ders[:, :, test, :, None] * table.ders[:, :, trial, None, :]).transpose(0, 2, 3, 1)
+    rows = rows.ravel()
+    span = np.repeat(np.arange(ns), rows.size // ns)
+    order = np.lexsort((span, rows))
+    n_rows = (own[-1, -1] + 1) * width
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows) * q)))
+    indices = (q * span[order, None] + np.arange(q)).ravel()
+    return sp.csr_matrix((vals.reshape(-1, q)[order].ravel(), indices, indptr),
+                         shape=(n_rows, ns * q))
 
 
-def _contract(terms: dict, tables, cache: dict):
+def _contract(terms: dict, tables):
     """``sum_key (U_0 x ... x U_last)(key) field`` by sum factorization, or None without terms:
-    each key holds a ``(test[, trial])`` entry per direction, contracted by its
+    each key holds a ``(test[, trial])`` entry per direction, contracted by the table's
     :func:`_band_operator`, the first direction first, once per group of terms that agree in
-    the later ones.  ``cache`` keeps all but the last direction's operators."""
+    the later ones."""
     last = len(tables) - 1
     for a, table in enumerate(tables):
         summed = {}
-        for key, field in terms.items():
-            if a == last or (a, key[0]) not in cache:
-                cache[a, key[0]] = _band_operator(table, *key[0])
-            op = cache[a, key[0]]
-            summed[key[1:]] = summed.get(key[1:], 0) + op @ field.reshape(op.shape[1], -1)
+        for key, values in terms.items():
+            op = _memo(table.built, key[0], lambda: _band_operator(table, *key[0]))
+            summed[key[1:]] = summed.get(key[1:], 0) + op @ values.reshape(op.shape[1], -1)
         terms = summed if a == last else {k: np.ascontiguousarray(v.T) for k, v in summed.items()}
     return terms.get(())
 
 
-def _face_measure(J: np.ndarray, face_dir: int) -> np.ndarray:
-    """Surface measure ``sqrt(det G^T G)`` of a face, ``G`` the Jacobians ``(..., dim, dim)``
-    without column ``face_dir``."""
-    G = np.delete(J, face_dir, axis=-1)
-    return np.sqrt(np.linalg.det(np.einsum('...ka,...kb->...ab', G, G)))
+def _face_measure(adj: np.ndarray, face_dir: int) -> np.ndarray:
+    """Surface measure ``sqrt(det G^T G)`` of a face, ``G`` the Jacobian without column
+    ``face_dir``, in closed form: by Cauchy-Binet it is the norm of row ``face_dir`` of the
+    adjugate ``(dim, dim, ...)``, the cofactors of that column."""
+    return np.sqrt((adj[face_dir] ** 2).sum(axis=0))
 
 
 def at_points(f, x: np.ndarray) -> np.ndarray:
@@ -195,8 +223,8 @@ class ElementBatcher:
     """Iterates blocks of elements, or slabs of the Gauss grid, of a space under a geometry map.
 
     ``orders`` are univariate quadrature point counts, defaulting to
-    ``degree + 1``.  :meth:`blocks` yields :class:`ElementBlock` with
-    physical points, weighted measures and pulled-back basis derivatives
+    ``degree + 1``; rules and tables come from the space's store.  :meth:`blocks` yields
+    :class:`ElementBlock` with physical points, weighted measures and pulled-back basis derivatives
     up to the requested order (0 = values, 1 = +gradients, 2 = +Hessians);
     :meth:`grid_slabs` yields :class:`GridSlab` with the map and one field
     on the global Gauss grid.  Both take ``face = (fixed_dir, side)`` to run
@@ -219,10 +247,11 @@ class ElementBatcher:
         self._tables = []
         self._geo_tables = []
         for kv, kvg, o in zip(space.knot_vectors, geom.space.knot_vectors, self.orders):
-            nodes, weights = _span_rule(kv, o)
+            store, key = space._univariate, (o, *_knots(kv))
+            nodes, weights = _memo(store, key, lambda: _span_rule(kv, o))
             self._weights.append(weights)
-            self._tables.append(_table(kv, nodes))
-            self._geo_tables.append(_table(kvg, nodes))
+            for tables, k in ((self._tables, kv), (self._geo_tables, kvg)):
+                tables.append(_memo(store, key + _knots(k), lambda: _table(k, nodes)))
 
     def _tables_for(self, face):
         """Solution and geometry tables and the pinned direction of the volume
@@ -233,8 +262,10 @@ class ElementBatcher:
         pinned = np.array([[float(side)]])
         tables = list(self._tables)
         geo_tables = list(self._geo_tables)
-        tables[fixed_dir] = _table(self.space.knot_vectors[fixed_dir], pinned)
-        geo_tables[fixed_dir] = _table(self.geom.space.knot_vectors[fixed_dir], pinned)
+        for t, k in ((tables, self.space.knot_vectors[fixed_dir]),
+                     (geo_tables, self.geom.space.knot_vectors[fixed_dir])):
+            t[fixed_dir] = _memo(self.space._univariate, ('face', side, *_knots(k)),
+                                 lambda: _table(k, pinned))
         return tables, geo_tables, fixed_dir
 
     def blocks(self, need: int = 2, face=None):
@@ -273,7 +304,8 @@ class ElementBatcher:
             else:
                 x, J, det, Hg = eval_geometry(self.geom, *_rows(geo_tables, multi),
                                               need=2 if need >= 2 else 1)
-                w = w * (det if face_dir is None else _face_measure(J, face_dir))
+                w = w * (det if face_dir is None else
+                         _face_measure(_adjugate(J.transpose(2, 3, 0, 1))[0], face_dir))
                 if need >= 1:
                     grad, hess = pullback_derivatives(
                         J.reshape(E * q, nd, nd), grad.reshape(E * q, m, nd),
@@ -288,9 +320,10 @@ class ElementBatcher:
 
         A slab takes as many whole time spans as fit the byte budget; ``face = (fixed_dir,
         side)`` runs over a boundary face instead, weighted by its surface measure.  The map
-        comes with its Jacobian and, for ``need = 2``, its Hessian; the field ``coefficients``
-        ``(space.dim,)`` with its values and, for ``need >= 1``, its physical gradient, pulled
-        back by the closed-form inverse Jacobian.  Raises ``SingularGeometryError`` unless
+        comes with its Jacobian, adjugate and determinant (one :func:`_adjugate` per slab)
+        and, for ``need = 2``, its Hessian; the field ``coefficients`` ``(space.dim,)`` with its
+        values and, for ``need >= 1``, its physical gradient, pulled back by the adjugate.  All
+        arrays are points last (:class:`GridSlab`).  Raises ``SingularGeometryError`` unless
         ``det J > 0`` at every point.
         """
         nd = self.nd
@@ -300,19 +333,21 @@ class ElementBatcher:
         per_span = int(np.prod(spans[:-1] + points))
         step = max(1, _BLOCK_BYTES // (8 * (nd + 1) ** 3 * per_span))
         for start in range(0, spans[-1], step):
-            time = slice(start, start + step)
-            slab, geo_slab = ([*t[:-1], _Table(t[-1].ders[time], t[-1].first[time])]
+            stop = min(start + step, spans[-1])
+            slab, geo_slab = ([*t[:-1], t[-1] if step >= spans[-1] else _memo(
+                t[-1].built, range(start, stop), lambda: _Table(t[-1].ders[start:stop],
+                                                           t[-1].first[start:stop]))]
                               for t in (tables, geo_tables))
             x, J, H = _grid_field(self.geom.space, geo_slab, self.geom.control_points, max(need, 1))
             adj, det = _adjugate(J)
-            _require_orientation(det, x)
-            w = reduce(np.multiply.outer, [v.ravel() for v in (*weights[:-1], weights[-1][time])])
-            w = w.ravel() * (det if face_dir is None else _face_measure(J, face_dir))
+            _require_orientation(det, x.T)
+            w = reduce(np.multiply.outer, [v.ravel() for v in (*weights[:-1], weights[-1][start:stop])])
+            w = w.ravel() * (det if face_dir is None else _face_measure(adj, face_dir))
             val = grad = None
             if coefficients is not None:
                 val, grad, _ = _grid_field(self.space, slab, coefficients[:, None], min(need, 1))
-                val = val[:, 0]
+                val = val[0]
                 if grad is not None:
-                    # grad_x u = J^{-T} grad_xi u, one vector per point
-                    grad = np.einsum('pa,paj->pj', grad[:, 0], adj) / det[:, None]
-            yield GridSlab(slab, x, w, J, H, val, grad)
+                    # grad_x u = J^{-T} grad_xi u = adj^T grad_xi u / det, one row per component
+                    grad = (grad[0][:, None] * adj).sum(axis=0) / det
+            yield GridSlab(slab, x, w, J, adj, det, H, val, grad)

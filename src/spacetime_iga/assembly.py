@@ -34,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._batch import ElementBatcher, _contract, at_points
-from .geometry import GeometryMap, _adjugate
+from .geometry import GeometryMap
 from .tensor_space import DiscreteSpace, DofMap, dirichlet_faces
 
 __all__ = [
@@ -246,8 +246,8 @@ def _add(terms: dict, c: np.ndarray, *orders):
 
 def _grid_terms(x, w, inv, hess, th: float, moving: bool, f=None):
     """``(matrix, load)`` coefficient fields of a grid slab, or of the terminal face term alone
-    (no ``f``).  With ``g = J^-1[:, d]``, ``K = J^-1[:, :d] J^-1[:, :d]^T`` and parameter
-    derivatives, ``dt u = g . grad u``, ``grad_x u . grad_x v = grad v . K grad u`` and, by
+    (no ``f``, no ``hess``), from its points-last arrays.  With ``g = J^-1[:, d]``,
+    ``K = J^-1[:, :d] J^-1[:, :d]^T`` and parameter derivatives, ``dt u = g . grad u``, ``grad_x u . grad_x v = grad v . K grad u`` and, by
     the chain rule of :func:`pullback_derivatives`, ``dt grad_x u . grad_x v =
     K[b, a] g[e] d_b v d_ae u - S[b, m] d_b v d_m u``, ``S`` from the map's Hessian."""
     nd = inv.shape[0]
@@ -258,7 +258,7 @@ def _grid_terms(x, w, inv, hess, th: float, moving: bool, f=None):
     if f is None:
         return {tuple(zip(unit[a], unit[b])): th * w * K[a, b]
                 for a, b in np.ndindex(nd, nd) if np.any(K[a, b])}, load
-    fw = w * f(x)
+    fw = w * f(x.T)
     # S[e, m] = J^-1[e, c] J^-1[m, k] H[k, a, b] J^-1[a, c] g[b], summed over c, k, a, b
     Hc = ((hess * g).sum(axis=2)[:, :, None] * inv[None, :, :d]).sum(axis=1)
     S = th * w * (spatial * (inv[:, :, None] * Hc).sum(axis=1)).sum(axis=2)
@@ -297,10 +297,10 @@ def _banded_system(batcher: ElementBatcher, directions, slabs):
     p = np.array(batcher.space.degrees)[directions]
     dims, widths = np.array(batcher.space.dims)[directions], 2 * p + 1
     band = np.zeros((dims[-1] * widths[-1], int(np.prod(dims[:-1] * widths[:-1]))))
-    rhs, cache = np.zeros((dims[-1], int(np.prod(dims[:-1])))), {}
+    rhs = np.zeros((dims[-1], int(np.prod(dims[:-1]))))
     for terms, slab in slabs:
         for target, w, fields in zip((band, rhs), (widths[-1], 1), terms):
-            out = _contract(fields, slab, cache)
+            out = _contract(fields, slab)
             if out is not None:
                 start = slab[-1].first[0] * w
                 target[start:start + out.shape[0]] += out.reshape(-1, target.shape[1])
@@ -321,16 +321,14 @@ def _banded_system(batcher: ElementBatcher, directions, slabs):
 
 def _assemble_grid(space, geom, case, params, orders, moving) -> LinearSystem:
     """Both forms by sum factorization (:func:`_banded_system`) over the volume's
-    slabs, and for the moving form the terminal face as one more."""
+    slabs, and for the moving form the terminal face as one more; each slab brings its
+    points-last ``J^-1`` (its one adjugate over ``det J``) and map Hessian."""
     th, nd = params.theta * params.h, space.ndim
     batcher = ElementBatcher(space, geom, orders)
-    terminal = batcher.grid_slabs(need=2, face=(nd - 1, 1)) if moving else ()
+    terminal = batcher.grid_slabs(need=1, face=(nd - 1, 1)) if moving else ()
 
     def fields(s, f):
-        adj, det = _adjugate(s.jac)
-        grid = [s.x, s.w, *(np.ascontiguousarray(np.moveaxis(a, 0, -1))     # J^-1, H points last
-                            for a in (adj / det[:, None, None], s.hess))]
-        return _grid_terms(*grid, th, moving, f), s.tables
+        return _grid_terms(s.x, s.w, s.adj / s.det, s.hess, th, moving, f), s.tables
     slabs = chain((fields(s, case.f) for s in batcher.grid_slabs(need=2)),
                   (fields(s, None) for s in terminal))
     return LinearSystem(*_banded_system(batcher, list(range(nd)), slabs))
@@ -403,7 +401,7 @@ def _face_system(batcher: ElementBatcher, g, face) -> LinearSystem:
     def fields(s):
         value = s.tables[a].ders[0, 0, 0, -1 if side else 0]      # that function's trace
         return ({((0, 0),) * len(free): value**2 * s.w},
-                {((0,),) * len(free): value * s.w * g(s.x)}), [s.tables[b] for b in free]
+                {((0,),) * len(free): value * s.w * g(s.x.T)}), [s.tables[b] for b in free]
     mass, load = _banded_system(batcher, free, map(fields, batcher.grid_slabs(need=0, face=face)))
     on_face = np.arange(space.dim) // space.strides[a] % space.dims[a] == side * (space.dims[a] - 1)
     dofs = np.flatnonzero(on_face)                      # in the face's own order

@@ -123,7 +123,7 @@ def eval_geometry(geom: GeometryMap, rows, firsts, need: int):
     if need < 1:
         return x, None, None, None
     J = np.einsum('eqma,emk->eqka', grad, P)
-    det = _adjugate(J)[1]
+    det = _adjugate(J.transpose(2, 3, 0, 1))[1]
     _require_orientation(det, x)
     H = np.einsum('eqmab,emk->eqkab', hess, P) if need >= 2 else None
     return x, J, det, H
@@ -164,34 +164,37 @@ def hessian(geom: GeometryMap, xi) -> np.ndarray:
 
 
 def _adjugate(jac: np.ndarray):
-    """Adjugates and determinants of square matrices ``jac`` ``(..., n, n)``.
+    """Adjugates and determinants of square matrices ``jac`` ``(n, n, ...)``, points last.
 
-    In closed form from the cofactors for ``n`` = 2 and 3 (d = 1 and 2);
-    larger matrices go through LAPACK.  ``adj / det`` is the inverse.
-    """
-    n = jac.shape[-1]
+    In closed form from the cofactors for ``n`` = 2 and 3 (d = 1 and 2), each entry written in
+    place as one row; larger ``n`` through LAPACK.  ``adj / det`` is the inverse.  Grid slabs
+    call it once per slab, the element path on transposed views."""
+    n, adj = jac.shape[0], np.empty(jac.shape)
     if n == 2:
-        (a, b), (c, d) = np.moveaxis(jac, (-2, -1), (0, 1))
-        return np.stack([d, -b, -c, a], axis=-1).reshape(jac.shape), a * d - b * c
+        (a, b), (c, d) = jac
+        adj[0, 0], adj[0, 1], adj[1, 0], adj[1, 1] = d, -b, -c, a
+        return adj, a * d - b * c
     if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = np.moveaxis(jac, (-2, -1), (0, 1))
-        adj = np.stack([e * i - f * h, c * h - b * i, b * f - c * e,
-                        f * g - d * i, a * i - c * g, c * d - a * f,
-                        d * h - e * g, b * g - a * h, a * e - b * d], axis=-1).reshape(jac.shape)
-        return adj, a * adj[..., 0, 0] + b * adj[..., 1, 0] + c * adj[..., 2, 0]
-    det = np.linalg.det(jac)
-    return np.linalg.inv(jac) * det[..., None, None], det
+        (a, b, c), (d, e, f), (g, h, i) = jac
+        for row, (x, y, u, v) in zip(adj.reshape(9, *jac.shape[2:]), (
+                (e, i, f, h), (c, h, b, i), (b, f, c, e), (f, g, d, i), (a, i, c, g),
+                (c, d, a, f), (d, h, e, g), (b, g, a, h), (a, e, b, d))):
+            np.subtract(x * y, u * v, out=row)
+        return adj, a * adj[0, 0] + b * adj[1, 0] + c * adj[2, 0]
+    mats = np.moveaxis(jac, (0, 1), (-2, -1))
+    det = np.linalg.det(mats)
+    return np.moveaxis(np.linalg.inv(mats) * det[..., None, None], (-2, -1), (0, 1)), det
 
 
 def _largest_eigenvalue(s: np.ndarray) -> np.ndarray:
-    """Largest eigenvalues of symmetric ``s`` ``(..., n, n)``: in closed form for ``n`` = 2,
-    by the trigonometric formula for 3 and by LAPACK for larger ``n``."""
-    if s.shape[-1] == 2:
-        half = 0.5 * (s[..., 0, 0] - s[..., 1, 1])
-        return s[..., 1, 1] + half + np.hypot(half, s[..., 0, 1])
-    if s.shape[-1] != 3:
-        return np.linalg.eigvalsh(s)[..., -1]
-    (a, d, e), (_, b, f), (_, _, c) = np.moveaxis(s, (-2, -1), (0, 1))
+    """Largest eigenvalues of symmetric ``s`` ``(n, n, ...)``, points last: in closed form for
+    ``n`` = 2, by the trigonometric formula for 3 and by LAPACK for larger ``n``."""
+    if s.shape[0] == 2:
+        half = 0.5 * (s[0, 0] - s[1, 1])
+        return s[1, 1] + half + np.hypot(half, s[0, 1])
+    if s.shape[0] != 3:
+        return np.linalg.eigvalsh(np.moveaxis(s, (0, 1), (-2, -1)))[..., -1]
+    (a, d, e), (_, b, f), (_, _, c) = s
     q = (a + b + c) / 3
     a, b, c = a - q, b - q, c - q
     p = np.sqrt((a * a + b * b + c * c + 2 * (d * d + e * e + f * f)) / 6)
@@ -213,12 +216,11 @@ def _largest_eigenvalue(s: np.ndarray) -> np.ndarray:
     with np.errstate(invalid='ignore'):     # v = 0 only at a multiple of I
         x, y, z = (v / np.copysign(np.sqrt((v * v).sum(axis=1)), v[:, 2])[:, None]).T  # z >= 0
     h = 1.0 / (1.0 + z)
-    plane = np.stack((1 - x * x * h, -x * y * h, -x, -x * y * h, 1 - y * y * h, -y),
-                     axis=1).reshape(-1, 2, 3)
-    lam[near] = _largest_eigenvalue(plane @ s[near] @ plane.transpose(0, 2, 1))
+    plane = np.array([[1 - x * x * h, -x * y * h, -x], [-x * y * h, 1 - y * y * h, -y]])
+    lam[near] = _largest_eigenvalue(np.einsum('ikp,klp,jlp->ijp', plane, s[:, :, near], plane))
     # LAPACK where the formula fails: at a multiple of I (p = 0, r is nan)
     bad = ~np.isfinite(lam)
-    lam[bad] = np.linalg.eigvalsh(s[bad])[..., -1]
+    lam[bad] = np.linalg.eigvalsh(np.moveaxis(s[:, :, bad], -1, 0))[..., -1]
     return lam
 
 
@@ -251,12 +253,12 @@ def pullback_derivatives(jac, grads, hessians=None, hess_geom=None):
     -------
     (grads_phys, hess_phys or None)
     """
-    adj, det = _adjugate(jac)
+    adj, det = _adjugate(jac.transpose(1, 2, 0))
     bad = ~np.isfinite(det) | (det == 0.0)
     if bad.any():
         k = int(np.argmax(bad))
         raise SingularGeometryError(f'singular Jacobian: determinant {det[k]:.6g} at point {k}')
-    Jinv = adj / det[:, None, None]
+    Jinv = np.ascontiguousarray((adj / det).transpose(2, 0, 1))
     g = np.matmul(np.transpose(Jinv, (0, 2, 1)), np.transpose(grads, (0, 2, 1))).transpose(0, 2, 1)
     if hessians is None:
         return g, None
@@ -290,10 +292,8 @@ def mesh_metrics(geom: GeometryMap, space: DiscreteSpace, orders=None) -> Physic
     h_param = np.sqrt(sum(s**2 for s in sides)).ravel()
     norms = []
     for s in ElementBatcher(space, geom, orders).grid_slabs():
-        # ||J||_2 is the root of the largest eigenvalue of J^T J; the batched
-        # product runs about twice as fast with J^T contiguous
-        jt = np.ascontiguousarray(np.swapaxes(s.jac, 1, 2))
-        norm = np.sqrt(_largest_eigenvalue(jt @ s.jac))
+        # ||J||_2 is the root of the largest eigenvalue of J^T J, one row per entry
+        norm = np.sqrt(_largest_eigenvalue(np.einsum('kap,kbp->abp', s.jac, s.jac)))
         grid = [n for t in s.tables for n in (t.first.size, t.ders.shape[1])]
         norms.append(norm.reshape(grid).max(axis=tuple(range(1, 2 * nd, 2))))
     return PhysicalMesh(h_param, np.concatenate(norms, axis=-1).ravel() * h_param)

@@ -230,14 +230,13 @@ def _check_time_is_tau(gmap: GeometryMap):
     fails at its first level."""
     kvs = gmap.space.knot_vectors
     nodes = [_span_rule(kv, kv.degree + 2)[0] for kv in kvs]
-    x = _grid_field(gmap.space, [_table(kv, n) for kv, n in zip(kvs, nodes)],
-                    gmap.control_points, 0)[0]
-    xi = np.stack(np.meshgrid(*[n.ravel() for n in nodes], indexing='ij'), axis=-1)
-    xi = xi.reshape(-1, len(kvs))
-    gap = x[:, -1] - xi[:, -1]
+    t = _grid_field(gmap.space, [_table(kv, n) for kv, n in zip(kvs, nodes)],
+                    gmap.control_points, 0)[0][-1]
+    xi = np.meshgrid(*[n.ravel() for n in nodes], indexing='ij')     # one grid per direction
+    gap = t - xi[-1].ravel()
     k = int(np.argmax(np.abs(gap)))
     if abs(gap[k]) > 1e-12:
-        where = ', '.join(f'{c:.6g}' for c in xi[k])
+        where = ', '.join(f'{c.flat[k]:.6g}' for c in xi)
         raise ValueError(f'custom geometry must keep t = tau, but t - tau = {gap[k]:.6g} '
                          f'at parameter point ({where})')
 
@@ -397,13 +396,21 @@ def _print_report(report: ConvergenceReport):
 # ---------------------------------------------------------------------------
 # verification suite
 
+def _roundoff(value: float, threshold: float) -> str:
+    """``value`` and its ``threshold``, a passing value as the power of ten at or above it,
+    at least 1e-15 (4.5 unit round-offs): reordered sums keep the text.  A failure shows digits."""
+    bound = max(1e-15, 10.0 ** np.ceil(np.log10(max(value, 1e-300))))
+    shown = f'<= {bound:.0e}' if value < threshold else f'{value:.2e}'
+    return f'{shown} (threshold {threshold:.0e})'
+
+
 def _check_partition_of_unity():
     rng = np.random.default_rng(7)
     kv = KnotVector(np.array([0, 0, 0, 0.2, 0.5, 0.5, 0.8, 1, 1, 1.]), 2)
     sums = eval_basis(kv, rng.uniform(0.0, 1.0, 500))[1].sum(axis=2)
     worst = float(max(np.abs(sums[:, 0] - 1.0).max(), np.abs(sums[:, 1]).max() * 1e-3,
                       np.abs(sums[:, 2]).max() * 1e-6))
-    return worst < 1e-12, f'max deviation {worst:.2e}'
+    return worst < 1e-12, f'max deviation {_roundoff(worst, 1e-12)}'
 
 
 def _check_quadrature():
@@ -413,7 +420,7 @@ def _check_quadrature():
         for k in range(2 * n):
             val = float(weights @ nodes ** k)
             worst = max(worst, abs(val - 1.0 / (k + 1)))
-    return worst < 1e-14, f'max monomial defect {worst:.2e}'
+    return worst < 1e-14, f'max monomial defect {_roundoff(worst, 1e-14)}'
 
 
 def _check_geometry_derivatives():
@@ -518,12 +525,12 @@ def assembly_paths_gap(space, geom, case, params, orders=None, moving=False) -> 
 def _check_coercivity_identity(theta_skew: float):
     worst = max(coercivity_identity_defect(*combo, theta_skew)
                 for combo in (('fixed-1d', 1, 2), ('fixed-1d', 2, 2), ('fixed-2d', 1, 1)))
-    return worst < 1e-10, f'max relative defect {worst:.2e}'
+    return worst < 1e-10, f'max relative defect {_roundoff(worst, 1e-10)}'
 
 
 def _check_forms_agree():
     worst = fixed_forms_gap('fixed-1d', 2, 2)
-    return worst < 1e-12, f'max entry difference {worst:.2e}'
+    return worst < 1e-12, f'max entry difference {_roundoff(worst, 1e-12)}'
 
 
 def _check_solvers_agree():
@@ -551,7 +558,8 @@ def _check_solvers_agree():
         gap = float(np.linalg.norm(xd - xs) / np.linalg.norm(xd))
         worst = max(worst, gap)
         methods_ok &= report.method == method
-        details.append(f'{name} p{degree} L{level}: {report.method} relative gap {gap:.2e}, '
+        details.append(f'{name} p{degree} L{level}: {report.method} relative gap '
+                       f'{_roundoff(gap, 1e-8)}, '
                        f'{report.iterations} iterations')
     return methods_ok and worst < 1e-8, '; '.join(details)
 
@@ -598,7 +606,7 @@ def _check_assembly_paths():
                 for name, level in (('moving-curvi-2d', 1), ('fixed-2d', 1), ('moving-curvi-1d', 2))
                 for c in [builtin_cases()[name]]
                 for space in [solution_space(c.geometry, 2, level)] for moving in (False, True))
-    return worst <= 1e-13, f'max relative gap {worst:.2e}'
+    return worst <= 1e-13, f'max relative gap {_roundoff(worst, 1e-13)}'
 
 
 def run_verification(theta_skew: float = 1.0, stream=None) -> bool:

@@ -59,7 +59,7 @@ def error_l2(field: DiscreteField, case: ManufacturedCase, orders=None) -> float
     batcher = ElementBatcher(field.space, field.geom, _error_orders(field.space, orders))
     total = 0.0
     for s in batcher.grid_slabs(need=0, coefficients=field.coefficients):
-        total += float(np.sum(s.w * (s.val - case.u(s.x)) ** 2))
+        total += float(np.sum(s.w * (s.val - case.u(s.x.T)) ** 2))
     return np.sqrt(total)
 
 
@@ -80,14 +80,13 @@ def error_energy(field: DiscreteField, case: ManufacturedCase, params: SchemePar
     batcher = ElementBatcher(field.space, field.geom, _error_orders(field.space, orders))
     total = 0.0
     for s in batcher.grid_slabs(coefficients=c):
-        e_gx = s.grad[:, :d] - case.grad_u(s.x)
-        e_t = s.grad[:, d] - case.u_t(s.x)
-        total += float(np.sum(s.w * ((e_gx**2).sum(axis=1) + th * e_t**2)))
+        e_gx, e_t = s.grad[:d] - case.grad_u(s.x.T).T, s.grad[d] - case.u_t(s.x.T)
+        total += float(np.sum(s.w * ((e_gx**2).sum(axis=0) + th * e_t**2)))
     for s in batcher.grid_slabs(need=1 if moving else 0, coefficients=c, face=(d, 1)):
-        total += 0.5 * float(np.sum(s.w * (s.val - case.u(s.x)) ** 2))
+        total += 0.5 * float(np.sum(s.w * (s.val - case.u(s.x.T)) ** 2))
         if moving:
-            e_gx = s.grad[:, :d] - case.grad_u(s.x)
-            total += th * float(np.sum(s.w * (e_gx**2).sum(axis=1)))
+            e_gx = s.grad[:d] - case.grad_u(s.x.T).T
+            total += th * float(np.sum(s.w * (e_gx**2).sum(axis=0)))
     return np.sqrt(total)
 
 

@@ -8,7 +8,7 @@ fastest, so ``flat = i0 + n0 * (i1 + n1 * i2)``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,6 +40,8 @@ class DiscreteSpace:
 
     knot_vectors: tuple
     weights: np.ndarray | None = None
+    # the level's span rules and basis tables (``_batch._memo``), freed with the space
+    _univariate: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, 'knot_vectors', tuple(self.knot_vectors))
@@ -130,20 +132,25 @@ def _combine(rows, sig) -> np.ndarray:
     return out
 
 
-def _quotient(num, den):
+def _quotient(num, den, axis=None):
     """The quotient rule through second order: value, gradient and Hessian of ``a / W`` from
-    ``num = (a, a', a'')`` and ``den = (W, W', W'')``, derivative axes last and broadcasting;
-    a derivative that is None in ``num`` is None in the result."""
+    ``num = (a, a', a'')`` and ``den = (W, W', W'')``, broadcasting, with the derivative axes
+    last or, for points-last grid fields, from ``axis`` on; a derivative that is None in
+    ``num`` is None in the result."""
     (a, ag, ah), (W, Wg, Wh) = num, den
+    at = a.ndim if axis is None else axis
+
+    def e(x, *offsets):   # ``x`` with new derivative axes at ``offsets`` past ``at``
+        return np.expand_dims(x, tuple(at + k for k in offsets))
     r = a / W
     rg = rh = None
     if ag is not None:
-        rg = (ag - r[..., None] * Wg) / W[..., None]
+        rg = (ag - e(r, 0) * Wg) / e(W, 0)
     if ah is not None:
         rh = (ah
-              - rg[..., :, None] * Wg[..., None, :]
-              - rg[..., None, :] * Wg[..., :, None]
-              - r[..., None, None] * Wh) / W[..., None, None]
+              - e(rg, 1) * e(Wg, 0)
+              - e(rg, 0) * e(Wg, 1)
+              - e(r, 0, 1) * Wh) / e(W, 0, 1)
     return r, rg, rh
 
 

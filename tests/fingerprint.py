@@ -21,9 +21,16 @@ own and compares the two outputs::
     PYTHONPATH=<parent checkout>/src python tests/fingerprint.py > before.txt
     diff before.txt after.txt
 
-Sweep keys given as arguments restrict the run to those sweeps.
+Sweep keys given as arguments restrict the run to those sweeps.  With
+``--compare before.txt after.txt`` the script runs nothing and prints, per
+sweep, which digests moved (and at which levels) and the largest relative
+shift of the L2 and of the energy error, each with the share of its level's
+floor in ``tests/data/regression.json`` that the shift uses::
+
+    python tests/fingerprint.py --compare before.txt after.txt
 """
 import hashlib
+import json
 import sys
 import warnings
 
@@ -31,7 +38,7 @@ import numpy as np
 
 import spacetime_iga.harness as harness
 from spacetime_iga.assembly import StabilityWarning
-from test_regression import SWEEPS
+from test_regression import DATA, SWEEPS
 
 
 def _digest(*arrays) -> str:
@@ -91,6 +98,48 @@ def fingerprint(key: str) -> list:
     return lines
 
 
+def _parse(path: str) -> dict:
+    """``{sweep: {level: {name: value}}}`` of a fingerprint output."""
+    out = {}
+    with open(path) as fh:
+        for line in fh:
+            key, level, *fields = line.split()
+            out.setdefault(key, {})[int(level[1:])] = dict(f.split('=', 1) for f in fields)
+    return out
+
+
+def compare(before: str, after: str) -> list:
+    """One line per sweep of ``after``: the digests that moved, and for each norm the largest
+    relative error shift with the share of that level's regression floor it uses."""
+    old, new = _parse(before), _parse(after)
+    with open(DATA) as fh:
+        floors = json.load(fh)
+    lines = []
+    for key, levels in new.items():
+        moved, shifts = {}, []
+        for level, fields in levels.items():
+            ref = old.get(key, {}).get(level, {})
+            for name, value in fields.items():
+                if name not in ('l2', 'energy') and ref.get(name) != value:
+                    moved.setdefault(name, []).append(f'L{level}')
+        for norm in ('l2', 'energy'):
+            rows = []   # (relative shift, share of the floor, level)
+            for level, fields in levels.items():
+                a, b = float(old[key][level][norm]), float(fields[norm])
+                floor = floors.get(key, {}).get(f'{norm}_floor', [0.0] * (level + 1))[level]
+                shift = abs(b - a)
+                rows.append((shift / abs(a) if a else shift,
+                             shift / floor if floor else float(shift > 0), level))
+            rel, share, level = max(rows, key=lambda row: row[:2])
+            shifts.append(f'{norm} {rel:.1e} (L{level}, {share:.2g} of its floor)')
+        digests = '; '.join(f'{name} {",".join(at)}' for name, at in moved.items()) or 'none'
+        lines.append(f'{key}: moved {digests}; largest shift {", ".join(shifts)}')
+    return lines
+
+
 if __name__ == '__main__':
-    for key in sys.argv[1:] or sorted(SWEEPS):
-        print('\n'.join(fingerprint(key)), flush=True)
+    if sys.argv[1:2] == ['--compare']:
+        print('\n'.join(compare(*sys.argv[2:4])))
+    else:
+        for key in sys.argv[1:] or sorted(SWEEPS):
+            print('\n'.join(fingerprint(key)), flush=True)

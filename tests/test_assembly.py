@@ -486,7 +486,7 @@ def drop_terminal_face(monkeypatch):
 def drop_map_hessian(monkeypatch):
     grid_terms = assembly._grid_terms
     monkeypatch.setattr(assembly, '_grid_terms', lambda x, w, inv, hess, *args: grid_terms(
-        x, w, inv, 0 * hess, *args))
+        x, w, inv, hess if hess is None else 0 * hess, *args))
 
 
 def drop_second_derivative(monkeypatch):
@@ -616,8 +616,9 @@ def drop_a_face(monkeypatch):
 
 
 def volume_weight(monkeypatch):
-    # det J of the volume in place of the face's surface measure
-    monkeypatch.setattr(_batch, '_face_measure', lambda J, face_dir: np.linalg.det(J))
+    # det J of the volume in place of the face's surface measure: det adj = det J^(n - 1)
+    monkeypatch.setattr(_batch, '_face_measure', lambda adj, face_dir: np.linalg.det(
+        np.moveaxis(adj, (0, 1), (-2, -1))) ** (1 / (len(adj) - 1)))
 
 
 @pytest.mark.parametrize('mutation', [drop_a_face, volume_weight])

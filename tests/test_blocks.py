@@ -12,19 +12,29 @@ On an identity map (``GeometryMap.is_identity``) the basis blocks skip the
 geometry Jacobian and the pullback; the general path must give the same
 results: bit for bit where the Jacobians are exactly ``I`` (fixed-1d),
 to round-off where they are ``I`` up to a few ulps (fixed-2d).
+
+A level's univariate objects (span rules, basis tables, band operators) are
+built once per level and shared by its stages; they are keyed by the knots,
+not by sizes, are read-only, and are freed with the level's space.
 """
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 import spacetime_iga._batch as batch
-from geometries import quarter_annulus_cylinder
-from spacetime_iga.assembly import (SchemeParams, assemble_fixed, assemble_moving,
-                                    assemble_norm_matrices, boundary_l2_project)
+from geometries import identity_geometry, quarter_annulus_cylinder
+from spacetime_iga.assembly import (SchemeParams, apply_dirichlet, assemble_fixed,
+                                    assemble_moving, assemble_norm_matrices,
+                                    boundary_l2_project)
 from spacetime_iga.geometry import GeometryMap, mesh_metrics
 from spacetime_iga.harness import builtin_cases, solution_space
 from spacetime_iga.postproc import (DiscreteField, error_energy, error_l2,
                                     estimate_inverse_constant)
-from spacetime_iga.tensor_space import classify_dirichlet
+from spacetime_iga.quadrature import gauss_1d
+from spacetime_iga.splines import KnotVector, single_span
+from spacetime_iga.tensor_space import DiscreteSpace, classify_dirichlet
 
 CASES = [('moving-curvi-1d', 3), ('quarter-annulus', 1), ('fixed-2d', 1)]
 
@@ -135,3 +145,101 @@ def test_identity_shortcut_only_on_identity_maps():
     for name, identity in expected.items():
         case, geom, space = setup(name, 0)
         assert batch.ElementBatcher(space, geom).identity is identity, name
+
+
+def count_builds(monkeypatch) -> dict:
+    """Wrap the builders of span rules, tables and band operators; each call appends the
+    key of what it built (knots, nodes or table content, and orders) to its list."""
+    built = {}
+    keys = {'_span_rule': lambda kv, n: (batch._knots(kv), n),
+            '_table': lambda kv, nodes: (batch._knots(kv), nodes.tobytes()),
+            '_band_operator': lambda t, test, trial=None: (t.ders.tobytes(), t.first.tobytes(),
+                                                           test, trial)}
+    for name, key in keys.items():
+        def wrapper(*args, _build=getattr(batch, name), _key=key, _out=built.setdefault(name, [])):
+            _out.append(_key(*args))
+            return _build(*args)
+        monkeypatch.setattr(batch, name, wrapper)
+    return built
+
+
+def run_level(case, geom, level):
+    """The grid stages of a moving sweep's level: assembly, Dirichlet data and both errors."""
+    space = solution_space(geom, 2, level)
+    params = SchemeParams(0.1, space.h_hat)
+    reduced = apply_dirichlet(assemble_moving(space, geom, case, params),
+                              classify_dirichlet(space), case, space, geom)
+    field = DiscreteField(space, geom, np.random.default_rng(level).standard_normal(space.dim))
+    error_l2(field, case)
+    error_energy(field, case, params)
+    return space, reduced
+
+
+def test_a_level_builds_each_univariate_object_once(monkeypatch):
+    built = count_builds(monkeypatch)
+    definition = builtin_cases()['moving-curvi-2d']
+    case, geom = definition.case, definition.geometry
+    space, _ = run_level(case, geom, 2)
+    first = {name: list(keys) for name, keys in built.items()}
+    for name, keys in first.items():
+        assert keys and len(keys) == len(set(keys)), name
+    # p + 1 and p + 2 points on each distinct knot vector, shared by the volume, the faces
+    # and the directions with equal knots
+    assert len(first['_span_rule']) == 2 * len({batch._knots(kv) for kv in space.knot_vectors})
+    # another space of the same level builds its own: nothing outlives a level
+    run_level(case, geom, 2)
+    for name, keys in built.items():
+        again = keys[len(first[name]):]
+        assert len(again) == len(first[name]) and set(again) == set(first[name]), name
+    # a second level builds its own objects, once each
+    count = {name: len(keys) for name, keys in built.items()}
+    run_level(case, geom, 3)
+    for name, keys in built.items():
+        new = keys[count[name]:]
+        assert new and len(new) == len(set(new)), name
+
+
+def test_cached_univariate_objects_are_read_only_and_die_with_the_space():
+    definition = builtin_cases()['moving-curvi-2d']
+    space, _ = run_level(definition.case, definition.geometry, 1)
+    batcher = batch.ElementBatcher(space, definition.geometry)
+    table, weights = batcher._tables[0], batcher._weights[0]
+    for array in (table.ders, table.first, weights, *gauss_1d(3)):
+        assert not array.flags.writeable
+    with pytest.raises(ValueError, match='read-only'):
+        table.ders[0, 0, 0, 0] = 1.0
+    assert gauss_1d(3) is gauss_1d(3)
+    operator = table.built[0, 0]      # the band operator the level's assembly built
+    assert np.array_equal(operator.toarray(), batch._band_operator(table, 0, 0).toarray())
+    alive = [weakref.ref(obj) for obj in (table, operator)]
+    del space, batcher, table, operator
+    gc.collect()
+    assert all(ref() is None for ref in alive)
+
+
+def test_tables_are_keyed_by_the_knots_not_the_sizes():
+    # equal degrees, dims and point counts; the second space repeats an interior knot,
+    # so it has one span fewer and other rows: a cache keyed by size would mix them up
+    time = KnotVector(np.array([0, 0, 0, 0.5, 1, 1, 1.0]), 2)
+    spaces = [DiscreteSpace([KnotVector(np.array(knots), 2), time])
+              for knots in ([0, 0, 0, 0.25, 0.5, 0.75, 1, 1, 1], [0, 0, 0, 0.5, 0.5, 0.75, 1, 1, 1])]
+    assert spaces[0].dims == spaces[1].dims
+    geom = identity_geometry(DiscreteSpace([single_span(1), single_span(1)]))
+    tables = [batch.ElementBatcher(space, geom) for space in spaces]
+    for space, batcher in zip(spaces, tables):
+        for a, kv in enumerate(space.knot_vectors):
+            nodes = batch._span_rule(kv, 3)[0]
+            for got, knots in ((batcher._tables[a], kv),
+                               (batcher._geo_tables[a], geom.space.knot_vectors[a])):
+                want = batch._table(knots, nodes)
+                assert np.array_equal(got.ders, want.ders)
+                assert np.array_equal(got.first, want.first)
+    assert tables[0]._tables[0].first.size == 4 and tables[1]._tables[0].first.size == 3
+    # and an error pass on each reads its own tables: the same as on a fresh copy of the space
+    case = builtin_cases()['fixed-1d'].case
+    coefficients = np.random.default_rng(9).standard_normal(spaces[0].dim)
+    errors = [error_l2(DiscreteField(space, geom, coefficients), case) for space in spaces]
+    assert errors[0] != errors[1]
+    for space, got in zip(spaces, errors):
+        fresh = DiscreteSpace(space.knot_vectors)
+        assert error_l2(DiscreteField(fresh, geom, coefficients), case) == got

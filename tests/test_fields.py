@@ -72,17 +72,22 @@ def contracted_basis(space, tables, coefficients, need):
     return out
 
 
+def grid_field(*args):
+    """``_grid_field`` with the points moved first, the layout of the oracle."""
+    return [None if f is None else np.moveaxis(f, -1, 0) for f in _grid_field(*args)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(grid=field_grids())
 def test_field_kernel_matches_the_contracted_basis(grid):
     space, tables, coefficients = grid
-    got = _grid_field(space, tables, coefficients, 1)
+    got = grid_field(space, tables, coefficients, 1)
     # relative to the largest sum of absolute terms: random coefficients can
     # cancel a field down to round-off, in any order of summation
     for value, (ref, scale) in zip(got, contracted_basis(space, tables, coefficients, 1)):
         assert value.shape == ref.shape
         assert np.abs(value - ref).max() <= 1e-13 * scale
-    assert got[2] is None and _grid_field(space, tables, coefficients, 0)[1] is None
+    assert got[2] is None and grid_field(space, tables, coefficients, 0)[1] is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -91,7 +96,7 @@ def test_field_kernel_second_derivatives_match_the_contracted_basis(grid):
     # need = 2 adds the Hessians, NURBS quotient rule included, and keeps
     # the values and gradients
     space, tables, coefficients = grid
-    got = _grid_field(space, tables, coefficients, 2)
+    got = grid_field(space, tables, coefficients, 2)
     for value, (ref, scale) in zip(got, contracted_basis(space, tables, coefficients, 2)):
         assert value.shape == ref.shape
         assert np.abs(value - ref).max() <= 1e-12 * scale
@@ -105,7 +110,7 @@ def test_field_kernel_on_a_face_matches_the_contracted_basis(grid, data):
     a = data.draw(st.integers(0, space.ndim - 1))
     xi = data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
     tables[a] = _table(space.knot_vectors[a], np.array([[xi]]))
-    got = _grid_field(space, tables, coefficients, 2)
+    got = grid_field(space, tables, coefficients, 2)
     for value, (ref, scale) in zip(got, contracted_basis(space, tables, coefficients, 2)):
         assert value.shape == ref.shape
         assert np.abs(value - ref).max() <= 1e-12 * scale
@@ -119,8 +124,8 @@ def test_field_kernel_on_slabs_of_spans_is_the_whole_grid(grid, data):
     last = tables[-1]
     cuts = sorted(data.draw(st.sets(st.integers(1, last.first.size - 1), max_size=3))
                   if last.first.size > 1 else [])
-    whole = _grid_field(space, tables, coefficients, 2)
-    parts = [_grid_field(space, [*tables[:-1], _Table(last.ders[i:j], last.first[i:j])],
+    whole = grid_field(space, tables, coefficients, 2)
+    parts = [grid_field(space, [*tables[:-1], _Table(last.ders[i:j], last.first[i:j])],
                          coefficients, 2)
              for i, j in zip([0, *cuts], [*cuts, None])]
     points = [t.first.size * t.ders.shape[1] for t in tables[:-1]]

@@ -198,6 +198,55 @@ def test_pullback_rejects_a_singular_3x3_jacobian():
         pullback_derivatives(J, np.ones((4, 5, 3)))
 
 
+def cofactor_adjugate(jac):
+    """The oracle: the cofactor formulas as they ran on ``(P, n, n)`` arrays before the
+    adjugate moved to points-last rows."""
+    if jac.shape[-1] == 2:
+        (a, b), (c, d) = np.moveaxis(jac, (-2, -1), (0, 1))
+        return np.stack([d, -b, -c, a], axis=-1).reshape(jac.shape), a * d - b * c
+    (a, b, c), (d, e, f), (g, h, i) = np.moveaxis(jac, (-2, -1), (0, 1))
+    adj = np.stack([e * i - f * h, c * h - b * i, b * f - c * e,
+                    f * g - d * i, a * i - c * g, c * d - a * f,
+                    d * h - e * g, b * g - a * h, a * e - b * d], axis=-1).reshape(jac.shape)
+    return adj, a * adj[..., 0, 0] + b * adj[..., 1, 0] + c * adj[..., 2, 0]
+
+
+def random_jacobians(rng, n, count=4000):
+    """Well-conditioned ``I + 0.3 R`` and near-singular ones (rank n - 1 plus 1e-10 R)."""
+    well = np.eye(n) + 0.3 * rng.standard_normal((count, n, n))
+    low = rng.standard_normal((count, n, n - 1)) @ rng.standard_normal((count, n - 1, n))
+    return well, low + 1e-10 * rng.standard_normal((count, n, n))
+
+
+@pytest.mark.parametrize('n', [2, 3])
+def test_adjugate_on_rows_is_the_cofactor_formula_bit_for_bit(n):
+    rng = np.random.default_rng(40 + n)
+    for jac in random_jacobians(rng, n):
+        ref_adj, ref_det = cofactor_adjugate(jac)
+        # contiguous rows, as grid slabs hold them, and a transposed view, as the element path
+        for rows in (np.ascontiguousarray(np.moveaxis(jac, 0, -1)), jac.transpose(1, 2, 0)):
+            adj, det = geometry._adjugate(rows)
+            assert np.array_equal(adj, np.moveaxis(ref_adj, 0, -1))
+            assert np.array_equal(det, ref_det)
+    well = random_jacobians(rng, n)[0]
+    adj, det = geometry._adjugate(np.moveaxis(well, 0, -1))
+    inv, ref = np.moveaxis(adj / det, -1, 0), np.linalg.inv(well)
+    relative = np.abs(inv - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+    assert relative.max() <= 1e-14
+
+
+@pytest.mark.parametrize('n', [2, 3])
+def test_pullback_rejects_a_zero_or_non_finite_determinant(n):
+    for bad, where in ((np.zeros((n, n)), 'determinant 0 at point 1'),
+                       (np.full((n, n), np.inf), 'determinant nan at point 1'),
+                       (np.diag([np.nan] + [1.0] * (n - 1)), 'determinant nan at point 1')):
+        J = np.tile(np.eye(n), (3, 1, 1))
+        J[1] = bad
+        with np.errstate(invalid='ignore'), \
+                pytest.raises(SingularGeometryError, match=f'singular Jacobian: {where}'):
+            pullback_derivatives(J, np.ones((3, 4, n)))
+
+
 def test_pullback_gradient_only_path():
     geom = builtin_cases()['moving-simple-1d'].geometry
     xi = np.array([0.3, 0.6])
@@ -326,7 +375,7 @@ def test_knot_mesh_size_is_the_largest_parameter_cell():
 
 
 def lapack_largest_eigenvalue(s):
-    return np.linalg.eigvalsh(s)[..., -1]
+    return np.linalg.eigvalsh(np.moveaxis(s, (0, 1), (-2, -1)))[..., -1]
 
 
 def test_largest_eigenvalue_matches_lapack(monkeypatch):
@@ -350,10 +399,11 @@ def test_largest_eigenvalue_matches_lapack(monkeypatch):
                 s = 0.5 * (s + np.swapaxes(s, -1, -2))
                 ref = lapack(s)[..., -1]
                 fallback.clear()
-                assert np.max(np.abs(geometry._largest_eigenvalue(s) - ref) / ref) < 1e-13
+                got = geometry._largest_eigenvalue(np.moveaxis(s, 0, -1))   # points last
+                assert np.max(np.abs(got - ref) / ref) < 1e-13
                 assert n != 3 or k == 1 or not sum(fallback), (k, sum(fallback))
-        assert np.array_equal(geometry._largest_eigenvalue(np.broadcast_to(np.eye(n), (5, n, n))),
-                              np.ones(5))
+        assert np.array_equal(geometry._largest_eigenvalue(np.broadcast_to(np.eye(n)[..., None],
+                                                                           (n, n, 5))), np.ones(5))
 
 
 def test_mesh_metrics_element_sizes_match_lapack(monkeypatch):

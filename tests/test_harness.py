@@ -462,3 +462,16 @@ def test_cli_verify_fails_on_scaled_norms(monkeypatch, capsys):
     monkeypatch.setattr(harness, 'assemble_norm_matrices', scaled)
     assert cli_main(['verify']) == 1
     assert 'FAIL moving-coercivity' in capsys.readouterr().out
+
+
+def test_roundoff_text_does_not_move_with_the_last_bits():
+    # the defects a passing verify printed before and after reordered sums: coercivity-identity
+    # 5.56e-16, 5.65e-16, 5.69e-16 and fixed-forms-agree 1.11e-16, 5.55e-17
+    text = harness._roundoff
+    assert len({text(v, 1e-10) for v in (5.56e-16, 5.65e-16, 5.69e-16)}) == 1
+    assert text(1.11e-16, 1e-12) == text(5.55e-17, 1e-12) == '<= 1e-15 (threshold 1e-12)'
+    assert text(0.0, 1e-12) == text(5.55e-17, 1e-12)
+    assert text(1.7e-15, 1e-13) == '<= 1e-14 (threshold 1e-13)'
+    # a failing value keeps its digits
+    assert text(1.234e-9, 1e-10) == '1.23e-09 (threshold 1e-10)'
+    assert text(float('inf'), 1e-13) == 'inf (threshold 1e-13)'
