@@ -91,31 +91,23 @@ def _memo(store: dict, key, build):
     return store[key]
 
 
-def _read_only(*arrays):
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
 def _table(kv: KnotVector, nodes: np.ndarray) -> _Table:
     """Evaluate ``kv`` at ``nodes`` ``(ns, q)``; each node row must lie in one span."""
     first, ders = eval_basis(kv, nodes)
     row_first = find_span(kv, 0.5 * (nodes[:, 0] + nodes[:, -1])) - kv.degree
     if np.any(first != row_first[:, None]):
         raise ValueError('solution spans must refine geometry spans')
-    return _Table(*_read_only(ders, row_first))
+    ders.flags.writeable = row_first.flags.writeable = False
+    return _Table(ders, row_first)
 
 
 def _span_rule(kv: KnotVector, n: int):
     """Nodes and weights ``(ns, n)`` of the ``n``-point Gauss rule on every span of ``kv``."""
     nodes, weights = gauss_1d(n)
     lengths = np.diff(kv.spans, axis=1)
-    return _read_only(kv.spans[:, :1] + lengths * nodes[None, :], lengths * weights[None, :])
-
-
-def _knots(kv: KnotVector) -> tuple:
-    """A cache key of ``kv``: its degree and knots, so equal sizes with other knots differ."""
-    return kv.degree, kv.knots.tobytes()
+    nodes, weights = kv.spans[:, :1] + lengths * nodes[None, :], lengths * weights[None, :]
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _rows(tables, multi):
@@ -182,11 +174,10 @@ def _band_operator(table: _Table, test: int, trial: int | None = None) -> sp.csr
         rows = own[..., None] * width + (np.arange(m) - np.arange(m)[:, None] + m - 1)
         vals = (table.ders[:, :, test, :, None] * table.ders[:, :, trial, None, :]).transpose(0, 2, 3, 1)
     rows = rows.ravel()
-    span = np.repeat(np.arange(ns), rows.size // ns)
-    order = np.lexsort((span, rows))
+    order = np.argsort(rows, kind='stable')                 # by row, then span
     n_rows = (own[-1, -1] + 1) * width
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows) * q)))
-    indices = (q * span[order, None] + np.arange(q)).ravel()
+    indices = (q * (order // (rows.size // ns))[:, None] + np.arange(q)).ravel()
     return sp.csr_matrix((vals.reshape(-1, q)[order].ravel(), indices, indptr),
                          shape=(n_rows, ns * q))
 
@@ -247,11 +238,12 @@ class ElementBatcher:
         self._tables = []
         self._geo_tables = []
         for kv, kvg, o in zip(space.knot_vectors, geom.space.knot_vectors, self.orders):
-            store, key = space._univariate, (o, *_knots(kv))
+            # keyed by the knots (an open knot vector's knots fix its degree), not by sizes
+            store, key = space._univariate, (o, kv.knots.tobytes())
             nodes, weights = _memo(store, key, lambda: _span_rule(kv, o))
             self._weights.append(weights)
             for tables, k in ((self._tables, kv), (self._geo_tables, kvg)):
-                tables.append(_memo(store, key + _knots(k), lambda: _table(k, nodes)))
+                tables.append(_memo(store, (*key, k.knots.tobytes()), lambda: _table(k, nodes)))
 
     def _tables_for(self, face):
         """Solution and geometry tables and the pinned direction of the volume
@@ -264,7 +256,7 @@ class ElementBatcher:
         geo_tables = list(self._geo_tables)
         for t, k in ((tables, self.space.knot_vectors[fixed_dir]),
                      (geo_tables, self.geom.space.knot_vectors[fixed_dir])):
-            t[fixed_dir] = _memo(self.space._univariate, ('face', side, *_knots(k)),
+            t[fixed_dir] = _memo(self.space._univariate, ('face', side, k.knots.tobytes()),
                                  lambda: _table(k, pinned))
         return tables, geo_tables, fixed_dir
 
@@ -349,5 +341,5 @@ class ElementBatcher:
                 val = val[0]
                 if grad is not None:
                     # grad_x u = J^{-T} grad_xi u = adj^T grad_xi u / det, one row per component
-                    grad = (grad[0][:, None] * adj).sum(axis=0) / det
+                    grad = np.einsum('ap,ajp->jp', grad[0], adj) / det
             yield GridSlab(slab, x, w, J, adj, det, H, val, grad)

@@ -8,22 +8,22 @@ geometry exactly.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = ['gauss_1d']
 
 _MAX_POINTS = 16
-_RULES = {}     # point count -> read-only (nodes, weights), at most _MAX_POINTS of them
 
 
+@lru_cache(maxsize=_MAX_POINTS)
 def gauss_1d(n: int):
     """Nodes and positive weights ``(n,)`` of the ``n``-point Gauss-Legendre
-    rule on the unit interval, computed on first use and kept read-only."""
+    rule on the unit interval, computed once per ``n`` and kept read-only."""
     if not 1 <= n <= _MAX_POINTS:
         raise ValueError(f'point count must be in [1, {_MAX_POINTS}], got {n}')
-    if n not in _RULES:
-        x, w = np.polynomial.legendre.leggauss(n)
-        _RULES[n] = 0.5 * (x + 1.0), 0.5 * w
-        for a in _RULES[n]:
-            a.flags.writeable = False
-    return _RULES[n]
+    x, w = np.polynomial.legendre.leggauss(n)
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights

@@ -151,8 +151,8 @@ def count_builds(monkeypatch) -> dict:
     """Wrap the builders of span rules, tables and band operators; each call appends the
     key of what it built (knots, nodes or table content, and orders) to its list."""
     built = {}
-    keys = {'_span_rule': lambda kv, n: (batch._knots(kv), n),
-            '_table': lambda kv, nodes: (batch._knots(kv), nodes.tobytes()),
+    keys = {'_span_rule': lambda kv, n: (kv.knots.tobytes(), n),
+            '_table': lambda kv, nodes: (kv.knots.tobytes(), nodes.tobytes()),
             '_band_operator': lambda t, test, trial=None: (t.ders.tobytes(), t.first.tobytes(),
                                                            test, trial)}
     for name, key in keys.items():
@@ -185,7 +185,7 @@ def test_a_level_builds_each_univariate_object_once(monkeypatch):
         assert keys and len(keys) == len(set(keys)), name
     # p + 1 and p + 2 points on each distinct knot vector, shared by the volume, the faces
     # and the directions with equal knots
-    assert len(first['_span_rule']) == 2 * len({batch._knots(kv) for kv in space.knot_vectors})
+    assert len(first['_span_rule']) == 2 * len({kv.knots.tobytes() for kv in space.knot_vectors})
     # another space of the same level builds its own: nothing outlives a level
     run_level(case, geom, 2)
     for name, keys in built.items():
