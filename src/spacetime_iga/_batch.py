@@ -3,8 +3,9 @@
 Internal machinery shared by assembly, mesh metrics and postprocessing:
 univariate basis tables of every knot span (one array call of
 :func:`splines.eval_basis` per direction), iterated in two ways, each
-sized by one fixed byte budget.  A level's span rules, tables and band
-operators are built once, kept with its space (:func:`_memo`) and freed with it.
+sized by one fixed byte budget.  A level's span rules and tables are built
+once, kept with its space (:func:`_memo`) and freed with it; band operators
+are kept by the batcher of one stage.
 
 Basis blocks (the norm matrices, the inverse-constant estimate, the element
 form kept as the assembly oracle) hold ``E`` elements with every active
@@ -23,7 +24,7 @@ and :func:`_contract` reduces the slab's coefficient fields onto the banded patt
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -80,12 +81,11 @@ class _Table:
 
     ders: np.ndarray         # (ns, q, 3, p+1)
     first: np.ndarray        # (ns,) first active univariate index
-    built: dict = field(default_factory=dict, repr=False, compare=False)   # windows, operators
 
 
 def _memo(store: dict, key, build):
-    """``store[key]``, from ``build()`` on first use: a space's rules and tables, a table's slab
-    windows and band operators, so nothing outlives its level."""
+    """``store[key]``, from ``build()`` on first use: a space's rules and tables, which die
+    with its level, and a batcher's band operators, which die with its stage."""
     if key not in store:
         store[key] = build()
     return store[key]
@@ -182,16 +182,17 @@ def _band_operator(table: _Table, test: int, trial: int | None = None) -> sp.csr
                          shape=(n_rows, ns * q))
 
 
-def _contract(terms: dict, tables):
+def _contract(terms: dict, tables, operators: dict):
     """``sum_key (U_0 x ... x U_last)(key) field`` by sum factorization, or None without terms:
     each key holds a ``(test[, trial])`` entry per direction, contracted by the table's
     :func:`_band_operator`, the first direction first, once per group of terms that agree in
-    the later ones."""
+    the later ones.  ``operators`` keeps each one, with its table, for the stage."""
     last = len(tables) - 1
     for a, table in enumerate(tables):
         summed = {}
         for key, values in terms.items():
-            op = _memo(table.built, key[0], lambda: _band_operator(table, *key[0]))
+            op = _memo(operators, (id(table), key[0]),
+                       lambda: (table, _band_operator(table, *key[0])))[1]
             summed[key[1:]] = summed.get(key[1:], 0) + op @ values.reshape(op.shape[1], -1)
         terms = summed if a == last else {k: np.ascontiguousarray(v.T) for k, v in summed.items()}
     return terms.get(())
@@ -214,7 +215,8 @@ class ElementBatcher:
     """Iterates blocks of elements, or slabs of the Gauss grid, of a space under a geometry map.
 
     ``orders`` are univariate quadrature point counts, defaulting to
-    ``degree + 1``; rules and tables come from the space's store.  :meth:`blocks` yields
+    ``degree + 1``; rules and tables come from the space's store, and the batcher keeps
+    the band operators its stage contracts with (:func:`_contract`).  :meth:`blocks` yields
     :class:`ElementBlock` with physical points, weighted measures and pulled-back basis derivatives
     up to the requested order (0 = values, 1 = +gradients, 2 = +Hessians);
     :meth:`grid_slabs` yields :class:`GridSlab` with the map and one field
@@ -234,6 +236,9 @@ class ElementBatcher:
             orders = [p + 1 for p in space.degrees]
         self.orders = [int(o) for o in orders]
         self.identity = geom.is_identity
+        # kept for one stage only: kept for a level, they pinned the allocator's heap above
+        # the stage's temporaries and raised the solve's peak RSS
+        self._operators = {}
         self._weights = []
         self._tables = []
         self._geo_tables = []
@@ -326,9 +331,8 @@ class ElementBatcher:
         step = max(1, _BLOCK_BYTES // (8 * (nd + 1) ** 3 * per_span))
         for start in range(0, spans[-1], step):
             stop = min(start + step, spans[-1])
-            slab, geo_slab = ([*t[:-1], t[-1] if step >= spans[-1] else _memo(
-                t[-1].built, range(start, stop), lambda: _Table(t[-1].ders[start:stop],
-                                                           t[-1].first[start:stop]))]
+            slab, geo_slab = ([*t[:-1], t[-1] if step >= spans[-1] else
+                               _Table(t[-1].ders[start:stop], t[-1].first[start:stop])]
                               for t in (tables, geo_tables))
             x, J, H = _grid_field(self.geom.space, geo_slab, self.geom.control_points, max(need, 1))
             adj, det = _adjugate(J)

@@ -300,7 +300,7 @@ def _banded_system(batcher: ElementBatcher, directions, slabs):
     rhs = np.zeros((dims[-1], int(np.prod(dims[:-1]))))
     for terms, slab in slabs:
         for target, w, fields in zip((band, rhs), (widths[-1], 1), terms):
-            out = _contract(fields, slab)
+            out = _contract(fields, slab, batcher._operators)
             if out is not None:
                 start = slab[-1].first[0] * w
                 target[start:start + out.shape[0]] += out.reshape(-1, target.shape[1])

@@ -659,6 +659,37 @@ def test_grid_path_rejects_a_nurbs_solution_space():
                 call()
 
 
+def coo_band_operator(table, test, trial=None):
+    """The oracle: the band operator as a COO-to-CSR conversion of its broadcast triplets."""
+    ns, q, _, m = table.ders.shape
+    own = (table.first - table.first[0])[:, None, None] + np.arange(m)     # (ns, 1, m)
+    rows, vals, cols = own, table.ders[:, :, test, :], np.arange(ns * q).reshape(ns, q, 1)
+    width = 1 if trial is None else 2 * m - 1
+    if trial is not None:
+        rows = own[..., None] * width + (np.arange(m) - np.arange(m)[:, None] + m - 1)
+        vals, cols = vals[..., None] * table.ders[:, :, trial, None, :], cols[..., None]
+    rows, cols, vals = np.broadcast_arrays(rows, cols, vals)
+    return sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=((own[-1, 0, -1] + 1) * width, ns * q))
+
+
+@pytest.mark.parametrize('degree', [1, 2, 3])
+def test_band_operator_is_the_coo_conversion_bit_for_bit(degree):
+    # built directly in CSR, with every row's columns in the order COO-to-CSR gives, so the
+    # contractions sum in the same order: whole span lists, slabs, a pinned point, repeated knots
+    rng = np.random.default_rng(10 + degree)
+    inner = np.sort(np.concatenate((rng.uniform(0, 1, 6), [0.5] * degree)))
+    kv = KnotVector(np.concatenate(([0.0] * (degree + 1), inner, [1.0] * (degree + 1))), degree)
+    full = _batch._table(kv, _batch._span_rule(kv, degree + 2)[0])
+    for table in (full, _batch._Table(full.ders[3:6], full.first[3:6]),
+                  _batch._table(kv, np.array([[0.0]]))):
+        for key in [(t,) for t in range(3)] + [(t, s) for t in range(3) for s in range(3)]:
+            got, want = _batch._band_operator(table, *key), coo_band_operator(table, *key)
+            assert got.shape == want.shape
+            for name in ('indptr', 'indices', 'data'):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (key, name)
+
+
 @pytest.mark.parametrize('degree', [1, 2, 3])
 def test_band_mask_is_the_band_operator_pattern(degree):
     # the banded pattern read from ``first`` is the row pattern of the scipy operator,

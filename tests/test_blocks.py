@@ -163,29 +163,39 @@ def count_builds(monkeypatch) -> dict:
     return built
 
 
-def run_level(case, geom, level):
-    """The grid stages of a moving sweep's level: assembly, Dirichlet data and both errors."""
+def run_level(case, geom, level, built=None):
+    """The grid stages of a moving sweep's level: assembly, Dirichlet data and both errors;
+    with ``built``, the band operators each of the first two stages built."""
     space = solution_space(geom, 2, level)
     params = SchemeParams(0.1, space.h_hat)
-    reduced = apply_dirichlet(assemble_moving(space, geom, case, params),
-                              classify_dirichlet(space), case, space, geom)
+    stages, ops = [], (built or {}).get('_band_operator', [])
+    start = len(ops)
+    system = assemble_moving(space, geom, case, params)
+    stages.append(ops[start:])
+    start = len(ops)
+    apply_dirichlet(system, classify_dirichlet(space), case, space, geom)
+    stages.append(ops[start:])
     field = DiscreteField(space, geom, np.random.default_rng(level).standard_normal(space.dim))
     error_l2(field, case)
     error_energy(field, case, params)
-    return space, reduced
+    return space, stages
 
 
 def test_a_level_builds_each_univariate_object_once(monkeypatch):
     built = count_builds(monkeypatch)
     definition = builtin_cases()['moving-curvi-2d']
     case, geom = definition.case, definition.geometry
-    space, _ = run_level(case, geom, 2)
+    space, stages = run_level(case, geom, 2, built)
     first = {name: list(keys) for name, keys in built.items()}
-    for name, keys in first.items():
-        assert keys and len(keys) == len(set(keys)), name
+    for name in ('_span_rule', '_table'):
+        assert first[name] and len(first[name]) == len(set(first[name])), name
     # p + 1 and p + 2 points on each distinct knot vector, shared by the volume, the faces
     # and the directions with equal knots
     assert len(first['_span_rule']) == 2 * len({kv.knots.tobytes() for kv in space.knot_vectors})
+    # band operators once per stage: the volume and the terminal face share them, and so do
+    # the Dirichlet faces; the error passes build none
+    assert all(ops and len(ops) == len(set(ops)) for ops in stages)
+    assert sum(map(len, stages)) == len(first['_band_operator'])
     # another space of the same level builds its own: nothing outlives a level
     run_level(case, geom, 2)
     for name, keys in built.items():
@@ -194,8 +204,8 @@ def test_a_level_builds_each_univariate_object_once(monkeypatch):
     # a second level builds its own objects, once each
     count = {name: len(keys) for name, keys in built.items()}
     run_level(case, geom, 3)
-    for name, keys in built.items():
-        new = keys[count[name]:]
+    for name in ('_span_rule', '_table'):
+        new = built[name][count[name]:]
         assert new and len(new) == len(set(new)), name
 
 
@@ -209,12 +219,11 @@ def test_cached_univariate_objects_are_read_only_and_die_with_the_space():
     with pytest.raises(ValueError, match='read-only'):
         table.ders[0, 0, 0, 0] = 1.0
     assert gauss_1d(3) is gauss_1d(3)
-    operator = table.built[0, 0]      # the band operator the level's assembly built
-    assert np.array_equal(operator.toarray(), batch._band_operator(table, 0, 0).toarray())
-    alive = [weakref.ref(obj) for obj in (table, operator)]
-    del space, batcher, table, operator
+    assert batch.ElementBatcher(space, definition.geometry)._tables[0] is table
+    alive = weakref.ref(table)
+    del space, batcher, table
     gc.collect()
-    assert all(ref() is None for ref in alive)
+    assert alive() is None
 
 
 def test_tables_are_keyed_by_the_knots_not_the_sizes():
