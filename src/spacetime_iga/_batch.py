@@ -172,7 +172,8 @@ def _band_operator(table: _Table, test: int, trial: int | None = None) -> sp.csr
     if trial is not None:
         width = 2 * m - 1
         rows = own[..., None] * width + (np.arange(m) - np.arange(m)[:, None] + m - 1)
-        vals = (table.ders[:, :, test, :, None] * table.ders[:, :, trial, None, :]).transpose(0, 2, 3, 1)
+        vals = table.ders[:, :, test, :, None] * table.ders[:, :, trial, None, :]
+        vals = vals.transpose(0, 2, 3, 1)                                    # (ns, m, m, q)
     rows = rows.ravel()
     order = np.argsort(rows, kind='stable')                 # by row, then span
     n_rows = (own[-1, -1] + 1) * width
@@ -216,9 +217,9 @@ class ElementBatcher:
 
     ``orders`` are univariate quadrature point counts, defaulting to
     ``degree + 1``; rules and tables come from the space's store, and the batcher keeps
-    the band operators its stage contracts with (:func:`_contract`).  :meth:`blocks` yields
-    :class:`ElementBlock` with physical points, weighted measures and pulled-back basis derivatives
-    up to the requested order (0 = values, 1 = +gradients, 2 = +Hessians);
+    the band operators its stage contracts with (:func:`_contract`).  :meth:`blocks`
+    yields :class:`ElementBlock` with physical points, weighted measures and pulled-back
+    basis derivatives up to the requested order (0 = values, 1 = +gradients, 2 = +Hessians);
     :meth:`grid_slabs` yields :class:`GridSlab` with the map and one field
     on the global Gauss grid.  Both take ``face = (fixed_dir, side)`` to run
     over a boundary face in place of the volume.
@@ -337,7 +338,8 @@ class ElementBatcher:
             x, J, H = _grid_field(self.geom.space, geo_slab, self.geom.control_points, max(need, 1))
             adj, det = _adjugate(J)
             _require_orientation(det, x.T)
-            w = reduce(np.multiply.outer, [v.ravel() for v in (*weights[:-1], weights[-1][start:stop])])
+            w = reduce(np.multiply.outer,
+                       [v.ravel() for v in (*weights[:-1], weights[-1][start:stop])])
             w = w.ravel() * (det if face_dir is None else _face_measure(adj, face_dir))
             val = grad = None
             if coefficients is not None:

@@ -247,9 +247,10 @@ def _add(terms: dict, c: np.ndarray, *orders):
 def _grid_terms(x, w, inv, hess, th: float, moving: bool, f=None):
     """``(matrix, load)`` coefficient fields of a grid slab, or of the terminal face term alone
     (no ``f``, no ``hess``), from its points-last arrays.  With ``g = J^-1[:, d]``,
-    ``K = J^-1[:, :d] J^-1[:, :d]^T`` and parameter derivatives, ``dt u = g . grad u``, ``grad_x u . grad_x v = grad v . K grad u`` and, by
-    the chain rule of :func:`pullback_derivatives`, ``dt grad_x u . grad_x v =
-    K[b, a] g[e] d_b v d_ae u - S[b, m] d_b v d_m u``, ``S`` from the map's Hessian."""
+    ``K = J^-1[:, :d] J^-1[:, :d]^T`` and parameter derivatives, ``dt u = g . grad u``,
+    ``grad_x u . grad_x v = grad v . K grad u`` and, by the chain rule of
+    :func:`pullback_derivatives`, ``dt grad_x u . grad_x v = K[b, a] g[e] d_b v d_ae u -
+    S[b, m] d_b v d_m u``, ``S`` from the map's Hessian."""
     nd = inv.shape[0]
     d, unit = nd - 1, np.eye(nd, dtype=int)
     g, spatial = inv[:, d], inv[:, None, :d]

@@ -110,8 +110,9 @@ def test_errors_match_stored_values(key):
             == len(stored['energy_floor']))
     for level in range(got['levels']):
         for norm in ('l2', 'energy'):
-            assert_allclose(got[f'error_{norm}'][level], stored[f'error_{norm}'][level], rtol=RTOL,
-                            atol=stored[f'{norm}_floor'][level], err_msg=f'{norm} error, level {level}')
+            assert_allclose(got[f'error_{norm}'][level], stored[f'error_{norm}'][level],
+                            rtol=RTOL, atol=stored[f'{norm}_floor'][level],
+                            err_msg=f'{norm} error, level {level}')
 
 
 if __name__ == '__main__':
