@@ -187,7 +187,8 @@ def _contract(terms: dict, tables, operators: dict):
     """``sum_key (U_0 x ... x U_last)(key) field`` by sum factorization, or None without terms:
     each key holds a ``(test[, trial])`` entry per direction, contracted by the table's
     :func:`_band_operator`, the first direction first, once per group of terms that agree in
-    the later ones.  ``operators`` keeps each one, with its table, for the stage."""
+    the later ones.  ``operators`` keeps each one for the stage, keyed by its table's id and
+    holding the table, so that no other table takes the id while the entry lives."""
     last = len(tables) - 1
     for a, table in enumerate(tables):
         summed = {}

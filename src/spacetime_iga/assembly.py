@@ -18,10 +18,12 @@ over the full dof set and reduced by :func:`apply_dirichlet`.
 
 In every d both forms are assembled by sum factorization on the global Gauss grid
 (Antolin et al., CMAME 285, 2015), exact for any map: coefficient fields from det J,
-J^-1 and the map's Hessian are contracted one direction at a time onto the banded
-pattern.  The boundary projection is sum-factorized the same way on each Dirichlet
-face.  The norm matrices stay on element blocks, and the element form
-(``_assemble_form``) is kept as the oracle the sum-factorized forms are checked against.
+J^-1 (the slab's one adjugate over det J) and the map's Hessian, all points last, are
+contracted one direction at a time onto the banded pattern by band operators the
+stage's batcher keeps, over tables its level keeps.  The boundary projection is
+sum-factorized the same way on each Dirichlet face.  The norm matrices stay on element
+blocks, and the element form (``_assemble_form``) is kept as the oracle the
+sum-factorized forms are checked against.
 """
 from __future__ import annotations
 

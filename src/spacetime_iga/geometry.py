@@ -6,7 +6,10 @@ its last component is the time coordinate.  One batched evaluation,
 at a tensor grid of points; ``map_point``, ``jacobian`` and ``hessian``
 are one-point calls of it.  The module also provides the batched pullback
 of basis derivatives to physical coordinates and the physical element
-sizes that enter the moving-domain stability bound.  The knot-mesh size
+sizes that enter the moving-domain stability bound.  Every Jacobian is
+inverted by one closed-form :func:`_adjugate` on points-last rows
+``(n, n, ...)``: once per grid slab, and on transposed views of the
+element blocks' ``(..., n, n)`` arrays.  The knot-mesh size
 that scales the scheme depends on the knots alone
 (:attr:`DiscreteSpace.h_hat`).
 """

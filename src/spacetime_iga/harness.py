@@ -359,7 +359,7 @@ def run_case(config: CaseConfig) -> ConvergenceReport:
             field = DiscreteField(space, geom, coeffs)
             levels.append((level, space.dim, params.h, error_l2(field, case),
                            error_energy(field, case, params, moving=case.moving), report))
-            del field   # the level's space, with the tables and operators it keeps, goes now
+            del field   # the level's space, with the rules and tables it keeps, goes now
         except _RUN_ERRORS as exc:
             exc.report = _report(config, case, levels)
             raise
