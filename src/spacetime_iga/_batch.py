@@ -110,6 +110,16 @@ def _span_rule(kv: KnotVector, n: int):
     return nodes, weights
 
 
+def _level_table(space: DiscreteSpace, kv: KnotVector, order: int, evaluated=None):
+    """Weights ``(ns, order)`` of the ``order``-point Gauss rule on the spans of ``kv`` and the
+    :class:`_Table` of ``evaluated`` (default ``kv``) at its nodes, from ``space``'s store:
+    keyed by the knots (an open knot vector's knots fix its degree), not by sizes."""
+    key, evaluated = (order, kv.knots.tobytes()), kv if evaluated is None else evaluated
+    nodes, weights = _memo(space._univariate, key, lambda: _span_rule(kv, order))
+    return weights, _memo(space._univariate, (*key, evaluated.knots.tobytes()),
+                          lambda: _table(evaluated, nodes))
+
+
 def _rows(tables, multi):
     return [t.ders[i] for t, i in zip(tables, multi)], [t.first[i] for t, i in zip(tables, multi)]
 
@@ -245,12 +255,10 @@ class ElementBatcher:
         self._tables = []
         self._geo_tables = []
         for kv, kvg, o in zip(space.knot_vectors, geom.space.knot_vectors, self.orders):
-            # keyed by the knots (an open knot vector's knots fix its degree), not by sizes
-            store, key = space._univariate, (o, kv.knots.tobytes())
-            nodes, weights = _memo(store, key, lambda: _span_rule(kv, o))
+            weights, table = _level_table(space, kv, o)
             self._weights.append(weights)
-            for tables, k in ((self._tables, kv), (self._geo_tables, kvg)):
-                tables.append(_memo(store, (*key, k.knots.tobytes()), lambda: _table(k, nodes)))
+            self._tables.append(table)
+            self._geo_tables.append(_level_table(space, kv, o, kvg)[1])
 
     def _tables_for(self, face):
         """Solution and geometry tables and the pinned direction of the volume

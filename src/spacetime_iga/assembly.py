@@ -34,6 +34,7 @@ from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from ._batch import ElementBatcher, _contract, at_points
 from .geometry import GeometryMap
@@ -47,6 +48,7 @@ __all__ = [
     'StabilityWarning',
     'assemble_fixed',
     'assemble_moving',
+    'assemble_load',
     'assemble_norm_matrices',
     'boundary_l2_project',
     'apply_dirichlet',
@@ -101,15 +103,17 @@ class ManufacturedCase:
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Sparse system ``matrix @ x = rhs``.
+    """Linear system ``matrix @ x = rhs``.
 
     As assembled, the system ranges over all dofs.  After
     :func:`apply_dirichlet` it ranges over the free dofs, and
     ``dirichlet_values`` holds the full-length lifting vector (boundary
-    coefficients on Dirichlet dofs, zero elsewhere).
+    coefficients on Dirichlet dofs, zero elsewhere).  ``matrix`` is a CSR
+    matrix, or on a level solved matrix-free an operator
+    (:class:`scipy.sparse.linalg.LinearOperator`).
     """
 
-    matrix: sp.csr_matrix
+    matrix: sp.csr_matrix | spla.LinearOperator
     rhs: np.ndarray
     dirichlet_values: np.ndarray | None = None
 
@@ -246,6 +250,17 @@ def _add(terms: dict, c: np.ndarray, *orders):
         terms[key] = terms.get(key, 0) + c
 
 
+def _load_terms(x, w, g, th: float, f) -> dict:
+    """Load fields of a grid slab, the same for both forms: ``f`` against ``v + theta h dt v``,
+    ``dt v = g . grad v`` with ``g = J^-1[:, d]`` and parameter derivatives."""
+    unit, load = np.eye(g.shape[0], dtype=int), {}
+    fw = w * f(x.T)
+    _add(load, fw, 0 * unit[0])
+    for a in range(g.shape[0]):
+        _add(load, th * fw * g[a], unit[a])
+    return load
+
+
 def _grid_terms(x, w, inv, hess, th: float, moving: bool, f=None):
     """``(matrix, load)`` coefficient fields of a grid slab, or of the terminal face term alone
     (no ``f``, no ``hess``), from its points-last arrays.  With ``g = J^-1[:, d]``,
@@ -257,19 +272,17 @@ def _grid_terms(x, w, inv, hess, th: float, moving: bool, f=None):
     d, unit = nd - 1, np.eye(nd, dtype=int)
     g, spatial = inv[:, d], inv[:, None, :d]
     K = (spatial * inv[None, :, :d]).sum(axis=2)
-    matrix, load = {}, {}
+    matrix = {}
     if f is None:
         return {tuple(zip(unit[a], unit[b])): th * w * K[a, b]
-                for a, b in np.ndindex(nd, nd) if np.any(K[a, b])}, load
-    fw = w * f(x.T)
+                for a, b in np.ndindex(nd, nd) if np.any(K[a, b])}, {}
+    load = _load_terms(x, w, g, th, f)
     # S[e, m] = J^-1[e, c] J^-1[m, k] H[k, a, b] J^-1[a, c] g[b], summed over c, k, a, b
     Hc = ((hess * g).sum(axis=2)[:, :, None] * inv[None, :, :d]).sum(axis=1)
     S = th * w * (spatial * (inv[:, :, None] * Hc).sum(axis=1)).sum(axis=2)
     first = w * (K + th * g[:, None] * g[None, :]) + (S if moving else -S.transpose(1, 0, 2))
     mixed = (-th if moving else th) * w * K[:, :, None] * g
-    _add(load, fw, 0 * unit[0])
     for a in range(nd):
-        _add(load, th * fw * g[a], unit[a])
         _add(matrix, w * g[a], 0 * unit[0], unit[a])
     for b, a in np.ndindex(nd, nd):
         _add(matrix, first[b, a], unit[b], unit[a])
@@ -293,20 +306,28 @@ def _banded_system(batcher: ElementBatcher, directions, slabs):
     """CSR on the element pattern and load (direction 0 fastest) over the functions of
     ``directions``, from ``slabs`` of ``((matrix, load) fields, the slab's tables)``, each added
     by :func:`_contract` into the rows of its last direction's functions in one banded array
-    ``(n_last w_last, N_0 ...)``, ``N_a = n_a (2 p_a + 1)``.  Fields hold no NURBS weights."""
+    ``(n_last w_last, N_0 ...)``, ``N_a = n_a (2 p_a + 1)``.  Fields hold no NURBS weights.
+    When no slab brings matrix fields, no band is held and the CSR is None."""
     if batcher.space.weights is not None:
         raise ValueError('sum factorization needs a B-spline solution space, got NURBS weights')
     tables, nd = [batcher._tables[a] for a in directions], len(directions)
     p = np.array(batcher.space.degrees)[directions]
     dims, widths = np.array(batcher.space.dims)[directions], 2 * p + 1
-    band = np.zeros((dims[-1] * widths[-1], int(np.prod(dims[:-1] * widths[:-1]))))
-    rhs = np.zeros((dims[-1], int(np.prod(dims[:-1]))))
+    band, rhs = None, np.zeros((dims[-1], int(np.prod(dims[:-1]))))
     for terms, slab in slabs:
-        for target, w, fields in zip((band, rhs), (widths[-1], 1), terms):
+        for k, fields in enumerate(terms):
             out = _contract(fields, slab, batcher._operators)
-            if out is not None:
-                start = slab[-1].first[0] * w
-                target[start:start + out.shape[0]] += out.reshape(-1, target.shape[1])
+            if out is None:
+                continue
+            if k == 0 and band is None:
+                band = np.zeros((dims[-1] * widths[-1], int(np.prod(dims[:-1] * widths[:-1]))))
+            target, w = (band, widths[-1]) if k == 0 else (rhs, 1)
+            start = slab[-1].first[0] * w
+            target[start:start + out.shape[0]] += out.reshape(-1, target.shape[1])
+    pairs = [0, *range(nd - 1, 0, -1)]                  # stored position of each direction
+    load = rhs.reshape(dims[-1], *dims[:-1]).transpose(pairs).ravel()
+    if band is None:
+        return None, load
     index = np.int32 if band.size < 2**31 else np.int64
     stride, order = np.cumprod([1, *dims[:-1]]).astype(index), range(nd - 1, -1, -1)
     flat = [*range(0, 2 * nd, 2), *range(1, 2 * nd, 2)]   # (n..., w...), direction 0 fastest
@@ -314,12 +335,10 @@ def _banded_system(batcher: ElementBatcher, directions, slabs):
     cols = [stride[a] * (np.arange(dims[a], dtype=index)[:, None]
                          + np.arange(-p[a], p[a] + 1, dtype=index)) for a in order]
     indices = reduce(np.add.outer, cols).transpose(flat)[mask]
-    pairs = [0, *range(nd - 1, 0, -1)]                  # stored position of each direction
     band = band.reshape([n for a in [nd - 1, *range(nd - 1)] for n in (dims[a], widths[a])])
     values = band.transpose([2 * j for j in pairs] + [2 * j + 1 for j in pairs])[mask]
     indptr = np.concatenate(([0], np.cumsum(mask.reshape(dims.prod(), -1).sum(1), dtype=index)))
-    matrix = sp.csr_matrix((values, indices, indptr), shape=(dims.prod(),) * 2)
-    return matrix, rhs.reshape(dims[-1], *dims[:-1]).transpose(pairs).ravel()
+    return sp.csr_matrix((values, indices, indptr), shape=(dims.prod(),) * 2), load
 
 
 def _assemble_grid(space, geom, case, params, orders, moving) -> LinearSystem:
@@ -335,6 +354,17 @@ def _assemble_grid(space, geom, case, params, orders, moving) -> LinearSystem:
     slabs = chain((fields(s, case.f) for s in batcher.grid_slabs(need=2)),
                   (fields(s, None) for s in terminal))
     return LinearSystem(*_banded_system(batcher, list(range(nd)), slabs))
+
+
+def assemble_load(space: DiscreteSpace, geom: GeometryMap, case: ManufacturedCase,
+                  params: SchemeParams, orders=None) -> np.ndarray:
+    """The load vector alone, which both forms share: one grid pass of the load fields,
+    with neither the map Hessian nor a band, bit for bit the ``rhs`` of :func:`assemble_fixed`."""
+    th = params.theta * params.h
+    batcher = ElementBatcher(space, geom, orders)
+    slabs = ((({}, _load_terms(s.x, s.w, s.adj[:, -1] / s.det, th, case.f)), s.tables)
+             for s in batcher.grid_slabs(need=1))
+    return _banded_system(batcher, list(range(space.ndim)), slabs)[1]
 
 
 def assemble_fixed(space: DiscreteSpace, geom: GeometryMap, case: ManufacturedCase,
@@ -439,7 +469,10 @@ def apply_dirichlet(system: LinearSystem, dofmap: DofMap, case: ManufacturedCase
     """Reduce a full-space system to the free dofs.
 
     Dirichlet coefficients come from :func:`boundary_l2_project` of the
-    case's exact solution; their columns move to the right-hand side.
+    case's exact solution; their columns move to the right-hand side.  The
+    system's matrix may be a sparse matrix, which is restricted, or an
+    operator such as :func:`~spacetime_iga.linsolve.cylinder_operator`, whose
+    restriction applies it to the zero extension of the free values.
     """
     values = boundary_l2_project(space, geom, case.u, dofmap.dirichlet_mask, orders)
     free = dofmap.free
@@ -447,9 +480,17 @@ def apply_dirichlet(system: LinearSystem, dofmap: DofMap, case: ManufacturedCase
     return LinearSystem(_restrict(system.matrix, free), lifted, values)
 
 
-def _restrict(matrix: sp.csr_matrix, keep: np.ndarray) -> sp.csr_matrix:
+def _restrict(matrix, keep: np.ndarray):
     """``matrix[keep][:, keep]`` (``keep`` increasing) in one pass over the stored entries,
-    explicit zeros included, so no row-sliced copy is held next to the matrix."""
+    explicit zeros included, so no row-sliced copy is held next to the matrix.  An operator
+    over all dofs restricts to the operator that applies it to the zero extension and takes
+    ``keep``."""
+    if not sp.issparse(matrix):
+        def matvec(v):
+            full = np.zeros(matrix.shape[0])
+            full[keep] = np.ravel(v)
+            return (matrix @ full)[keep]
+        return spla.LinearOperator((keep.size,) * 2, matvec=matvec, dtype=float)
     renumber = np.full(matrix.shape[0], -1, matrix.indices.dtype)
     renumber[keep] = np.arange(keep.size)
     taken = np.repeat(renumber >= 0, np.diff(matrix.indptr)) & (renumber[matrix.indices] >= 0)

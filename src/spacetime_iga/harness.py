@@ -24,11 +24,11 @@ import numpy as np
 from ._batch import _grid_field, _span_rule, _table
 from .assembly import (LinearSystem, ManufacturedCase, SchemeParams, StabilityWarning,
                        _assemble_form, _assemble_grid, apply_dirichlet, assemble_fixed,
-                       assemble_moving, assemble_norm_matrices)
+                       assemble_load, assemble_moving, assemble_norm_matrices)
 from .geometry import (GeometryMap, SingularGeometryError, hessian, jacobian, map_point,
                        mesh_metrics)
-from .linsolve import (ConvergenceError, SingularSystemError, cylinder_preconditioner,
-                       solve_direct, solve_fd, solve_gmres)
+from .linsolve import (ConvergenceError, SingularSystemError, cylinder_operator,
+                       cylinder_preconditioner, solve_direct, solve_fd, solve_gmres)
 from .postproc import (ConvergenceReport, DiscreteField, LevelRecord, a_priori_theta_bound,
                        error_energy, error_l2, estimate_inverse_constant, rates)
 from .quadrature import gauss_1d
@@ -280,6 +280,21 @@ def _setup_level(geom: GeometryMap, degree: int, level: int):
     return space, classify_dirichlet(space)
 
 
+def _solves_by_fd(config: CaseConfig, definition: CaseDefinition, n_free: int) -> bool:
+    """Whether ``auto`` solves a level of ``n_free`` free dofs by the exact fast
+    diagonalization: a fixed identity-geometry cylinder from ``FD_MIN_DOFS`` on."""
+    return config.solver == 'auto' and definition.fd_exact and n_free >= FD_MIN_DOFS
+
+
+def _level_system(space, geom, case, params: SchemeParams, fd: bool) -> LinearSystem:
+    """The full-space system of a level: on a level that :func:`_solves_by_fd`, the load
+    alone next to the matrix-free :func:`cylinder_operator`, else the assembled form."""
+    if fd:
+        return LinearSystem(cylinder_operator(space, params.theta * params.h),
+                            assemble_load(space, geom, case, params))
+    return (assemble_moving if case.moving else assemble_fixed)(space, geom, case, params)
+
+
 def _solve(system: LinearSystem, config: CaseConfig, space, params: SchemeParams,
            definition: CaseDefinition):
     """Solve the reduced system of ``definition`` with ``config.solver``.
@@ -290,8 +305,10 @@ def _solve(system: LinearSystem, config: CaseConfig, space, params: SchemeParams
     ``auto`` a system of fewer than ``FD_MIN_DOFS`` free dofs solves by
     sparse LU, and a larger one by
 
-    - the exact fast diagonalization (method ``'fd'``) on a fixed
-      identity-geometry cylinder (``definition.fd_exact``), which it inverts;
+    - the exact fast diagonalization (method ``'fd'``, :func:`_solves_by_fd`) on
+      a fixed identity-geometry cylinder (``definition.fd_exact``), which it
+      inverts; ``run_case`` applies that rule before assembly and hands such a
+      level the matrix-free operator of :func:`_level_system`;
     - GMRES at tolerance ``min(config.solver_tol, 1e-12)`` on a moving case
       with d >= 2, where it beats the sparse LU of the whole space-time
       matrix from the same size on.  The tighter stop keeps ``auto`` as
@@ -302,11 +319,11 @@ def _solve(system: LinearSystem, config: CaseConfig, space, params: SchemeParams
     n = system.rhs.size
     theta_h = params.theta * params.h
     method, tol = config.solver, config.solver_tol
+    if _solves_by_fd(config, definition, n):
+        return solve_fd(system.matrix, system.rhs, space, theta_h)
     if method == 'auto':
         if n < FD_MIN_DOFS:
             method = 'direct'
-        elif definition.fd_exact:
-            return solve_fd(system.matrix, system.rhs, space, theta_h)
         elif definition.case.moving and definition.case.d >= 2:
             method, tol = 'gmres', min(tol, 1e-12)
         else:
@@ -330,8 +347,10 @@ def run_case(config: CaseConfig) -> ConvergenceReport:
     """Run the refinement sweep described by ``config``.
 
     Levels 0 .. levels-1 halve every knot span in turn; each level
-    assembles the scheme, applies Dirichlet data by boundary projection,
-    solves, and records errors.  Rates are attached afterwards.  When a
+    assembles the scheme (on a level solved by the exact fast
+    diagonalization only its load; the form is applied matrix-free),
+    applies Dirichlet data by boundary projection, solves, and records
+    errors.  Rates are attached afterwards.  When a
     level raises ``SingularGeometryError``, ``ConvergenceError`` or
     ``SingularSystemError``, the error propagates with a ``report``
     attribute: the :class:`ConvergenceReport` of the levels before it.
@@ -350,9 +369,10 @@ def run_case(config: CaseConfig) -> ConvergenceReport:
                     c_inv = estimate_inverse_constant(space, geom, mesh)
                 theta_bound = a_priori_theta_bound(c_inv, mesh)
             params = SchemeParams(config.theta, space.h_hat, theta_bound)
-            assemble = assemble_moving if case.moving else assemble_fixed
+            fd = _solves_by_fd(config, definition, dofmap.free.size)
             # no name holds the full-space system, so it is freed once reduced, before the solve
-            reduced = apply_dirichlet(assemble(space, geom, case, params), dofmap, case, space, geom)
+            reduced = apply_dirichlet(_level_system(space, geom, case, params, fd),
+                                      dofmap, case, space, geom)
             x, report = _solve(reduced, config, space, params, definition)
             coeffs = reduced.dirichlet_values.copy()
             coeffs[dofmap.free] = x

@@ -19,7 +19,13 @@ a fixed case whose geometry is the identity of the parameter cube, which
 :func:`solve_fd` solves with it directly, and a level-robust GMRES
 preconditioner on moving cylinders.  The spatial directions are
 diagonalized by generalized eigenvectors, and the banded time systems
-that remain are factored together as one sparse LU.
+that remain are factored together as one banded LU (LAPACK ``dgbtrf``),
+``O(n_free p)`` numbers stored.  :func:`cylinder_operator` applies the same
+form over all dofs by mode products on the univariate factors (matrix-free
+IgA, Sangalli & Tani, CMAME 338, 2018), so that a level solved by the fast
+diagonalization needs no space-time matrix: the Dirichlet lifting and the
+residual of the refinement are products with it.  The univariate factors
+are integrated on their bands by the assembly's band operators.
 
 On a moving cylinder with d >= 2 the preconditioned GMRES replaces the
 sparse LU of the whole space-time matrix from 500 free dofs on
@@ -36,9 +42,9 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from ._batch import _span_rule, _table
-from .splines import KnotVector
+from ._batch import _band_operator, _level_table, _memo
 from .tensor_space import DiscreteSpace, dirichlet_faces
 
 __all__ = [
@@ -49,6 +55,7 @@ __all__ = [
     'solve_fd',
     'solve_gmres',
     'cylinder_matrices',
+    'cylinder_operator',
     'cylinder_preconditioner',
 ]
 
@@ -83,16 +90,19 @@ class SolveReport:
     tol: float | None = None
 
 
-def _check(matrix, rhs):
-    if not sp.issparse(matrix):
-        raise TypeError('matrix must be a scipy sparse matrix')
+def _check(matrix, rhs, operators: bool = False):
+    """``(matrix, rhs)`` as CSR and float, checked; ``operators`` admits a
+    :class:`scipy.sparse.linalg.LinearOperator` as it is."""
+    if not (sp.issparse(matrix) or operators and isinstance(matrix, spla.LinearOperator)):
+        raise TypeError('matrix must be a scipy sparse matrix'
+                        + (' or a LinearOperator' if operators else ''))
     n, m = matrix.shape
     if n != m:
         raise ValueError(f'matrix must be square, got {matrix.shape}')
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (n,):
         raise ValueError(f'rhs must have shape ({n},), got {rhs.shape}')
-    return matrix.tocsr(), rhs
+    return (matrix.tocsr() if sp.issparse(matrix) else matrix), rhs
 
 
 def _relative_residual(matrix, rhs, x, scale) -> float:
@@ -104,7 +114,7 @@ def _solve_exact(matrix, rhs, method: str, factor):
 
     ``factor`` is timed with the solve and may raise ``RuntimeError`` on a
     singular system."""
-    matrix, rhs = _check(matrix, rhs)
+    matrix, rhs = _check(matrix, rhs, operators=method == 'fd')
     t0 = time.perf_counter()
     scale = np.linalg.norm(rhs)
     if scale == 0.0:
@@ -137,12 +147,14 @@ def solve_fd(matrix, rhs, space: DiscreteSpace, theta_h: float):
     """Exact fast diagonalization solve of a fixed identity-geometry cylinder.
 
     ``matrix`` is the reduced fixed form on such a cylinder, which is the
-    operator :func:`cylinder_preconditioner` inverts; the operator build
-    counts in the reported time.  As in :func:`solve_direct`, one round of
-    iterative refinement against ``matrix`` follows when the residual is
-    above round-off, and the report carries method ``'fd'`` and zero
-    iterations.  Raises :class:`SingularSystemError` on a singular time
-    factorization or non-finite results.
+    operator :func:`cylinder_preconditioner` inverts: the assembled CSR, or
+    matrix-free the restriction of :func:`cylinder_operator` to the free
+    dofs.  The inverse's build counts in the reported time.  As in
+    :func:`solve_direct`, one round of iterative refinement against
+    ``matrix`` follows when the residual is above round-off, and the report
+    carries method ``'fd'``, zero iterations and the true relative residual
+    against ``matrix``.  Raises :class:`SingularSystemError` on a singular
+    time factorization or non-finite results.
     """
     return _solve_exact(matrix, rhs, 'fd',
                         lambda m: cylinder_preconditioner(space, m.shape[0], theta_h).matvec)
@@ -205,38 +217,94 @@ def solve_gmres(matrix, rhs, tol: float = 1e-10, restart: int = 50, max_iter: in
 # ---------------------------------------------------------------------------
 # fast diagonalization on the parametric cylinder
 
-def _univariate_matrices(kv: KnotVector):
-    """Dense mass, stiffness and advection ``C[i, j] = int phi_j' phi_i`` on [0, 1]."""
-    nodes, w = _span_rule(kv, kv.degree + 1)               # (ns, q)
-    table = _table(kv, nodes)
-    val, der = table.ders[:, :, 0, :], table.ders[:, :, 1, :]
-    local = [np.einsum('sq,sqi,sqj->sij', w, a, b)
-             for a, b in ((val, val), (der, der), (val, der))]
-    idx = table.first[:, None] + np.arange(kv.degree + 1)
-    rows, cols = np.broadcast_arrays(idx[:, :, None], idx[:, None, :])
-    out = []
-    for loc in local:
-        mat = np.zeros((kv.n, kv.n))
-        np.add.at(mat, (rows, cols), loc)
-        out.append(mat)
-    return tuple(out)
+def _univariate_bands(space: DiscreteSpace, a: int):
+    """Mass ``M``, stiffness ``K``, advection ``C[i, j] = int phi_j' phi_i`` and ``C^T`` of
+    direction ``a`` on [0, 1] as band rows ``(n, 2p + 1)``, entry ``(i, o)`` holding matrix
+    entry ``(i, i + o - p)``: each one :func:`~spacetime_iga._batch._band_operator` product
+    with the ``p + 1``-point Gauss weights, kept in the level's store."""
+    kv = space.knot_vectors[a]
+
+    def build():
+        weights, table = _level_table(space, kv, kv.degree + 1)
+        return tuple((_band_operator(table, *pair) @ weights.ravel()).reshape(kv.n, -1)
+                     for pair in ((0, 0), (1, 1), (0, 1), (1, 0)))
+    return _memo(space._univariate, ('bands', kv.knots.tobytes()), build)
 
 
-def cylinder_matrices(space: DiscreteSpace):
-    """Univariate ``(M, K, C)`` of every direction, restricted to the free indices.
+def _dense(band: np.ndarray) -> np.ndarray:
+    """The square matrix of band rows ``(n, 2p + 1)``; entries outside it are dropped."""
+    n, width = band.shape
+    out, i = np.zeros((n, n + width - 1)), np.arange(n)[:, None]
+    out[i, i + np.arange(width)] = band                      # column j + p
+    return out[:, width // 2:n + width // 2]
 
-    A direction's free indices are those that no face of
-    :func:`~spacetime_iga.tensor_space.dirichlet_faces` pins: the interior
-    ones in space and those from 1 on in time.  Their tensor product is
-    the free set of :func:`~spacetime_iga.tensor_space.classify_dirichlet`.
-    The last entry belongs to time.
-    """
+
+def _gbtrf_storage(band: np.ndarray) -> np.ndarray:
+    """LAPACK ``gbtrf`` storage ``(3p + 1, n)`` of band rows ``(n, 2p + 1)``, ``kl = ku = p``:
+    entry ``(i, j)`` at row ``2p + i - j`` of column ``j``, the first ``p`` rows left for the
+    fill-in; entries outside the square are dropped."""
+    n, width = band.shape
+    o, i = np.arange(width), np.arange(n)[:, None]
+    out = np.zeros((3 * (width // 2) + 1, n + width - 1))
+    out[3 * (width // 2) - o, i + o] = band                  # column j + p
+    return out[:, width // 2:n + width // 2]
+
+
+def _free_indices(space: DiscreteSpace, a: int) -> slice:
+    """The indices of direction ``a`` that no face of
+    :func:`~spacetime_iga.tensor_space.dirichlet_faces` pins: the interior ones in space and
+    those from 1 on in time."""
     faces = dirichlet_faces(space.ndim)
+    return slice(int((a, 0) in faces), space.dims[a] - int((a, 1) in faces))
+
+
+def _mode_products(x: np.ndarray, matrices) -> np.ndarray:
+    """``x`` ``(n_last, ..., n_0)`` times ``matrices[a]`` along the axis of each direction
+    ``a`` from 0 on."""
+    for a, u in enumerate(matrices):
+        axis = x.ndim - 1 - a
+        x = np.moveaxis(np.tensordot(u, x, axes=(1, axis)), 0, axis)
+    return x
+
+
+def cylinder_matrices(space: DiscreteSpace, free: bool = True):
+    """Dense univariate ``(M, K, C)`` of every direction, the last entry time's.
+
+    With ``free`` they are restricted to a direction's free indices, those that no face of
+    :func:`~spacetime_iga.tensor_space.dirichlet_faces` pins: the interior ones in space and
+    those from 1 on in time.  Their tensor product is the free set of
+    :func:`~spacetime_iga.tensor_space.classify_dirichlet`.
+    """
     out = []
-    for a, kv in enumerate(space.knot_vectors):
-        keep = slice(int((a, 0) in faces), kv.n - int((a, 1) in faces))
-        out.append(tuple(m[keep, keep] for m in _univariate_matrices(kv)))
+    for a in range(space.ndim):
+        keep = _free_indices(space, a) if free else slice(None)
+        out.append(tuple(_dense(b)[keep, keep] for b in _univariate_bands(space, a)[:3]))
     return out
+
+
+def cylinder_operator(space: DiscreteSpace, theta_h: float):
+    """The fixed form on the identity cylinder over all dofs of ``space``, matrix-free.
+
+    Returns a :class:`scipy.sparse.linalg.LinearOperator` applying
+    ``(C_t + s K_t) (x) M_x + (M_t + s C_t^T) (x) K_x``, ``s = theta_h``, with
+    ``M_x = M_{d-1} (x) ... (x) M_0`` and ``K_x`` the sum over spatial directions of the same
+    product with one ``M`` replaced by ``K``: one mode product per direction and term on the
+    unrestricted :func:`cylinder_matrices` (Sangalli & Tani, CMAME 338, 2018).  It is the
+    matrix :func:`~spacetime_iga.assembly.assemble_fixed` assembles on a map that is the
+    identity of the parameter cube.
+    """
+    *spatial, (m_t, k_t, c_t) = cylinder_matrices(space, free=False)
+    masses = [m for m, _, _ in spatial]
+    terms = [[*masses, c_t + theta_h * k_t]]
+    terms += [[*masses[:a], k, *masses[a + 1:], m_t + theta_h * c_t.T]
+              for a, (_, k, _) in enumerate(spatial)]
+    shape = space.dims[::-1]
+
+    def apply(v):
+        x = np.reshape(v, shape)
+        return sum(_mode_products(x, t) for t in terms).reshape(v.shape)
+
+    return spla.LinearOperator((space.dim,) * 2, matvec=apply, dtype=float)
 
 
 def cylinder_preconditioner(space: DiscreteSpace, n_free: int, theta_h: float):
@@ -246,18 +314,23 @@ def cylinder_preconditioner(space: DiscreteSpace, n_free: int, theta_h: float):
     reduced system and ``theta_h`` the product ``theta h`` of the scheme.
     Returns a :class:`scipy.sparse.linalg.LinearOperator` applying the
     inverse of ``(C_t + s K_t) (x) M_x + (M_t + s C_t^T) (x) K_x``,
-    ``s = theta_h``, on the free dofs, for :func:`solve_gmres`.  Raises
-    ``ValueError`` when ``n_free`` is not the size of the tensor-product
-    free set.
+    ``s = theta_h``, on the free dofs, for :func:`solve_gmres` and :func:`solve_fd`.
+    Raises ``ValueError`` when ``n_free`` is not the size of the
+    tensor-product free set, and :class:`SingularSystemError` when a time
+    system is singular.
 
     Each spatial pencil gives ``K_a U_a = M_a U_a diag(lam_a)`` with
     ``U_a^T M_a U_a = I``.  In that basis the operator splits into one
-    banded time system ``(C_t + s K_t) + lam (M_t + s C_t^T)`` per spatial
-    eigenvalue ``lam``.  Their block-diagonal sum is factored once as one
-    sparse LU, about ``6 n_free`` stored numbers at degree 2, and each
-    application is one solve with it.
+    time system ``(C_t + s K_t) + lam (M_t + s C_t^T)`` of half-bandwidth
+    ``p`` per spatial eigenvalue ``lam``.  Stacked eigenvalue-major they
+    are one band matrix, factored once by LAPACK ``dgbtrf`` from the time
+    direction's band rows (:func:`_univariate_bands`) into ``(3p + 1) n_free``
+    stored numbers; each application is one ``dgbtrs``.
     """
-    *spatial, (m_t, k_t, c_t) = cylinder_matrices(space)
+    *spatial, _ = cylinder_matrices(space)
+    t = space.ndim - 1
+    keep = _free_indices(space, t)
+    m_t, k_t, c_t, ct_t = (band[keep] for band in _univariate_bands(space, t))
     # flat order runs direction 0 fastest, time slowest
     shape = (m_t.shape[0],) + tuple(m.shape[0] for m, _, _ in spatial[::-1])
     if n_free != int(np.prod(shape)):
@@ -266,20 +339,23 @@ def cylinder_preconditioner(space: DiscreteSpace, n_free: int, theta_h: float):
                          f'time), got {n_free} free dofs')
     pairs = [sla.eigh(k, m) for m, k, _ in spatial]
     lam = reduce(np.add.outer, [ev for ev, _ in pairs[::-1]]).ravel()
-    time_systems = (sp.kron(sp.identity(lam.size), c_t + theta_h * k_t)
-                    + sp.kron(sp.diags(lam), m_t + theta_h * c_t.T))
-    lu = spla.splu(time_systems.tocsc())
-
-    def spatial_transform(x, transpose: bool):
-        for a, (_, u) in enumerate(pairs):
-            axis = len(shape) - 1 - a
-            x = np.moveaxis(np.tensordot(u.T if transpose else u, x, axes=(1, axis)), 0, axis)
-        return x
+    # storage transposed, (n_t, 3p + 1), so that the stack is Fortran-ordered and factored in
+    # place; its row k n_t + j is column j of the time system of eigenvalue k
+    a_t, b_t = (np.ascontiguousarray(_gbtrf_storage(band).T)
+                for band in (c_t + theta_h * k_t, m_t + theta_h * ct_t))
+    band = lam[:, None, None] * b_t
+    band += a_t
+    p = space.degrees[t]
+    lu, piv, info = dgbtrf(band.reshape(-1, a_t.shape[1]).T, p, p, overwrite_ab=True)
+    if info > 0:
+        raise SingularSystemError(f'time system factorization is singular (dgbtrf info {info})')
 
     def apply(r):
-        y = spatial_transform(np.reshape(r, shape), transpose=True).reshape(shape[0], -1)
-        # one time column per spatial eigenvalue, in the block order of the LU
-        y = lu.solve(y.ravel(order='F')).reshape(y.shape, order='F')
-        return spatial_transform(y.reshape(shape), transpose=False).reshape(r.shape)
+        y = _mode_products(np.reshape(r, shape), [u.T for _, u in pairs])
+        # one time column per spatial eigenvalue, in the block order of the band
+        y = np.ascontiguousarray(y.reshape(shape[0], -1).T).reshape(-1, 1)
+        y, _ = dgbtrs(lu, p, p, y, piv, overwrite_b=True)
+        y = y.reshape(-1, shape[0]).T.reshape(shape)
+        return _mode_products(y, [u for _, u in pairs]).reshape(r.shape)
 
     return spla.LinearOperator((n_free, n_free), matvec=apply, dtype=float)

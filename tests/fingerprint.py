@@ -8,6 +8,9 @@ line of sha256 digests (the first 16 hex digits) of
 - the reduced matrix and its load;
 - the solution;
 
+where a level is solved matrix-free (the exact fast diagonalization), both
+matrix digests read ``-``;
+
 followed by the ``repr`` of the L2 and energy errors, so a diff shows which
 error moved and by how much.
 
@@ -35,6 +38,7 @@ import sys
 import warnings
 
 import numpy as np
+import scipy.sparse as sp
 
 import spacetime_iga.harness as harness
 from spacetime_iga.assembly import StabilityWarning
@@ -51,7 +55,8 @@ def _digest(*arrays) -> str:
 
 
 def _matrix(m) -> str:
-    return _digest(m.indptr, m.indices, m.data)
+    """The digest of a CSR matrix, ``-`` for an operator (a level solved matrix-free)."""
+    return _digest(m.indptr, m.indices, m.data) if sp.issparse(m) else '-'
 
 
 def fingerprint(key: str) -> list:

@@ -40,8 +40,8 @@ import spacetime_iga.assembly as assembly
 from geometries import identity_geometry, perturbed_nurbs_cylinder, quarter_annulus_cylinder
 from spacetime_iga._batch import ElementBatcher, at_points
 from spacetime_iga.assembly import (LinearSystem, ManufacturedCase, SchemeParams,
-                                    StabilityWarning, apply_dirichlet,
-                                    assemble_fixed, assemble_moving, assemble_norm_matrices,
+                                    StabilityWarning, apply_dirichlet, assemble_fixed,
+                                    assemble_load, assemble_moving, assemble_norm_matrices,
                                     boundary_l2_project)
 from spacetime_iga.geometry import mesh_metrics
 from spacetime_iga.harness import assembly_paths_gap, builtin_cases, solution_space
@@ -528,6 +528,18 @@ def test_dirichlet_restriction_is_the_two_step_slice(name, level):
     assert (got.data == 0.0).sum() == (ref.data == 0.0).sum() > 0
     for attr in ('indptr', 'indices', 'data'):
         assert np.array_equal(getattr(got, attr), getattr(ref, attr)), attr
+
+
+@pytest.mark.parametrize('name,degree,level', [
+    *(('fixed-1d', p, 4) for p in (1, 2, 3)),
+    *(('fixed-2d', p, 2) for p in (1, 2)),
+    ('moving-curvi-2d', 2, 2), ('quarter-annulus', 2, 1),
+])
+def test_load_pass_is_the_assembled_load_bit_for_bit(name, degree, level):
+    # the load-only pass of a matrix-free level builds no band, and both forms share its load
+    space, geom, case, params = agreement_setup(name, degree, level)
+    want = (assemble_moving if case.moving else assemble_fixed)(space, geom, case, params).rhs
+    assert assemble_load(space, geom, case, params).tobytes() == want.tobytes()
 
 
 def boundary_data(x):

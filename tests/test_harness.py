@@ -5,13 +5,14 @@ import os
 import re
 import warnings
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from geometries import quarter_annulus_cylinder
-from spacetime_iga import harness
+from spacetime_iga import assembly, harness
 from spacetime_iga.assembly import NormMatrices, StabilityWarning
 from spacetime_iga.geometry import map_point
 from spacetime_iga.harness import (CSV_HEADER, CaseConfig, builtin_cases,
@@ -181,6 +182,31 @@ def test_auto_solves_fixed_identity_cylinders_by_fast_diagonalization():
                                moving=False)) == ['direct'] * 5 + ['fd']
     assert _methods(CaseConfig(case='fixed-1d', degree=2, levels=6,
                                solver='direct')) == ['direct'] * 6
+
+
+def space_time_builds(monkeypatch) -> Counter:
+    """Count the space-time CSR matrices ``_banded_system`` builds, by their size."""
+    built, banded_system = Counter(), assembly._banded_system
+
+    def counted(batcher, directions, slabs):
+        matrix, load = banded_system(batcher, directions, slabs)
+        if matrix is not None and len(directions) == batcher.space.ndim:
+            built[matrix.shape[0]] += 1
+        return matrix, load
+    monkeypatch.setattr(assembly, '_banded_system', counted)
+    return built
+
+
+def test_exact_fast_diagonalization_levels_build_no_space_time_matrix(monkeypatch):
+    # fixed-1d p2 has (2^l + 2)^2 dofs at level l, and L5-L6 solve by ``fd``
+    built = space_time_builds(monkeypatch)
+    dofs = [(2**level + 2) ** 2 for level in range(7)]
+    assert _methods(CaseConfig(case='fixed-1d', degree=2, levels=7)) == ['direct'] * 5 + ['fd'] * 2
+    assert built == Counter(dofs[:5])
+    built.clear()
+    assert _methods(CaseConfig(case='fixed-1d', degree=2, levels=7,
+                               solver='direct')) == ['direct'] * 7
+    assert built == Counter(dofs)
 
 
 def test_auto_keeps_sparse_lu_off_the_identity_fixed_cylinder():

@@ -7,17 +7,20 @@ from functools import reduce
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from spacetime_iga.assembly import SchemeParams, apply_dirichlet, assemble_fixed, assemble_moving
+import spacetime_iga.linsolve as linsolve
+from spacetime_iga.assembly import (LinearSystem, SchemeParams, apply_dirichlet, assemble_fixed,
+                                    assemble_moving)
 from spacetime_iga.harness import CaseConfig, _setup_level, builtin_cases, run_case
 from spacetime_iga.linsolve import (ConvergenceError, SingularSystemError, SolveReport,
-                                    cylinder_matrices, cylinder_preconditioner,
-                                    solve_direct, solve_fd, solve_gmres)
+                                    cylinder_matrices, cylinder_operator,
+                                    cylinder_preconditioner, solve_direct, solve_fd, solve_gmres)
 from spacetime_iga.splines import KnotVector
 from spacetime_iga.tensor_space import DiscreteSpace
 
@@ -191,6 +194,93 @@ def test_fast_diagonalization_solve_failures_raise():
         solve_fd(system.matrix, system.rhs, space, np.nan)
 
 
+def assembled_and_operator(space, d):
+    """The assembled fixed form of ``space`` on the identity cylinder of ``d`` space
+    dimensions, dense, and :func:`cylinder_operator` applied to the identity."""
+    definition = builtin_cases()['fixed-1d' if d == 1 else 'fixed-2d']
+    params = SchemeParams(0.1, space.h_hat)
+    assembled = assemble_fixed(space, definition.geometry, definition.case, params).matrix
+    operator = cylinder_operator(space, params.theta * params.h)
+    return assembled.toarray(), operator @ np.eye(space.dim)
+
+
+@pytest.mark.parametrize('name,degree,level', [
+    *(('fixed-1d', p, 3) for p in (1, 2, 3)),
+    *(('fixed-2d', p, 2) for p in (1, 2)),
+])
+def test_cylinder_operator_is_the_assembled_fixed_form(name, degree, level):
+    # over all dofs, Dirichlet ones included: the lifting and the residual of a matrix-free level
+    space, _ = _setup_level(builtin_cases()[name].geometry, degree, level)
+    assembled, applied = assembled_and_operator(space, space.ndim - 1)
+    assert np.linalg.norm(applied - assembled) <= 1e-13 * np.linalg.norm(assembled)
+
+
+def superlu_time_solve(space, theta_h):
+    """The fast diagonalization with its time systems stacked by ``sp.kron`` and factored by
+    SuperLU: the reference of the banded LU."""
+    *spatial, (m_t, k_t, c_t) = cylinder_matrices(space)
+    shape = (m_t.shape[0],) + tuple(m.shape[0] for m, _, _ in spatial[::-1])
+    pairs = [scipy.linalg.eigh(k, m) for m, k, _ in spatial]
+    lam = reduce(np.add.outer, [ev for ev, _ in pairs[::-1]]).ravel()
+    lu = spla.splu((sp.kron(sp.identity(lam.size), c_t + theta_h * k_t)
+                    + sp.kron(sp.diags(lam), m_t + theta_h * c_t.T)).tocsc())
+
+    def transform(x, transpose):
+        for a, (_, u) in enumerate(pairs):
+            axis = len(shape) - 1 - a
+            x = np.moveaxis(np.tensordot(u.T if transpose else u, x, axes=(1, axis)), 0, axis)
+        return x
+
+    def apply(r):
+        y = transform(r.reshape(shape), transpose=True).reshape(shape[0], -1)
+        y = lu.solve(y.ravel(order='F')).reshape(y.shape, order='F')
+        return transform(y.reshape(shape), transpose=False).ravel()
+    return apply
+
+
+@pytest.mark.parametrize('name,degree,level', [
+    ('fixed-1d', 1, 5), ('fixed-1d', 2, 6), ('fixed-1d', 3, 4),
+    ('fixed-2d', 1, 3), ('fixed-2d', 2, 3), ('moving-curvi-2d', 3, 2),
+])
+def test_banded_time_factor_matches_superlu(name, degree, level):
+    space, dofmap = _setup_level(builtin_cases()[name].geometry, degree, level)
+    theta_h = 0.1 * space.h_hat
+    v = np.random.default_rng(41).standard_normal(dofmap.free.size)
+    want = superlu_time_solve(space, theta_h)(v)
+    got = cylinder_preconditioner(space, v.size, theta_h) @ v
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize('name,degree,level', [('fixed-1d', 2, 5), ('fixed-2d', 2, 3)])
+def test_matrix_free_fast_diagonalization_solve_matches_lu(name, degree, level):
+    # the solve ``run_case`` makes on such a level: the Kronecker operator restricted by
+    # ``apply_dirichlet`` in place of the assembled matrix, the load from the same pass
+    definition = builtin_cases()[name]
+    case, geom = definition.case, definition.geometry
+    space, dofmap = _setup_level(geom, degree, level)
+    params = SchemeParams(0.1, space.h_hat)
+    theta_h = params.theta * params.h
+    full = assemble_fixed(space, geom, case, params)
+    assembled = apply_dirichlet(full, dofmap, case, space, geom)
+    free = apply_dirichlet(LinearSystem(cylinder_operator(space, theta_h), full.rhs), dofmap,
+                           case, space, geom)
+    assert np.linalg.norm(free.rhs - assembled.rhs) <= 1e-13 * np.linalg.norm(assembled.rhs)
+    xd, _ = solve_direct(assembled.matrix, assembled.rhs)
+    xf, report = solve_fd(free.matrix, free.rhs, space, theta_h)
+    assert np.linalg.norm(xf - xd) <= 1e-12 * np.linalg.norm(xd)
+    assert (report.method, report.iterations, report.tol) == ('fd', 0, None)
+    assert report.residual <= 1e-13
+    assert_allclose(report.residual, np.linalg.norm(free.rhs - free.matrix @ xf)
+                    / np.linalg.norm(free.rhs), rtol=1e-12)
+
+
+def test_failed_time_factorization_raises(monkeypatch):
+    space, system, theta_h = builtin_system('fixed-1d', 2, 3)
+    monkeypatch.setattr(linsolve, 'dgbtrf', lambda ab, kl, ku, **kw: (ab, None, 3))
+    with pytest.raises(SingularSystemError, match='dgbtrf info 3'):
+        solve_fd(system.matrix, system.rhs, space, theta_h)
+
+
 @st.composite
 def open_knot_vectors(draw):
     """Degree 1-3, 1-5 interior knots on a 1/16 grid, multiplicity at most the degree."""
@@ -211,6 +301,15 @@ def test_fast_diagonalization_inverts_on_nonuniform_knots(kvs, theta_h):
     v = np.random.default_rng(37).standard_normal(kron.shape[0])
     assert np.linalg.norm(solve @ (kron @ v) - v) <= 1e-10 * np.linalg.norm(v)
     assert np.linalg.norm(kron @ (solve @ v) - v) <= 1e-10 * np.linalg.norm(v)
+
+
+@settings(max_examples=30, deadline=None)
+@given(kvs=st.integers(1, 2).flatmap(lambda d: st.lists(open_knot_vectors(), min_size=d + 1,
+                                                          max_size=d + 1)))
+def test_cylinder_operator_is_the_assembled_form_on_nonuniform_knots(kvs):
+    space = DiscreteSpace(kvs)
+    assembled, applied = assembled_and_operator(space, space.ndim - 1)
+    assert np.linalg.norm(applied - assembled) <= 1e-13 * np.linalg.norm(assembled)
 
 
 def test_fast_diagonalization_rejects_a_mismatched_free_set():

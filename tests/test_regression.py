@@ -31,11 +31,13 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 import spacetime_iga.harness as harness
-from spacetime_iga.assembly import StabilityWarning, assemble_norm_matrices
+from spacetime_iga.assembly import (StabilityWarning, _restrict, assemble_fixed,
+                                    assemble_norm_matrices)
 from spacetime_iga.harness import CaseConfig, builtin_cases, run_case
 from spacetime_iga.tensor_space import classify_dirichlet
 
@@ -81,12 +83,16 @@ def _energy_scale(space, params, definition) -> float:
 
 def _regenerate(config: CaseConfig) -> dict:
     """:func:`_errors` plus each level's ``l2_floor`` and ``energy_floor``, from the systems
-    ``run_case`` solves."""
+    ``run_case`` solves; a level solved matrix-free gets its reduced matrix assembled here."""
     floors, energy_floors, solve = [], [], harness._solve
 
     def recording_solve(system, config, space, params, definition):
         x, report = solve(system, config, space, params, definition)
-        floors.append(_forward_error_floor(system.matrix, x))
+        matrix = system.matrix
+        if not sp.issparse(matrix):
+            full = assemble_fixed(space, definition.geometry, definition.case, params)
+            matrix = _restrict(full.matrix, classify_dirichlet(space).free)
+        floors.append(_forward_error_floor(matrix, x))
         energy_floors.append(floors[-1] * _energy_scale(space, params, definition))
         return x, report
 
