@@ -259,11 +259,12 @@ def _free_indices(space: DiscreteSpace, a: int) -> slice:
 
 
 def _mode_products(x: np.ndarray, matrices) -> np.ndarray:
-    """``x`` ``(n_last, ..., n_0)`` times ``matrices[a]`` along the axis of each direction
-    ``a`` from 0 on."""
+    """``x`` ``(n_last, ..., n_0)`` times ``matrices[a]``, dense or sparse, along the axis of
+    each direction ``a`` from 0 on."""
     for a, u in enumerate(matrices):
-        axis = x.ndim - 1 - a
-        x = np.moveaxis(np.tensordot(u, x, axes=(1, axis)), 0, axis)
+        moved = np.moveaxis(x, x.ndim - 1 - a, 0)
+        y = u @ moved.reshape(moved.shape[0], -1)
+        x = np.moveaxis(y.reshape(-1, *moved.shape[1:]), 0, x.ndim - 1 - a)
     return x
 
 
@@ -293,7 +294,8 @@ def cylinder_operator(space: DiscreteSpace, theta_h: float):
     matrix :func:`~spacetime_iga.assembly.assemble_fixed` assembles on a map that is the
     identity of the parameter cube.
     """
-    *spatial, (m_t, k_t, c_t) = cylinder_matrices(space, free=False)
+    *spatial, (m_t, k_t, c_t) = ([sp.csr_matrix(m) for m in mats]
+                                 for mats in cylinder_matrices(space, free=False))
     masses = [m for m, _, _ in spatial]
     terms = [[*masses, c_t + theta_h * k_t]]
     terms += [[*masses[:a], k, *masses[a + 1:], m_t + theta_h * c_t.T]
