@@ -240,14 +240,14 @@ def _dense(band: np.ndarray) -> np.ndarray:
 
 
 def _gbtrf_storage(band: np.ndarray) -> np.ndarray:
-    """LAPACK ``gbtrf`` storage ``(3p + 1, n)`` of band rows ``(n, 2p + 1)``, ``kl = ku = p``:
-    entry ``(i, j)`` at row ``2p + i - j`` of column ``j``, the first ``p`` rows left for the
-    fill-in; entries outside the square are dropped."""
+    """LAPACK ``gbtrf`` storage of band rows ``(n, 2p + 1)``, ``kl = ku = p``, transposed to
+    ``(n, 3p + 1)``: matrix entry ``(i, j)`` at ``[j, 2p + i - j]``, the first ``p`` of each
+    row left for the fill-in; entries outside the square are dropped."""
     n, width = band.shape
     o, i = np.arange(width), np.arange(n)[:, None]
-    out = np.zeros((3 * (width // 2) + 1, n + width - 1))
-    out[3 * (width // 2) - o, i + o] = band                  # column j + p
-    return out[:, width // 2:n + width // 2]
+    out = np.zeros((n + width - 1, 3 * (width // 2) + 1))
+    out[i + o, 3 * (width // 2) - o] = band                  # row j + p
+    return out[width // 2:n + width // 2]
 
 
 def _free_indices(space: DiscreteSpace, a: int) -> slice:
@@ -341,10 +341,9 @@ def cylinder_preconditioner(space: DiscreteSpace, n_free: int, theta_h: float):
                          f'time), got {n_free} free dofs')
     pairs = [sla.eigh(k, m) for m, k, _ in spatial]
     lam = reduce(np.add.outer, [ev for ev, _ in pairs[::-1]]).ravel()
-    # storage transposed, (n_t, 3p + 1), so that the stack is Fortran-ordered and factored in
-    # place; its row k n_t + j is column j of the time system of eigenvalue k
-    a_t, b_t = (np.ascontiguousarray(_gbtrf_storage(band).T)
-                for band in (c_t + theta_h * k_t, m_t + theta_h * ct_t))
+    # row k n_t + j of the transposed storage is column j of the time system of eigenvalue k;
+    # its transpose is Fortran-ordered, and factored in place
+    a_t, b_t = _gbtrf_storage(c_t + theta_h * k_t), _gbtrf_storage(m_t + theta_h * ct_t)
     band = lam[:, None, None] * b_t
     band += a_t
     p = space.degrees[t]
