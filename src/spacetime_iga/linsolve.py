@@ -289,10 +289,10 @@ def cylinder_operator(space: DiscreteSpace, theta_h: float):
     Returns a :class:`scipy.sparse.linalg.LinearOperator` applying
     ``(C_t + s K_t) (x) M_x + (M_t + s C_t^T) (x) K_x``, ``s = theta_h``, with
     ``M_x = M_{d-1} (x) ... (x) M_0`` and ``K_x`` the sum over spatial directions of the same
-    product with one ``M`` replaced by ``K``: one mode product per direction and term on the
-    unrestricted :func:`cylinder_matrices` (Sangalli & Tani, CMAME 338, 2018).  It is the
-    matrix :func:`~spacetime_iga.assembly.assemble_fixed` assembles on a map that is the
-    identity of the parameter cube.
+    product with one ``M`` replaced by ``K``: one mode product per direction and term with the
+    unrestricted :func:`cylinder_matrices`, held sparse (Sangalli & Tani, CMAME 338, 2018).
+    It is the matrix :func:`~spacetime_iga.assembly.assemble_fixed` assembles on a map that is
+    the identity of the parameter cube.
     """
     *spatial, (m_t, k_t, c_t) = ([sp.csr_matrix(m) for m in mats]
                                  for mats in cylinder_matrices(space, free=False))
