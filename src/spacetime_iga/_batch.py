@@ -247,7 +247,6 @@ class ElementBatcher:
         if orders is None:
             orders = [p + 1 for p in space.degrees]
         self.orders = [int(o) for o in orders]
-        self.identity = geom.is_identity
         # kept for one stage only: kept for a level, they pinned the allocator's heap above
         # the stage's temporaries and raised the solve's peak RSS
         self._operators = {}
@@ -275,6 +274,12 @@ class ElementBatcher:
                                  lambda: _table(k, pinned))
         return tables, geo_tables, fixed_dir
 
+    @property
+    def identity(self) -> bool:
+        """``geom.is_identity``, evaluated when read: only :meth:`blocks` reads it, so a
+        grid pass builds no Greville grid."""
+        return self.geom.is_identity
+
     def blocks(self, need: int = 2, face=None):
         """Yield basis data for every element, in blocks, C order.
 
@@ -284,7 +289,7 @@ class ElementBatcher:
         pulled back with the full volume Jacobian.
         """
         tables, geo_tables, face_dir = self._tables_for(face)
-        nd = self.nd
+        nd, identity = self.nd, self.identity
         shape = tuple(t.first.size for t in tables)
         n_el = int(np.prod(shape))
         q = int(np.prod([t.ders.shape[1] for t in tables]))
@@ -299,7 +304,7 @@ class ElementBatcher:
             for a in range(nd):
                 if a != face_dir:
                     w = (w[:, :, None] * self._weights[a][multi[a]][:, None, :]).reshape(E, -1)
-            if self.identity:
+            if identity:
                 x = eval_geometry(self.geom, *_rows(geo_tables, multi), need=0)[0]
                 J = np.broadcast_to(np.eye(nd), (E, q, nd, nd))
                 det = np.ones((E, q))

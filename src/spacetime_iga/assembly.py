@@ -450,17 +450,18 @@ def boundary_l2_project(space: DiscreteSpace, geom: GeometryMap, g,
     One joint projection over the lateral boundary and the initial face:
     sum the boundary mass matrices and moment vectors of ``g`` of the
     :func:`~spacetime_iga.tensor_space.dirichlet_faces` (:func:`_face_system`),
-    restrict to the Dirichlet set, solve.  Returns a full-length
+    restrict to the Dirichlet set and solve that symmetric positive definite
+    system by symmetric-mode SuperLU.  Returns a full-length
     coefficient vector, zero on free dofs.
     """
-    from .linsolve import solve_direct
+    from .linsolve import _solve_spd
 
     batcher = ElementBatcher(space, geom, orders)
     faces = [_face_system(batcher, g, face) for face in dirichlet_faces(space.ndim)]
     mass = sum((f.matrix for f in faces[1:]), faces[0].matrix)
     idx = np.flatnonzero(dirichlet_mask)
     values = np.zeros(space.dim)
-    values[idx], _ = solve_direct(_restrict(mass, idx), sum(f.rhs for f in faces)[idx])
+    values[idx], _ = _solve_spd(_restrict(mass, idx), sum(f.rhs for f in faces)[idx])
     return values
 
 

@@ -20,7 +20,14 @@ a fixed case whose geometry is the identity of the parameter cube, which
 preconditioner on moving cylinders.  The spatial directions are
 diagonalized by generalized eigenvectors, and the banded time systems
 that remain are factored together as one banded LU (LAPACK ``dgbtrf``),
-``O(n_free p)`` numbers stored.  :func:`cylinder_operator` applies the same
+``O(n_free p)`` numbers stored.  The spatial pencils are reduced by
+Cholesky and solved by numpy's LAPACK, not scipy's: numpy and scipy each
+load their own OpenBLAS with its own thread pool, and one threaded scipy
+call in a solve wakes the second pool, whose workers then spin against the
+first while the GMRES loop's numpy products run, which stalled single
+solves several-fold.  So a solve runs on numpy's pool alone; the banded
+``dgbtrf``/``dgbtrs`` pair, scipy's, runs on one thread at half-bandwidth
+``p``.  :func:`cylinder_operator` applies the same
 form over all dofs by mode products on the univariate factors (matrix-free
 IgA, Sangalli & Tani, CMAME 338, 2018), so that a level solved by the fast
 diagonalization needs no space-time matrix: the Dirichlet lifting and the
@@ -39,7 +46,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgbtrf, dgbtrs
@@ -141,6 +147,15 @@ def solve_direct(matrix, rhs):
     singular factorizations or non-finite results.
     """
     return _solve_exact(matrix, rhs, 'direct', lambda m: spla.splu(m.tocsc()).solve)
+
+
+def _solve_spd(matrix, rhs):
+    """:func:`solve_direct` of a symmetric positive definite system: SuperLU in symmetric
+    mode, ordered on ``A + A^T`` and pivoting on the diagonal, which such a system allows.
+    The space-time matrices are nonsymmetric and keep :func:`solve_direct`."""
+    return _solve_exact(matrix, rhs, 'direct', lambda m: spla.splu(
+        m.tocsc(), permc_spec='MMD_AT_PLUS_A', diag_pivot_thresh=0.0,
+        options={'SymmetricMode': True}).solve)
 
 
 def solve_fd(matrix, rhs, space: DiscreteSpace, theta_h: float):
@@ -258,6 +273,23 @@ def _free_indices(space: DiscreteSpace, a: int) -> slice:
     return slice(int((a, 0) in faces), space.dims[a] - int((a, 1) in faces))
 
 
+def _pencil_eigh(k: np.ndarray, m: np.ndarray, eigvals_only: bool = False):
+    """Eigenvalues, ascending, and ``M``-orthonormal eigenvectors of the symmetric-definite
+    pencils ``(K, M)``, stacked on leading axes, by numpy's LAPACK.
+
+    With ``M = L L^T`` the pencil has the eigenvalues of ``A = L^{-1} K L^{-T}``; the
+    eigenvectors ``W`` of ``A`` give ``U = L^{-T} W``, ``U^T M U = I``.  ``eigvals_only``
+    returns the eigenvalues alone.
+    """
+    chol = np.linalg.cholesky(m)
+    half = np.linalg.solve(chol, k)
+    reduced = np.linalg.solve(chol, np.swapaxes(half, -1, -2))
+    if eigvals_only:
+        return np.linalg.eigvalsh(reduced)
+    lam, w = np.linalg.eigh(reduced)
+    return lam, np.linalg.solve(np.swapaxes(chol, -1, -2), w)
+
+
 def _mode_products(x: np.ndarray, matrices) -> np.ndarray:
     """``x`` ``(n_last, ..., n_0)`` times ``matrices[a]``, dense or sparse, along the axis of
     each direction ``a`` from 0 on."""
@@ -322,7 +354,7 @@ def cylinder_preconditioner(space: DiscreteSpace, n_free: int, theta_h: float):
     system is singular.
 
     Each spatial pencil gives ``K_a U_a = M_a U_a diag(lam_a)`` with
-    ``U_a^T M_a U_a = I``.  In that basis the operator splits into one
+    ``U_a^T M_a U_a = I`` (:func:`_pencil_eigh`).  In that basis the operator splits into one
     time system ``(C_t + s K_t) + lam (M_t + s C_t^T)`` of half-bandwidth
     ``p`` per spatial eigenvalue ``lam``.  Stacked eigenvalue-major they
     are one band matrix, factored once by LAPACK ``dgbtrf`` from the time
@@ -339,7 +371,7 @@ def cylinder_preconditioner(space: DiscreteSpace, n_free: int, theta_h: float):
         raise ValueError(f'the fast diagonalization needs the tensor-product free set of '
                          f'{int(np.prod(shape))} dofs (interior in space, after t = 0 in '
                          f'time), got {n_free} free dofs')
-    pairs = [sla.eigh(k, m) for m, k, _ in spatial]
+    pairs = [_pencil_eigh(k, m) for m, k, _ in spatial]
     lam = reduce(np.add.outer, [ev for ev, _ in pairs[::-1]]).ravel()
     # row k n_t + j of the transposed storage is column j of the time system of eigenvalue k;
     # its transpose is Fortran-ordered, and factored in place

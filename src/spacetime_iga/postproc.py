@@ -17,7 +17,7 @@ import numpy as np
 from ._batch import ElementBatcher
 from .assembly import ManufacturedCase, SchemeParams
 from .geometry import GeometryMap, PhysicalMesh
-from .linsolve import SolveReport
+from .linsolve import SolveReport, _pencil_eigh
 from .tensor_space import DiscreteSpace
 
 __all__ = [
@@ -120,10 +120,8 @@ def estimate_inverse_constant(space: DiscreteSpace, geom: GeometryMap,
         E, q, m, nd = blk.grad.shape
         gw = (blk.grad * blk.w[:, :, None, None]).transpose(0, 2, 1, 3).reshape(E, m, q * nd)
         stiff = gw @ blk.grad.transpose(0, 1, 3, 2).reshape(E, q * nd, m)
-        chol = np.linalg.cholesky(np.swapaxes(blk.val * blk.w[:, :, None], 1, 2) @ blk.val)
-        # L^{-1} K L^{-T} has the eigenvalues of the pencil (K, M = L L^T)
-        half = np.linalg.solve(chol, stiff)
-        lam = np.linalg.eigvalsh(np.linalg.solve(chol, np.swapaxes(half, 1, 2)))[:, -1]
+        mass = np.swapaxes(blk.val * blk.w[:, :, None], 1, 2) @ blk.val
+        lam = _pencil_eigh(stiff, mass, eigvals_only=True)[:, -1]
         worst = max(worst, float(np.max(mesh.h_elem[blk.index] * np.sqrt(np.maximum(lam, 0.0)))))
     return float(worst)
 

@@ -33,6 +33,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 import spacetime_iga._batch as _batch
@@ -640,6 +641,23 @@ def test_projection_agreement_fails_without_a_face_or_its_measure(monkeypatch, m
     assert projection_gap(ref, space, geom) <= 1e-13
     mutation(monkeypatch)
     assert projection_gap(ref, space, geom) > 1e-6
+
+
+@pytest.mark.parametrize('name,level', [('fixed-1d', 5), ('moving-curvi-2d', 3)])
+def test_symmetric_boundary_solve_matches_the_default_superlu(name, level):
+    # the restricted boundary mass is symmetric positive definite, which the projection's
+    # symmetric-mode SuperLU relies on; nonzero data, unlike the built-in solutions'
+    case, geom, space, mesh, params = setup(name, 2, level)
+    mask = classify_dirichlet(space).dirichlet_mask
+    idx = np.flatnonzero(mask)
+    g = lambda x: np.exp(0.3 * x.sum(axis=1))
+    batcher = ElementBatcher(space, geom)
+    faces = [assembly._face_system(batcher, g, face) for face in dirichlet_faces(space.ndim)]
+    mass = assembly._restrict(sum(f.matrix for f in faces), idx)
+    want = spla.splu(mass.tocsc()).solve(sum(f.rhs for f in faces)[idx])
+    got = boundary_l2_project(space, geom, g, mask)
+    assert np.linalg.norm(got[idx] - want) <= 1e-13 * np.linalg.norm(want)
+    assert not got[~mask].any()
 
 
 def test_boundary_projection_memory_is_bounded():

@@ -252,3 +252,18 @@ def test_tables_are_keyed_by_the_knots_not_the_sizes():
     for space, got in zip(spaces, errors):
         fresh = DiscreteSpace(space.knot_vectors)
         assert error_l2(DiscreteField(fresh, geom, coefficients), case) == got
+
+
+def test_only_the_element_blocks_read_the_identity_test(monkeypatch):
+    # ``is_identity`` compares the control points with a fresh Greville grid; the grid
+    # passes of a level (assembly, Dirichlet data, errors) have no use for it
+    reads = []
+    is_identity = GeometryMap.is_identity
+    monkeypatch.setattr(GeometryMap, 'is_identity',
+                        property(lambda self: reads.append(self) or is_identity.fget(self)))
+    definition = builtin_cases()['fixed-1d']
+    space, _ = run_level(definition.case, definition.geometry, 2)
+    mesh_metrics(definition.geometry, space)
+    assert reads == []
+    next(batch.ElementBatcher(space, definition.geometry).blocks(need=1))
+    assert reads == [definition.geometry]

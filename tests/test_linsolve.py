@@ -218,10 +218,10 @@ def test_cylinder_operator_is_the_assembled_fixed_form(name, degree, level):
 
 def superlu_time_solve(space, theta_h):
     """The fast diagonalization with its time systems stacked by ``sp.kron`` and factored by
-    SuperLU: the reference of the banded LU."""
+    SuperLU: the reference of the banded LU, on the same spatial eigenpairs."""
     *spatial, (m_t, k_t, c_t) = cylinder_matrices(space)
     shape = (m_t.shape[0],) + tuple(m.shape[0] for m, _, _ in spatial[::-1])
-    pairs = [scipy.linalg.eigh(k, m) for m, k, _ in spatial]
+    pairs = [linsolve._pencil_eigh(k, m) for m, k, _ in spatial]
     lam = reduce(np.add.outer, [ev for ev, _ in pairs[::-1]]).ravel()
     lu = spla.splu((sp.kron(sp.identity(lam.size), c_t + theta_h * k_t)
                     + sp.kron(sp.diags(lam), m_t + theta_h * c_t.T)).tocsc())
@@ -313,6 +313,55 @@ def test_cylinder_operator_is_the_assembled_form_on_nonuniform_knots(kvs):
     space = DiscreteSpace(kvs)
     assembled, applied = assembled_and_operator(space, space.ndim - 1)
     assert np.linalg.norm(applied - assembled) <= 1e-13 * np.linalg.norm(assembled)
+
+
+def assert_pencil_matches_scipy(k, m):
+    """:func:`linsolve._pencil_eigh` of ``(K, M)`` against ``scipy.linalg.eigh``."""
+    lam, u = linsolve._pencil_eigh(k, m)
+    want = scipy.linalg.eigh(k, m, eigvals_only=True)
+    scale = np.abs(want).max()
+    assert np.abs(lam - want).max() <= 1e-14 * scale
+    assert np.abs(linsolve._pencil_eigh(k, m, eigvals_only=True) - want).max() <= 1e-14 * scale
+    assert np.abs(u.T @ m @ u - np.eye(lam.size)).max() <= 1e-13
+    assert np.linalg.norm(k @ u - m @ u * lam) <= 1e-12 * np.linalg.norm(k)
+
+
+@pytest.mark.parametrize('name,degree,level', [
+    *(('fixed-1d', p, level) for p in (1, 2, 3) for level in (3, 8)),
+    ('fixed-2d', 2, 5), ('moving-curvi-2d', 3, 3),
+])
+def test_spatial_pencils_match_scipy(name, degree, level):
+    # the fast diagonalization's pencils, solved on numpy's LAPACK
+    space, _ = _setup_level(builtin_cases()[name].geometry, degree, level)
+    for m, k, _ in cylinder_matrices(space)[:-1]:
+        assert_pencil_matches_scipy(k, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kvs=st.lists(open_knot_vectors(), min_size=2, max_size=3))
+def test_spatial_pencils_match_scipy_on_nonuniform_knots(kvs):
+    for m, k, _ in cylinder_matrices(DiscreteSpace(kvs))[:-1]:
+        assert_pencil_matches_scipy(k, m)
+
+
+def test_fast_diagonalization_needs_no_dense_scipy_linalg(monkeypatch):
+    # the fast diagonalization runs its dense work on numpy's LAPACK, so that a solve
+    # wakes one OpenBLAS thread pool, not scipy's as well
+    fixed = builtin_system('fixed-1d', 2, 5)
+    moving = builtin_system('moving-curvi-1d', 2, 5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError('dense scipy.linalg eigensolver called')
+    for name in ('eigh', 'eig'):
+        monkeypatch.setattr(scipy.linalg, name, refuse)
+    space, system, theta_h = fixed
+    _, report = solve_fd(system.matrix, system.rhs, space, theta_h)
+    assert report.method == 'fd' and report.residual <= 1e-13
+    space, system, theta_h = moving
+    _, report = solve_gmres(
+        system.matrix, system.rhs, tol=1e-10,
+        preconditioner=lambda m: cylinder_preconditioner(space, m.shape[0], theta_h))
+    assert report.residual <= 1e-10
 
 
 def test_fast_diagonalization_rejects_a_mismatched_free_set():
