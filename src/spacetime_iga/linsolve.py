@@ -20,16 +20,14 @@ a fixed case whose geometry is the identity of the parameter cube, which
 preconditioner on moving cylinders.  The spatial directions are
 diagonalized by generalized eigenvectors, and the banded time systems
 that remain are factored together as one banded LU (LAPACK ``dgbtrf``),
-``O(n_free p)`` numbers stored.  The spatial pencils are reduced by
-Cholesky and solved by numpy's LAPACK, not scipy's: numpy and scipy each
-load their own OpenBLAS with its own thread pool, and one threaded scipy
-call in a solve wakes the second pool, whose workers then spin against the
-first while the GMRES loop's numpy products run, which stalled single
-solves several-fold.  So a solve runs on numpy's pool alone; the banded
-``dgbtrf``/``dgbtrs`` pair, scipy's, runs on one thread at half-bandwidth
-``p``.  :func:`cylinder_operator` applies the same
-form over all dofs by mode products on the univariate factors (matrix-free
-IgA, Sangalli & Tani, CMAME 338, 2018), so that a level solved by the fast
+``O(n_free p)`` numbers stored.  The spatial pencils run on numpy's LAPACK
+(:func:`_pencil_eigh`): numpy and scipy load separate OpenBLAS builds with
+separate thread pools, and a threaded scipy call in a solve left scipy's
+workers spinning against the GMRES loop's numpy products.  The banded pair,
+scipy's, runs on one thread at half-bandwidth ``p``.
+:func:`cylinder_operator` applies the same form over all dofs by mode
+products on the univariate factors (matrix-free IgA, Sangalli & Tani,
+CMAME 338, 2018), so that a level solved by the fast
 diagonalization needs no space-time matrix: the Dirichlet lifting and the
 residual of the refinement are products with it.  The univariate factors
 are integrated on their bands by the assembly's band operators.

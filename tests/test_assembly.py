@@ -646,7 +646,7 @@ def test_projection_agreement_fails_without_a_face_or_its_measure(monkeypatch, m
 @pytest.mark.parametrize('name,level', [('fixed-1d', 5), ('moving-curvi-2d', 3)])
 def test_symmetric_boundary_solve_matches_the_default_superlu(name, level):
     # the restricted boundary mass is symmetric positive definite, which the projection's
-    # symmetric-mode SuperLU relies on; nonzero data, unlike the built-in solutions'
+    # symmetric-mode SuperLU relies on; data that vanish on no Dirichlet face
     case, geom, space, mesh, params = setup(name, 2, level)
     mask = classify_dirichlet(space).dirichlet_mask
     idx = np.flatnonzero(mask)
