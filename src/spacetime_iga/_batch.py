@@ -7,15 +7,14 @@ sized by one fixed byte budget.  A level's span rules and tables are built
 once, kept with its space (:func:`_memo`) and freed with it; band operators
 are kept by the batcher of one stage.
 
-Basis blocks (the norm matrices, the inverse-constant estimate, the element
-form kept as the assembly oracle) hold ``E`` elements with every active
-function, as arrays with a leading element axis: the tensor combination, the
-NURBS quotient rule, the geometry evaluation and the pullback are the batched
-kernels of :mod:`tensor_space` and :mod:`geometry`.  On an identity map they skip the
-Jacobian and the pullback.
+Basis blocks (the inverse-constant estimate, the element form kept as the
+assembly oracle) hold ``E`` elements with every active function, as arrays
+with a leading element axis: the tensor combination, the NURBS quotient rule,
+the geometry evaluation and the pullback are the batched kernels of
+:mod:`tensor_space` and :mod:`geometry`, on every map alike.
 
-Grid slabs (assembly, the boundary projection, the error integrals,
-mesh metrics) hold the global Gauss grid of whole time spans or of a face.  One
+Grid slabs (assembly, the norm matrices, the boundary projection, the error
+integrals, mesh metrics) hold the global Gauss grid of whole time spans or of a face.  One
 kernel, :func:`_grid_field`, evaluates every field on it, the map and the
 discrete solution alike: the coefficient tensor is contracted with the
 univariate tables one direction at a time (sum factorization).  Grid arrays hold
@@ -234,8 +233,6 @@ class ElementBatcher:
     :meth:`grid_slabs` yields :class:`GridSlab` with the map and one field
     on the global Gauss grid.  Both take ``face = (fixed_dir, side)`` to run
     over a boundary face in place of the volume.
-    On an identity map (``geom.is_identity``) a basis block's parameter
-    derivatives are the physical ones, and ``jac`` and ``det`` are ``I`` and 1.
     """
 
     def __init__(self, space: DiscreteSpace, geom: GeometryMap, orders=None):
@@ -274,12 +271,6 @@ class ElementBatcher:
                                  lambda: _table(k, pinned))
         return tables, geo_tables, fixed_dir
 
-    @property
-    def identity(self) -> bool:
-        """``geom.is_identity``, evaluated when read: only :meth:`blocks` reads it, so a
-        grid pass builds no Greville grid."""
-        return self.geom.is_identity
-
     def blocks(self, need: int = 2, face=None):
         """Yield basis data for every element, in blocks, C order.
 
@@ -289,8 +280,7 @@ class ElementBatcher:
         pulled back with the full volume Jacobian.
         """
         tables, geo_tables, face_dir = self._tables_for(face)
-        nd, identity = self.nd, self.identity
-        shape = tuple(t.first.size for t in tables)
+        nd, shape = self.nd, tuple(t.first.size for t in tables)
         n_el = int(np.prod(shape))
         q = int(np.prod([t.ders.shape[1] for t in tables]))
         m = int(np.prod([p + 1 for p in self.space.degrees]))
@@ -304,27 +294,17 @@ class ElementBatcher:
             for a in range(nd):
                 if a != face_dir:
                     w = (w[:, :, None] * self._weights[a][multi[a]][:, None, :]).reshape(E, -1)
-            if identity:
-                x = eval_geometry(self.geom, *_rows(geo_tables, multi), need=0)[0]
-                J = np.broadcast_to(np.eye(nd), (E, q, nd, nd))
-                det = np.ones((E, q))
-                if need >= 1:
-                    # The layout the pullback returns (derivative-major): the
-                    # batched matmul/einsum kernels sum in a layout-dependent
-                    # order, and only this one keeps the general path's bits.
-                    grad = np.ascontiguousarray(grad.swapaxes(2, 3)).swapaxes(2, 3)
-            else:
-                x, J, det, Hg = eval_geometry(self.geom, *_rows(geo_tables, multi),
-                                              need=2 if need >= 2 else 1)
-                w = w * (det if face_dir is None else
-                         _face_measure(_adjugate(J.transpose(2, 3, 0, 1))[0], face_dir))
-                if need >= 1:
-                    grad, hess = pullback_derivatives(
-                        J.reshape(E * q, nd, nd), grad.reshape(E * q, m, nd),
-                        None if hess is None else hess.reshape(E * q, m, nd, nd),
-                        None if Hg is None else Hg.reshape(E * q, nd, nd, nd))
-                    grad = grad.reshape(E, q, m, nd)
-                    hess = None if hess is None else hess.reshape(E, q, m, nd, nd)
+            x, J, det, Hg = eval_geometry(self.geom, *_rows(geo_tables, multi),
+                                          need=2 if need >= 2 else 1)
+            w = w * (det if face_dir is None else
+                     _face_measure(_adjugate(J.transpose(2, 3, 0, 1))[0], face_dir))
+            if need >= 1:
+                grad, hess = pullback_derivatives(
+                    J.reshape(E * q, nd, nd), grad.reshape(E * q, m, nd),
+                    None if hess is None else hess.reshape(E * q, m, nd, nd),
+                    None if Hg is None else Hg.reshape(E * q, nd, nd, nd))
+                grad = grad.reshape(E, q, m, nd)
+                hess = None if hess is None else hess.reshape(E, q, m, nd, nd)
             yield ElementBlock(index, dofs, x, w, val, grad, hess, J, det)
 
     def grid_slabs(self, need: int = 1, coefficients=None, face=None):

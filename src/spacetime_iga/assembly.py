@@ -21,9 +21,9 @@ In every d both forms are assembled by sum factorization on the global Gauss gri
 J^-1 (the slab's one adjugate over det J) and the map's Hessian, all points last, are
 contracted one direction at a time onto the banded pattern by band operators the
 stage's batcher keeps, over tables its level keeps.  The boundary projection is
-sum-factorized the same way on each Dirichlet face.  The norm matrices stay on element
-blocks, and the element form (``_assemble_form``) is kept as the oracle the
-sum-factorized forms are checked against.
+sum-factorized the same way on each Dirichlet face, and the norm matrices on the fields
+the forms share (:func:`_energy_fields`).  The element form (``_assemble_form``) is kept
+as the oracle the sum-factorized forms are checked against.
 """
 from __future__ import annotations
 
@@ -132,76 +132,6 @@ class NormMatrices:
     face_gradient: sp.csr_matrix
 
 
-# Bytes of the scatter's pending (row, column, value) triplets: 524,288 of them
-# with 32-bit indices.
-_SCATTER_BYTES = 1 << 23
-
-
-def _merge(a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
-    """``a + b`` on the union of the two patterns, explicit zeros included."""
-    p, q = (sp.csr_matrix((np.ones(m.nnz, bool), m.indices, m.indptr), m.shape) for m in (a, b))
-    union, out = (p + q).nnz, a + b
-    if out.nnz < union:  # csr + csr dropped an exact zero: list each row of a, then of b
-        del out
-        from_b = np.repeat(np.tile([False, True], a.shape[0]),
-                           np.column_stack((np.diff(a.indptr), np.diff(b.indptr))).ravel())
-        indices, data = np.empty(from_b.size, a.indices.dtype), np.empty(from_b.size)
-        indices[~from_b], data[~from_b] = a.indices, a.data
-        indices[from_b], data[from_b] = b.indices, b.data
-        out = sp.csr_matrix((data, indices, a.indptr + b.indptr), shape=a.shape)
-        out.sum_duplicates()
-    return out
-
-
-class _Accumulator:
-    """COO triplets of blocks of local matrices, streamed into CSR through ``_SCATTER_BYTES``.
-
-    Triplets go in element order, each local matrix row by row, into fixed
-    buffers.  A full buffer, cut wherever the budget falls, is one chunk;
-    scipy sums its duplicates as it converts it to CSR, so within a chunk
-    element order fixes every floating-point sum and the matrix's last bits,
-    which the direct solve amplifies.  One chunk is thus bit for bit the
-    one-shot ``coo_matrix(...).tocsr()``.  Chunks merge as a binary counter,
-    each entry O(log chunks) times, to the one-shot pattern and round-off.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        index = np.int32 if n < 2**31 else np.int64
-        size = _SCATTER_BYTES // (2 * np.dtype(index).itemsize + 8)
-        self._buffers = (np.empty(size, index), np.empty(size, index), np.empty(size))
-        self._pending = 0
-        self._stack = []  # (chunks, csr), fewer chunks towards the top
-
-    def add(self, dofs: np.ndarray, local: np.ndarray):
-        """Add the local matrices ``(E, m, m)`` of the elements with ``dofs`` ``(E, m)``."""
-        m = dofs.shape[1]
-        dofs = dofs.astype(self._buffers[0].dtype)
-        triplets = (np.repeat(dofs, m, axis=1).ravel(), np.tile(dofs, (1, m)).ravel(), local.ravel())
-        while triplets[2].size:
-            k = min(triplets[2].size, self._buffers[2].size - self._pending)
-            for buf, src in zip(self._buffers, triplets):
-                buf[self._pending:self._pending + k] = src[:k]
-            triplets, self._pending = [src[k:] for src in triplets], self._pending + k
-            if self._pending == self._buffers[2].size:
-                self._flush()
-
-    def _flush(self, final=False):
-        k, self._pending = self._pending, 0
-        if k:
-            rows, cols, vals = (buf[:k] for buf in self._buffers)
-            self._stack.append((1, sp.coo_matrix((vals, (rows, cols)), shape=(self.n, self.n)).tocsr()))
-        while len(self._stack) > 1 and (final or self._stack[-1][0] == self._stack[-2][0]):
-            (count, b), (_, a) = self._stack.pop(), self._stack.pop()
-            self._stack.append((2 * count, _merge(a, b)))
-
-    def result(self) -> sp.csr_matrix:
-        self._flush()
-        self._buffers = None
-        self._flush(final=True)
-        return self._stack.pop()[1] if self._stack else sp.csr_matrix((self.n, self.n))
-
-
 def _gram(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """``sum_q sum_a left[e, q, i, a] right[e, q, j, a]`` for every element of a block."""
     return np.einsum('eqia,eqja->eij', left, right)
@@ -224,23 +154,26 @@ def _volume_terms(blk, th: float, d: int, moving: bool):
 
 
 def _assemble_form(space, geom, case, params, orders, moving) -> LinearSystem:
-    """Either form by element blocks and the COO scatter: the oracle of the sum-factorized
-    :func:`_assemble_grid` (``harness.assembly_paths_gap``)."""
+    """Either form by element blocks and one COO-to-CSR conversion of their triplets: the
+    oracle of the sum-factorized :func:`_assemble_grid` (``harness.assembly_paths_gap``),
+    which runs it on coarse levels only."""
     d = space.ndim - 1
     th = params.theta * params.h
     batcher = ElementBatcher(space, geom, orders)
-    acc = _Accumulator(space.dim)
-    rhs = np.zeros(space.dim)
+    blocks, rhs = [], np.zeros(space.dim)
     for blk in batcher.blocks(need=2):
-        acc.add(blk.dofs, _volume_terms(blk, th, d, moving))
+        blocks.append((blk.dofs, _volume_terms(blk, th, d, moving)))
         test = blk.val + th * blk.grad[..., d]
         fw = blk.w * at_points(case.f, blk.x)
         np.add.at(rhs, blk.dofs, (np.swapaxes(test, 1, 2) @ fw[..., None])[..., 0])
     if moving:
         for blk in batcher.blocks(need=1, face=(d, 1)):
             gx = blk.grad[..., :d]
-            acc.add(blk.dofs, th * _gram(gx * blk.w[:, :, None, None], gx))
-    return LinearSystem(acc.result(), rhs)
+            blocks.append((blk.dofs, th * _gram(gx * blk.w[:, :, None, None], gx)))
+    dofs, local = map(np.concatenate, zip(*blocks))      # each local matrix row by row
+    m = dofs.shape[1]
+    rows, cols = np.repeat(dofs, m, axis=1).ravel(), np.tile(dofs, m).ravel()
+    return LinearSystem(sp.coo_matrix((local.ravel(), (rows, cols)), (space.dim,) * 2).tocsr(), rhs)
 
 
 def _add(terms: dict, c: np.ndarray, *orders):
@@ -261,26 +194,41 @@ def _load_terms(x, w, g, th: float, f) -> dict:
     return load
 
 
+def _energy_fields(w, inv, c: float):
+    """``(w (K + c g g^T), K, g)`` of a grid slab from its points-last ``J^-1``: with
+    ``g = J^-1[:, d]``, ``K = J^-1[:, :d] J^-1[:, :d]^T`` and parameter derivatives,
+    ``dt u = g . grad u`` and ``grad_x u . grad_x v + c dt u dt v = grad v . (K + c g g^T)
+    grad u``, the volume energy of the forms and of the norms (``c = 0`` on a face)."""
+    d = inv.shape[0] - 1
+    g = inv[:, d]
+    K = (inv[:, None, :d] * inv[None, :, :d]).sum(axis=2)
+    return w * (K + c * g[:, None] * g[None, :]), K, g
+
+
+def _gradient_pairs(fields) -> dict:
+    """The terms of ``fields[b, a] d_b v d_a u`` (parameter derivatives), zero fields left out."""
+    unit, terms = np.eye(fields.shape[0], dtype=int), {}
+    for b, a in np.ndindex(fields.shape[:2]):
+        _add(terms, fields[b, a], unit[b], unit[a])
+    return terms
+
+
 def _grid_terms(x, w, inv, hess, th: float, moving: bool, f=None):
     """``(matrix, load)`` coefficient fields of a grid slab, or of the terminal face term alone
-    (no ``f``, no ``hess``), from its points-last arrays.  With ``g = J^-1[:, d]``,
-    ``K = J^-1[:, :d] J^-1[:, :d]^T`` and parameter derivatives, ``dt u = g . grad u``,
-    ``grad_x u . grad_x v = grad v . K grad u`` and, by the chain rule of
+    (no ``f``, no ``hess``), from its points-last arrays.  With ``g``, ``K`` and parameter
+    derivatives as in :func:`_energy_fields` and by the chain rule of
     :func:`pullback_derivatives`, ``dt grad_x u . grad_x v = K[b, a] g[e] d_b v d_ae u -
     S[b, m] d_b v d_m u``, ``S`` from the map's Hessian."""
+    if f is None:
+        return _gradient_pairs(_energy_fields(th * w, inv, 0.0)[0]), {}
     nd = inv.shape[0]
     d, unit = nd - 1, np.eye(nd, dtype=int)
-    g, spatial = inv[:, d], inv[:, None, :d]
-    K = (spatial * inv[None, :, :d]).sum(axis=2)
-    matrix = {}
-    if f is None:
-        return {tuple(zip(unit[a], unit[b])): th * w * K[a, b]
-                for a, b in np.ndindex(nd, nd) if np.any(K[a, b])}, {}
-    load = _load_terms(x, w, g, th, f)
+    energy, K, g = _energy_fields(w, inv, th)
+    matrix, load = {}, _load_terms(x, w, g, th, f)
     # S[e, m] = J^-1[e, c] J^-1[m, k] H[k, a, b] J^-1[a, c] g[b], summed over c, k, a, b
     Hc = ((hess * g).sum(axis=2)[:, :, None] * inv[None, :, :d]).sum(axis=1)
-    S = th * w * (spatial * (inv[:, :, None] * Hc).sum(axis=1)).sum(axis=2)
-    first = w * (K + th * g[:, None] * g[None, :]) + (S if moving else -S.transpose(1, 0, 2))
+    S = th * w * (inv[:, None, :d] * (inv[:, :, None] * Hc).sum(axis=1)).sum(axis=2)
+    first = energy + (S if moving else -S.transpose(1, 0, 2))
     mixed = (-th if moving else th) * w * K[:, :, None] * g
     for a in range(nd):
         _add(matrix, w * g[a], 0 * unit[0], unit[a])
@@ -399,28 +347,25 @@ def assemble_norm_matrices(space: DiscreteSpace, geom: GeometryMap,
 
     ``n_fixed`` integrates ``|grad_x v|^2 + theta*h |dt v|^2`` over the
     cylinder plus ``v^2 / 2`` over the terminal face; ``face_gradient``
-    integrates ``|grad_x v|^2`` over the terminal face.
+    integrates ``|grad_x v|^2`` over the terminal face.  Both are sum-factorized
+    (:func:`_banded_system`) on the fields of :func:`_energy_fields` and share the volume
+    pattern, ``face_gradient`` with explicit zeros off the rows of the terminal functions.
     """
-    d = space.ndim - 1
-    th = params.theta * params.h
+    th, nd = params.theta * params.h, space.ndim
     batcher = ElementBatcher(space, geom, orders)
-    acc_n = _Accumulator(space.dim)
-    acc_g = _Accumulator(space.dim)
-    for blk in batcher.blocks(need=1):
-        w = blk.w[:, :, None]
-        dt = blk.grad[..., d]
-        gx = blk.grad[..., :d]
-        local = _gram(gx * w[..., None], gx)
-        local += th * (np.swapaxes(dt * w, 1, 2) @ dt)
-        acc_n.add(blk.dofs, local)
-    for blk in batcher.blocks(need=1, face=(d, 1)):
-        w = blk.w[:, :, None]
-        acc_n.add(blk.dofs, 0.5 * (np.swapaxes(blk.val * w, 1, 2) @ blk.val))
-        gx = blk.grad[..., :d]
-        acc_g.add(blk.dofs, _gram(gx * w[..., None], gx))
-    n_fixed = acc_n.result()
-    face_gradient = acc_g.result()
-    return NormMatrices(n_fixed, (n_fixed + th * face_gradient).tocsr(), face_gradient)
+    terminal = list(batcher.grid_slabs(need=1, face=(nd - 1, 1)))
+
+    def system(slabs):                  # (matrix fields, slab) pairs; the norms bring no load
+        return _banded_system(batcher, list(range(nd)), (((m, {}), s.tables) for m, s in slabs))[0]
+
+    def gradients(s, c):
+        return _gradient_pairs(_energy_fields(s.w, s.adj / s.det, c)[0]), s
+    n_fixed = system(chain((gradients(s, th) for s in batcher.grid_slabs(need=1)),
+                           (({((0, 0),) * nd: 0.5 * s.w}, s) for s in terminal)))
+    face_gradient = system(gradients(s, 0.0) for s in terminal)
+    data = n_fixed.data + th * face_gradient.data          # on the one volume pattern
+    n_moving = sp.csr_matrix((data, n_fixed.indices.copy(), n_fixed.indptr.copy()), n_fixed.shape)
+    return NormMatrices(n_fixed, n_moving, face_gradient)
 
 
 def _face_system(batcher: ElementBatcher, g, face) -> LinearSystem:

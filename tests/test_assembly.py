@@ -1,4 +1,4 @@
-"""Bilinear forms: structural identities, boundary data, stability warning, scatter.
+"""Bilinear forms: structural identities, boundary data, stability warning, norm matrices.
 
 The moving-domain form is validated against the fixed-domain form through
 an exact integration-by-parts identity: restricted to test functions that
@@ -17,13 +17,10 @@ fixed cylinders and the moving-domain coercivity margin are computed by
 ``harness.coercivity_identity_defect``, ``fixed_forms_gap`` and
 ``moving_coercivity``, and asserted by acceptance gates 08-10.
 
-The sparse scatter is held to scipy's one-shot COO-to-CSR conversion: bit
-for bit when the triplets fit one chunk of its byte budget, and to the
-same pattern and round-off when a tiny budget cuts them into many chunks.
-
 Both forms are assembled by sum factorization in every d; the element path
 they replaced (``_assemble_form``) is the oracle: the same CSR pattern,
-entries and loads within 1e-13 of the largest.
+entries and loads within 1e-13 of the largest.  The norm matrices are held the
+same way to the element blocks they replaced, kept here as ``element_norms``.
 The boundary projection, sum-factorized on each face, is held to the element
 face blocks it replaced, and the one-pass Dirichlet restriction to scipy's
 two-step slicing.
@@ -360,84 +357,10 @@ def test_boundary_values_interpolate_exact_solution():
     assert fine < coarse / 10.0
 
 
-def test_scatter_of_one_chunk_is_the_one_shot_csr():
-    # duplicates, explicit zeros and empty rows, in several blocks that fit the budget
-    rng = np.random.default_rng(15)
-    n, blocks = 60, []
-    for E in (7, 1, 12):
-        dofs = rng.integers(0, n - 5, size=(E, 4))
-        local = rng.standard_normal((E, 4, 4))
-        local[rng.random(local.shape) < 0.2] = 0.0
-        blocks.append((dofs, local))
-    acc = assembly._Accumulator(n)
-    for dofs, local in blocks:
-        acc.add(dofs, local)
-    got = acc.result()
-    rows = np.concatenate([np.repeat(d, 4, axis=1).ravel() for d, _ in blocks])
-    cols = np.concatenate([np.tile(d, (1, 4)).ravel() for d, _ in blocks])
-    vals = np.concatenate([loc.ravel() for _, loc in blocks])
-    ref = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    assert (ref.data == 0.0).any()
-    for attr in ('indptr', 'indices', 'data'):
-        assert np.array_equal(getattr(got, attr), getattr(ref, attr)), attr
-
-
-def scatter_results(name, level):
-    """The result of every scatter on one level (``n_fixed``, the face gradient), then
-    ``n_moving``; both forms and the boundary projection run too, and scatter nothing."""
-    case, geom, space, mesh, params = setup(name, 2, level)
-    results = []
-
-    class Recording(assembly._Accumulator):
-        def result(self):
-            results.append(super().result())
-            return results[-1]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(assembly, '_Accumulator', Recording)
-        assemble_fixed(space, geom, case, params)
-        assemble_moving(space, geom, case, params)
-        norms = assemble_norm_matrices(space, geom, params)
-        boundary_l2_project(space, geom, case.u, classify_dirichlet(space).dirichlet_mask)
-    return results + [norms.n_moving]
-
-
-@pytest.mark.parametrize('name,level,scatters', [('moving-curvi-1d', 4, 3), ('moving-curvi-2d', 2, 3)],
-                         ids=['moving-curvi-1d-4', 'moving-curvi-2d-2'])
-def test_scatter_chunks_keep_the_pattern(monkeypatch, name, level, scatters):
-    # a budget of 97 triplets cuts blocks and local matrices into many chunks;
-    # the merged matrices keep the one-chunk pattern, explicit zeros included
-    reference = scatter_results(name, level)
-    pending, sizes, triplets = [], [], []
-    monkeypatch.setattr(assembly, '_SCATTER_BYTES', 97 * 16)
-    add = assembly._Accumulator.add
-
-    def checked_add(self, dofs, local):
-        add(self, dofs, local)
-        assert sum(buf.nbytes for buf in self._buffers) <= assembly._SCATTER_BYTES
-        assert self._pending < self._buffers[2].size == 97
-        pending.append(self._pending)
-        sizes.append(local[0].size)
-        triplets.append(local.size)
-
-    monkeypatch.setattr(assembly._Accumulator, 'add', checked_add)
-    chunked = scatter_results(name, level)
-    assert sum(triplets) > 100 * 97
-    assert any(p % m for p, m in zip(pending, sizes))  # cut inside a local matrix
-    # the forms and the boundary projection are sum-factorized and do not scatter
-    assert len(reference) == len(chunked) == scatters
-    assert any((m.data == 0.0).any() for m in reference)
-    for ref, got in zip(reference, chunked):
-        assert np.array_equal(got.indptr, ref.indptr)
-        assert np.array_equal(got.indices, ref.indices)
-        assert np.abs(got.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
-
-
-def test_scatter_memory_is_bounded():
-    # element assembly of moving-curvi-2d p2 L4 would scatter 3.0M triplets, 5.7
-    # times the budget, and one COO-to-CSR conversion of them all took the traced
-    # peak to 150 MB; the sum-factorized form scatters nothing and is held to the
-    # same bound
+def test_moving_form_memory_is_bounded():
+    # element assembly of moving-curvi-2d p2 L4 would scatter 3.0M triplets, and one
+    # COO-to-CSR conversion of them all took the traced peak to 150 MB; the
+    # sum-factorized form is held well below that
     case, geom, space, mesh, params = setup('moving-curvi-2d', 2, 4)
     tracemalloc.start()
     try:
@@ -447,8 +370,6 @@ def test_scatter_memory_is_bounded():
         tracemalloc.stop()
     assert peak < 64e6
     assert system.matrix.nnz == 592704
-    n_elements = np.prod([kv.spans.shape[0] for kv in space.knot_vectors])
-    assert n_elements * 27**2 > 5 * (assembly._SCATTER_BYTES // 16)
 
 
 def agreement_setup(name, degree, level):
@@ -513,6 +434,49 @@ def test_assembly_agreement_fails_without_a_term(monkeypatch, mutation):
     assert assembly_paths_gap(space, geom, case, params, None, True) <= 1e-13
     mutation(monkeypatch)
     assert assembly_paths_gap(space, geom, case, params, None, True) > 1e-6
+
+
+def element_norms(space, geom, params):
+    """The norm matrices ``(n_fixed, n_moving, face_gradient)`` by element blocks and one
+    COO-to-CSR conversion each: the oracle of the sum-factorized ones."""
+    d, th = space.ndim - 1, params.theta * params.h
+    batcher = ElementBatcher(space, geom)
+    norm, face = [], []
+
+    def gram(left, right, w):
+        return np.einsum('eqia,eqja->eij', left * w[:, :, None, None], right)
+    for blk in batcher.blocks(need=1):
+        gx, dt = blk.grad[..., :d], blk.grad[..., d:]
+        norm.append((blk.dofs, gram(gx, gx, blk.w) + th * gram(dt, dt, blk.w)))
+    for blk in batcher.blocks(need=1, face=(d, 1)):
+        gx = blk.grad[..., :d]
+        norm.append((blk.dofs, 0.5 * gram(blk.val[..., None], blk.val[..., None], blk.w)))
+        face.append((blk.dofs, gram(gx, gx, blk.w)))
+
+    def scatter(blocks):
+        dofs, local = map(np.concatenate, zip(*blocks))
+        m = dofs.shape[1]
+        rows, cols = np.repeat(dofs, m, axis=1).ravel(), np.tile(dofs, m).ravel()
+        return sp.coo_matrix((local.ravel(), (rows, cols)), (space.dim,) * 2).tocsr()
+    n_fixed, face_gradient = scatter(norm), scatter(face)
+    return n_fixed, n_fixed + th * face_gradient, face_gradient
+
+
+@pytest.mark.parametrize('degree', [1, 2, 3])
+@pytest.mark.parametrize('name', ['moving-curvi-1d', 'moving-simple-1d', 'fixed-2d',
+                                  'moving-curvi-2d', 'quarter-annulus', 'perturbed'])
+def test_sum_factorized_norms_match_the_element_path(name, degree):
+    # the perturbed cylinder does not keep t = tau: a face gradient without the
+    # time-parameter pairs misses there by 2e-2 of n_moving and 5e-2 of itself (p2 L1)
+    for level in (1, 2):
+        space, geom, case, params = agreement_setup(name, degree, level)
+        norms = assemble_norm_matrices(space, geom, params)
+        got = (norms.n_fixed, norms.n_moving, norms.face_gradient)
+        for field, a, b in zip(('n_fixed', 'n_moving', 'face_gradient'), got,
+                               element_norms(space, geom, params)):
+            scale = np.abs(b).max()
+            assert scale > 0.0
+            assert np.abs(a - b).max() <= 1e-13 * scale, (field, level)
 
 
 @pytest.mark.parametrize('name,level', [('moving-curvi-1d', 2), ('moving-curvi-2d', 1)])
@@ -675,7 +639,7 @@ def test_boundary_projection_memory_is_bounded():
 
 
 def test_grid_path_rejects_a_nurbs_solution_space():
-    # the sum-factorized forms and projection read only the B-spline tables, so NURBS
+    # the sum-factorized forms, norms and projection read only the B-spline tables, so NURBS
     # weights would be silently ignored
     rng = np.random.default_rng(18)
     for name in ('moving-curvi-1d', 'moving-curvi-2d'):
@@ -684,7 +648,8 @@ def test_grid_path_rejects_a_nurbs_solution_space():
         mask = classify_dirichlet(space).dirichlet_mask
         for call in (lambda: boundary_l2_project(space, geom, case.u, mask),
                      lambda: assemble_fixed(space, geom, case, params),
-                     lambda: assemble_moving(space, geom, case, params)):
+                     lambda: assemble_moving(space, geom, case, params),
+                     lambda: assemble_norm_matrices(space, geom, params)):
             with pytest.raises(ValueError, match='NURBS weights'):
                 call()
 

@@ -6,12 +6,11 @@ follow from the byte budget ``_batch._BLOCK_BYTES``.  Results must not
 depend on it: one element per block and one time span per slab, the
 default, and a whole level per block and per slab agree to round-off.
 The NURBS quarter annulus runs the quotient rule of both, which no
-built-in case exercises, and fixed-2d the identity-map shortcut.
+built-in case exercises, and fixed-2d an identity map.
 
-On an identity map (``GeometryMap.is_identity``) the basis blocks skip the
-geometry Jacobian and the pullback; the general path must give the same
-results: bit for bit where the Jacobians are exactly ``I`` (fixed-1d),
-to round-off where they are ``I`` up to a few ulps (fixed-2d).
+Every pass takes one geometry path, whatever the map: none reads
+``GeometryMap.is_identity``, which only routes fixed identity cylinders to
+the fast diagonalization.
 
 A level's univariate objects (span rules, basis tables, band operators) are
 built once per level and shared by its stages; they are keyed by the knots,
@@ -103,48 +102,12 @@ def test_results_do_not_depend_on_block_size(monkeypatch, name, level, budget):
             assert np.abs(got - ref).max() <= 1e-13 * scale, key
 
 
-def identity_stage_results(name, degree, level):
-    """Outputs of the blocked stages a fixed sweep runs, on one level."""
-    case, geom, space = setup(name, level, degree)
-    params = SchemeParams(0.1, space.h_hat)
-    fixed = assemble_fixed(space, geom, case, params)
-    norms = assemble_norm_matrices(space, geom, params)
-    mask = classify_dirichlet(space).dirichlet_mask
-    coeffs = np.random.default_rng(43).standard_normal(space.dim)
-    field = DiscreteField(space, geom, coeffs)
-    return [fixed.matrix.toarray(), fixed.rhs,
-            norms.n_fixed.toarray(), norms.n_moving.toarray(), norms.face_gradient.toarray(),
-            boundary_l2_project(space, geom, case.u, mask),
-            error_l2(field, case),
-            error_energy(field, case, params, moving=False),
-            error_energy(field, case, params, moving=True)]
-
-
-@pytest.mark.parametrize('name,degrees,levels,rtol', [
-    ('fixed-1d', (1, 2, 3), range(5), 0.0),
-    ('fixed-2d', (1, 2), range(3), 1e-14),
-])
-def test_identity_shortcut_matches_the_general_path(monkeypatch, name, degrees, levels, rtol):
-    geom = builtin_cases()[name].geometry
-    assert batch.ElementBatcher(solution_space(geom, 1, 0), geom).identity
-    fast = {(p, lv): identity_stage_results(name, p, lv) for p in degrees for lv in levels}
-    monkeypatch.setattr(GeometryMap, 'is_identity', property(lambda self: False))
-    assert not batch.ElementBatcher(solution_space(geom, 1, 0), geom).identity
-    for (p, lv), results in fast.items():
-        for k, (got, ref) in enumerate(zip(results, identity_stage_results(name, p, lv))):
-            got, ref = np.asarray(got), np.asarray(ref)
-            if rtol == 0.0:
-                assert np.array_equal(got, ref), (p, lv, k)
-            else:
-                assert np.abs(got - ref).max() <= rtol * np.abs(ref).max(), (p, lv, k)
-
-
-def test_identity_shortcut_only_on_identity_maps():
+def test_is_identity_only_on_identity_maps():
     expected = {'fixed-1d': True, 'fixed-2d': True, 'moving-simple-1d': False,
                 'moving-curvi-1d': False, 'moving-curvi-2d': False, 'quarter-annulus': False}
     for name, identity in expected.items():
         case, geom, space = setup(name, 0)
-        assert batch.ElementBatcher(space, geom).identity is identity, name
+        assert geom.is_identity is identity, name
 
 
 def count_builds(monkeypatch) -> dict:
@@ -254,9 +217,10 @@ def test_tables_are_keyed_by_the_knots_not_the_sizes():
         assert error_l2(DiscreteField(fresh, geom, coefficients), case) == got
 
 
-def test_only_the_element_blocks_read_the_identity_test(monkeypatch):
-    # ``is_identity`` compares the control points with a fresh Greville grid; the grid
-    # passes of a level (assembly, Dirichlet data, errors) have no use for it
+def test_no_pass_reads_the_identity_test(monkeypatch):
+    # ``is_identity`` compares the control points with a fresh Greville grid; the passes
+    # of a level (assembly, Dirichlet data, errors, mesh metrics, norms, element blocks)
+    # take one path on every map and have no use for it
     reads = []
     is_identity = GeometryMap.is_identity
     monkeypatch.setattr(GeometryMap, 'is_identity',
@@ -264,6 +228,6 @@ def test_only_the_element_blocks_read_the_identity_test(monkeypatch):
     definition = builtin_cases()['fixed-1d']
     space, _ = run_level(definition.case, definition.geometry, 2)
     mesh_metrics(definition.geometry, space)
-    assert reads == []
+    assemble_norm_matrices(space, definition.geometry, SchemeParams(0.1, space.h_hat))
     next(batch.ElementBatcher(space, definition.geometry).blocks(need=1))
-    assert reads == [definition.geometry]
+    assert reads == []

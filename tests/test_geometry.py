@@ -286,7 +286,7 @@ def test_block_derivatives_on_random_nurbs_perturbations_of_the_identity(maps, p
     geom, space = maps
     nd = space.ndim
     batcher = ElementBatcher(space, geom)
-    assert not batcher.identity
+    assert not geom.is_identity
     blk = next(batcher.blocks(need=2))
     shape = tuple(kv.spans.shape[0] for kv in space.knot_vectors)
     nodes = [_span_rule(kv, o)[0] for kv, o in zip(space.knot_vectors, batcher.orders)]
