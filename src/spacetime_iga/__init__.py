@@ -8,9 +8,8 @@ variants for fixed and moving spatial domains.
 from .assembly import (LinearSystem, ManufacturedCase, NormMatrices, SchemeParams,
                        StabilityWarning, apply_dirichlet, assemble_fixed,
                        assemble_moving, assemble_norm_matrices, boundary_l2_project)
-from .geometry import (GeometryMap, PhysicalMesh, SingularGeometryError, eval_geometry,
-                       greville_grid, hessian, jacobian, map_point, mesh_metrics,
-                       pullback_derivatives)
+from .geometry import (GeometryMap, PhysicalMesh, SingularGeometryError, greville_grid,
+                       hessian, jacobian, map_point, mesh_metrics)
 from .harness import (CaseConfig, CaseDefinition, builtin_cases, emit_csv, load_config,
                       run_case, run_verification, solution_space)
 from .linsolve import (ConvergenceError, SingularSystemError, SolveReport,

@@ -1,17 +1,11 @@
-"""Element blocks and grid slabs of a space under a geometry map.
+"""Grid slabs of a space under a geometry map, and element blocks as views of them.
 
 Internal machinery shared by assembly, mesh metrics and postprocessing:
 univariate basis tables of every knot span (one array call of
-:func:`splines.eval_basis` per direction), iterated in two ways, each
-sized by one fixed byte budget.  A level's span rules and tables are built
-once, kept with its space (:func:`_memo`) and freed with it; band operators
-are kept by the batcher of one stage.
-
-Basis blocks (the inverse-constant estimate, the element form kept as the
-assembly oracle) hold ``E`` elements with every active function, as arrays
-with a leading element axis: the tensor combination, the NURBS quotient rule,
-the geometry evaluation and the pullback are the batched kernels of
-:mod:`tensor_space` and :mod:`geometry`, on every map alike.
+:func:`splines.eval_basis` per direction), sized by one fixed byte budget.  A
+level's span rules and tables are built once, kept with its space
+(:func:`_memo`) and freed with it; band operators are kept by the batcher of
+one stage.
 
 Grid slabs (assembly, the norm matrices, the boundary projection, the error
 integrals, mesh metrics) hold the global Gauss grid of whole time spans or of a face.  One
@@ -20,6 +14,11 @@ discrete solution alike: the coefficient tensor is contracted with the
 univariate tables one direction at a time (sum factorization).  Grid arrays hold
 the points last, ``(k, dim, P)``: the slab's one adjugate works on contiguous rows,
 and :func:`_contract` reduces the slab's coefficient fields onto the banded pattern.
+
+Element blocks (the inverse-constant estimate, the element form kept as the
+assembly oracle) regroup a slab's map data by element, with a leading element
+axis, and add every active function of the solution space from
+:func:`tensor_space.tensor_basis`, pulled back by the slab's ``J^-1``.
 """
 from __future__ import annotations
 
@@ -29,8 +28,7 @@ from functools import reduce
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import (GeometryMap, _adjugate, _require_orientation, eval_geometry,
-                       pullback_derivatives)
+from .geometry import GeometryMap, _adjugate, _require_orientation
 from .quadrature import gauss_1d
 from .splines import KnotVector, eval_basis, find_span
 from .tensor_space import DiscreteSpace, _quotient, tensor_basis
@@ -45,14 +43,15 @@ _BLOCK_BYTES = 1 << 21
 
 @dataclass(frozen=True)
 class ElementBlock:
-    """Everything needed to integrate over ``E`` elements (or element faces)."""
+    """Everything needed to integrate over ``E`` elements (or element faces) of one grid slab;
+    blocks come slab by slab, so their indices do not increase across a level."""
 
-    index: np.ndarray         # (E,) element indices, C order, direction 0 slowest
+    index: np.ndarray         # (E,) level element indices, C order, direction 0 slowest
     dofs: np.ndarray          # (E, m) flat solution dof indices
     x: np.ndarray             # (E, q, dim) physical quadrature points
     w: np.ndarray             # (E, q) weights incl. |det J| (volume) or surface metric (face)
     val: np.ndarray           # (E, q, m)
-    grad: np.ndarray | None   # (E, q, m, dim) physical gradients
+    grad: np.ndarray | None   # (E, q, m, dim) physical gradients, derivative-major memory
     hess: np.ndarray | None   # (E, q, m, dim, dim) physical Hessians
     jac: np.ndarray           # (E, q, dim, dim)
     det: np.ndarray           # (E, q)
@@ -192,18 +191,22 @@ def _band_operator(table: _Table, test: int, trial: int | None = None) -> sp.csr
                          shape=(n_rows, ns * q))
 
 
+def _operator(operators: dict, table: _Table, key) -> sp.csr_matrix:
+    """:func:`_band_operator` of ``table`` for ``key = (test[, trial])``, kept for the stage in
+    ``operators`` by the table's id, with the table, so that no other table takes the id."""
+    return _memo(operators, (id(table), key), lambda: (table, _band_operator(table, *key)))[1]
+
+
 def _contract(terms: dict, tables, operators: dict):
     """``sum_key (U_0 x ... x U_last)(key) field`` by sum factorization, or None without terms:
     each key holds a ``(test[, trial])`` entry per direction, contracted by the table's
-    :func:`_band_operator`, the first direction first, once per group of terms that agree in
-    the later ones.  ``operators`` keeps each one for the stage, keyed by its table's id and
-    holding the table, so that no other table takes the id while the entry lives."""
+    :func:`_operator` from ``operators``, the first direction first, once per group of terms
+    that agree in the later ones."""
     last = len(tables) - 1
     for a, table in enumerate(tables):
         summed = {}
         for key, values in terms.items():
-            op = _memo(operators, (id(table), key[0]),
-                       lambda: (table, _band_operator(table, *key[0])))[1]
+            op = _operator(operators, table, key[0])
             summed[key[1:]] = summed.get(key[1:], 0) + op @ values.reshape(op.shape[1], -1)
         terms = summed if a == last else {k: np.ascontiguousarray(v.T) for k, v in summed.items()}
     return terms.get(())
@@ -223,16 +226,16 @@ def at_points(f, x: np.ndarray) -> np.ndarray:
 
 
 class ElementBatcher:
-    """Iterates blocks of elements, or slabs of the Gauss grid, of a space under a geometry map.
+    """Iterates slabs of the Gauss grid, or blocks of elements, of a space under a geometry map.
 
     ``orders`` are univariate quadrature point counts, defaulting to
     ``degree + 1``; rules and tables come from the space's store, and the batcher keeps
-    the band operators its stage contracts with (:func:`_contract`).  :meth:`blocks`
-    yields :class:`ElementBlock` with physical points, weighted measures and pulled-back
-    basis derivatives up to the requested order (0 = values, 1 = +gradients, 2 = +Hessians);
-    :meth:`grid_slabs` yields :class:`GridSlab` with the map and one field
-    on the global Gauss grid.  Both take ``face = (fixed_dir, side)`` to run
-    over a boundary face in place of the volume.
+    the band operators its stage contracts with (:func:`_contract`).  :meth:`grid_slabs`
+    yields :class:`GridSlab` with the map and one field on the global Gauss grid;
+    :meth:`blocks` yields :class:`ElementBlock`, the slabs' points, weighted measures and
+    map derivatives by element with pulled-back basis derivatives up to the requested order
+    (0 = values, 1 = +gradients, 2 = +Hessians).  Both take ``face = (fixed_dir, side)`` to
+    run over a boundary face in place of the volume.
     """
 
     def __init__(self, space: DiscreteSpace, geom: GeometryMap, orders=None):
@@ -272,40 +275,46 @@ class ElementBatcher:
         return tables, geo_tables, fixed_dir
 
     def blocks(self, need: int = 2, face=None):
-        """Yield basis data for every element, in blocks, C order.
+        """Yield basis data for every element, in blocks: element views of :meth:`grid_slabs`.
 
-        ``face = (fixed_dir, side)`` restricts the blocks to the boundary
-        face ``xi_fixed_dir = side`` (0 or 1): weights carry the surface
-        measure of the restricted map, and basis derivatives are still
-        pulled back with the full volume Jacobian.
+        A slab's points, weights, ``J``, ``det J`` and map Hessian are regrouped by element,
+        ``(E, q, ...)``, and the basis of :func:`tensor_basis` on its rows, as many elements at
+        a time as fit the byte budget, is pulled back by its ``J^-1 = adj / det``.  ``face =
+        (fixed_dir, side)`` restricts the blocks to the boundary face ``xi_fixed_dir = side``
+        (0 or 1): weights carry the surface measure of the restricted map, and basis
+        derivatives are still pulled back with the full volume Jacobian.
         """
-        tables, geo_tables, face_dir = self._tables_for(face)
-        nd, shape = self.nd, tuple(t.first.size for t in tables)
-        n_el = int(np.prod(shape))
+        tables, nd = self._tables_for(face)[0], self.nd
+        shape = tuple(t.first.size for t in tables)
         q = int(np.prod([t.ders.shape[1] for t in tables]))
         m = int(np.prod([p + 1 for p in self.space.degrees]))
         size = max(1, _BLOCK_BYTES // (q * 8 * m * sum(nd**k for k in range(need + 1))))
-        for start in range(0, n_el, size):
-            index = np.arange(start, min(start + size, n_el))
-            multi = np.unravel_index(index, shape)
-            dofs, val, grad, hess = tensor_basis(self.space, *_rows(tables, multi), need)
-            E, q, m = val.shape
-            w = np.ones((E, 1))
-            for a in range(nd):
-                if a != face_dir:
-                    w = (w[:, :, None] * self._weights[a][multi[a]][:, None, :]).reshape(E, -1)
-            x, J, det, Hg = eval_geometry(self.geom, *_rows(geo_tables, multi),
-                                          need=2 if need >= 2 else 1)
-            w = w * (det if face_dir is None else
-                     _face_measure(_adjugate(J.transpose(2, 3, 0, 1))[0], face_dir))
-            if need >= 1:
-                grad, hess = pullback_derivatives(
-                    J.reshape(E * q, nd, nd), grad.reshape(E * q, m, nd),
-                    None if hess is None else hess.reshape(E * q, m, nd, nd),
-                    None if Hg is None else Hg.reshape(E * q, nd, nd, nd))
-                grad = grad.reshape(E, q, m, nd)
-                hess = None if hess is None else hess.reshape(E, q, m, nd, nd)
-            yield ElementBlock(index, dofs, x, w, val, grad, hess, J, det)
+        order, start = [*range(0, 2 * nd, 2), *range(1, 2 * nd, 2)], 0
+        for s in self.grid_slabs(need=need, face=face):
+            spans = [t.first.size for t in s.tables]
+            grid = [n for t in s.tables for n in (t.first.size, t.ders.shape[1])]
+
+            def by_element(a):      # (..., P) to (E, q, ...): (s_0, q_0, s_1, ...) to (s..., q...)
+                lead = a.ndim - 1
+                a = a.reshape(*a.shape[:-1], *grid).transpose(*(lead + k for k in order),
+                                                                *range(lead))
+                return a.reshape(-1, q, *a.shape[2 * nd:])
+            x, w, jac, det, inv, hg = (a if a is None else by_element(a)
+                                       for a in (s.x, s.w, s.jac, s.det, s.adj / s.det, s.hess))
+            for lo in range(0, x.shape[0], size):
+                chunk = slice(lo, lo + size)
+                local = np.unravel_index(np.arange(lo, min(lo + size, x.shape[0])), spans)
+                index = np.ravel_multi_index((*local[:-1], local[-1] + start), shape)
+                dofs, val, grad, hess = tensor_basis(self.space, *_rows(s.tables, local), need)
+                if need >= 1:       # J^-T g, in derivative-major memory, as the kernels read it
+                    grad = np.matmul(inv[chunk].swapaxes(2, 3), grad.swapaxes(2, 3)).swapaxes(2, 3)
+                if need >= 2:       # J^-T (H - sum_k g_k H_geom[k]) J^-1
+                    corr = hess - np.einsum('eqmk,eqkab->eqmab', grad, hg[chunk])
+                    hess = np.einsum('eqia,eqmij,eqjb->eqmab', inv[chunk], corr, inv[chunk],
+                                     optimize=True)
+                yield ElementBlock(index, dofs, x[chunk], w[chunk], val, grad, hess, jac[chunk],
+                                   det[chunk])
+            start += spans[-1]
 
     def grid_slabs(self, need: int = 1, coefficients=None, face=None):
         """Yield the map, and one field if given, on the global Gauss grid of slabs of time spans.

@@ -36,7 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ._batch import ElementBatcher, _contract, at_points
+from ._batch import ElementBatcher, _contract, _operator, at_points
 from .geometry import GeometryMap
 from .tensor_space import DiscreteSpace, DofMap, dirichlet_faces
 
@@ -216,9 +216,9 @@ def _gradient_pairs(fields) -> dict:
 def _grid_terms(x, w, inv, hess, th: float, moving: bool, f=None):
     """``(matrix, load)`` coefficient fields of a grid slab, or of the terminal face term alone
     (no ``f``, no ``hess``), from its points-last arrays.  With ``g``, ``K`` and parameter
-    derivatives as in :func:`_energy_fields` and by the chain rule of
-    :func:`pullback_derivatives`, ``dt grad_x u . grad_x v = K[b, a] g[e] d_b v d_ae u -
-    S[b, m] d_b v d_m u``, ``S`` from the map's Hessian."""
+    derivatives as in :func:`_energy_fields` and by the chain rule that pulls back the
+    Hessians of ``ElementBatcher.blocks``, ``dt grad_x u . grad_x v = K[b, a] g[e] d_b v
+    d_ae u - S[b, m] d_b v d_m u``, ``S`` from the map's Hessian."""
     if f is None:
         return _gradient_pairs(_energy_fields(th * w, inv, 0.0)[0]), {}
     nd = inv.shape[0]
@@ -238,16 +238,6 @@ def _grid_terms(x, w, inv, hess, th: float, moving: bool, f=None):
             pair = (unit[b], unit[a] + unit[e])
             _add(matrix, mixed[b, a, e], *(pair if moving else pair[::-1]))
     return matrix, load
-
-
-def _band_mask(table) -> np.ndarray:
-    """``(n, 2p + 1)``: whether functions ``i`` and ``i + o - p`` share a span of ``table``,
-    the pattern of ``_batch._band_operator(table, 0, 0)``."""
-    m = table.ders.shape[-1]
-    mask = np.zeros((table.first[-1] - table.first[0] + m, 2 * m - 1), bool)
-    own = (table.first - table.first[0])[:, None, None] + np.arange(m)[:, None]      # (ns, m, 1)
-    mask[own, np.arange(m) - np.arange(m)[:, None] + m - 1] = True
-    return mask
 
 
 def _banded_system(batcher: ElementBatcher, directions, slabs):
@@ -279,7 +269,10 @@ def _banded_system(batcher: ElementBatcher, directions, slabs):
     index = np.int32 if band.size < 2**31 else np.int64
     stride, order = np.cumprod([1, *dims[:-1]]).astype(index), range(nd - 1, -1, -1)
     flat = [*range(0, 2 * nd, 2), *range(1, 2 * nd, 2)]   # (n..., w...), direction 0 fastest
-    mask = reduce(np.multiply.outer, [_band_mask(tables[a]) for a in order]).transpose(flat)
+    # whether functions i and i + o - p share a span: the rows of the value band operators
+    masks = [np.diff(_operator(batcher._operators, tables[a], (0, 0)).indptr)
+             .reshape(dims[a], widths[a]) > 0 for a in order]
+    mask = reduce(np.multiply.outer, masks).transpose(flat)
     cols = [stride[a] * (np.arange(dims[a], dtype=index)[:, None]
                          + np.arange(-p[a], p[a] + 1, dtype=index)) for a in order]
     indices = reduce(np.add.outer, cols).transpose(flat)[mask]

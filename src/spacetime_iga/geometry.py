@@ -1,15 +1,14 @@
 """Spline/NURBS geometry maps from the parameter cube to space-time.
 
 The map ``Phi`` sends the open unit cube onto the space-time cylinder;
-its last component is the time coordinate.  One batched evaluation,
-:func:`eval_geometry`, gives the map and its first and second derivatives
-at a tensor grid of points; ``map_point``, ``jacobian`` and ``hessian``
-are one-point calls of it.  The module also provides the batched pullback
-of basis derivatives to physical coordinates and the physical element
-sizes that enter the moving-domain stability bound.  Every Jacobian is
-inverted by one closed-form :func:`_adjugate` on points-last rows
-``(n, n, ...)``: once per grid slab, and on transposed views of the
-element blocks' ``(..., n, n)`` arrays.  The knot-mesh size
+its last component is the time coordinate.  Every evaluation of the map
+runs through the sum-factorized field kernel of the internal ``_batch``
+module: grid slabs on the global Gauss grid, and ``map_point``,
+``jacobian`` and ``hessian`` on the one-point tables of
+:func:`point_rows`.  The module also provides the physical element sizes
+that enter the moving-domain stability bound.  Every Jacobian is inverted
+by one closed-form :func:`_adjugate` on points-last rows ``(n, n, ...)``,
+once per grid slab; element blocks read the slab's.  The knot-mesh size
 that scales the scheme depends on the knots alone
 (:attr:`DiscreteSpace.h_hat`).
 """
@@ -19,17 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_space import DiscreteSpace, point_rows, tensor_basis
+from .tensor_space import DiscreteSpace, point_rows
 
 __all__ = [
     'GeometryMap',
     'PhysicalMesh',
     'SingularGeometryError',
-    'eval_geometry',
     'map_point',
     'jacobian',
     'hessian',
-    'pullback_derivatives',
     'mesh_metrics',
     'greville_grid',
 ]
@@ -109,29 +106,6 @@ class PhysicalMesh:
         return float(self.h_elem.max())
 
 
-def eval_geometry(geom: GeometryMap, rows, firsts, need: int):
-    """Map, Jacobian and Hessian on a block of ``E`` elements.
-
-    ``rows`` and ``firsts`` are univariate rows of ``geom.space`` as
-    :func:`tensor_basis` takes them.  Returns ``(x, J, det, H)`` with
-    ``x[e, i]`` the image of point ``i`` of element ``e``,
-    ``J[e, i, k, a] = d Phi_k / d xi_a``, its determinant, and
-    ``H[e, i, k, a, b] = d^2 Phi_k / d xi_a d xi_b``; entries above
-    ``need`` (0, 1 or 2) are None.  Raises ``SingularGeometryError``
-    unless ``det J > 0`` at every point of the block.
-    """
-    active, val, grad, hess = tensor_basis(geom.space, rows, firsts, need)
-    P = geom.control_points[active]                               # (E, m, dim)
-    x = val @ P
-    if need < 1:
-        return x, None, None, None
-    J = np.einsum('eqma,emk->eqka', grad, P)
-    det = _adjugate(J.transpose(2, 3, 0, 1))[1]
-    _require_orientation(det, x)
-    H = np.einsum('eqmab,emk->eqkab', hess, P) if need >= 2 else None
-    return x, J, det, H
-
-
 def _require_orientation(det: np.ndarray, x: np.ndarray):
     """Raise ``SingularGeometryError`` unless ``det J > 0`` at every point.
 
@@ -144,9 +118,26 @@ def _require_orientation(det: np.ndarray, x: np.ndarray):
             f'non-positive Jacobian determinant {det.ravel()[k]:.6g} at x = ({where})')
 
 
+def _at_point(geom: GeometryMap, xi, need: int):
+    """``(x, J, H, det)`` at the parameter point ``xi``, from the field kernel on the one-point
+    tables of :func:`point_rows`: ``J[k, a] = d Phi_k / d xi_a``, ``H[k, a, b] = d^2 Phi_k /
+    d xi_a d xi_b`` and ``det J`` ``(1,)``, None above ``need``.  Raises
+    ``SingularGeometryError`` unless ``det J > 0`` when ``need >= 1``."""
+    from ._batch import _grid_field, _Table
+
+    tables = [_Table(*rows) for rows in zip(*point_rows(geom.space, xi))]
+    x, J, H = (f if f is None else f[..., 0]
+               for f in _grid_field(geom.space, tables, geom.control_points, need))
+    det = None
+    if need >= 1:
+        det = _adjugate(J[..., None])[1]
+        _require_orientation(det, x[None])
+    return x, J, H, det
+
+
 def map_point(geom: GeometryMap, xi) -> np.ndarray:
     """Physical image of the parameter point ``xi``."""
-    return eval_geometry(geom, *point_rows(geom.space, xi), need=0)[0][0, 0]
+    return _at_point(geom, xi, 0)[0]
 
 
 def jacobian(geom: GeometryMap, xi):
@@ -154,8 +145,8 @@ def jacobian(geom: GeometryMap, xi):
 
     Raises ``SingularGeometryError`` unless ``det J > 0``.
     """
-    _, J, det, _ = eval_geometry(geom, *point_rows(geom.space, xi), need=1)
-    return J[0, 0], float(det[0, 0])
+    _, J, _, det = _at_point(geom, xi, 1)
+    return J, float(det[0])
 
 
 def hessian(geom: GeometryMap, xi) -> np.ndarray:
@@ -163,7 +154,7 @@ def hessian(geom: GeometryMap, xi) -> np.ndarray:
 
     Raises ``SingularGeometryError`` unless ``det J > 0`` at ``xi``.
     """
-    return eval_geometry(geom, *point_rows(geom.space, xi), need=2)[3][0, 0]
+    return _at_point(geom, xi, 2)[2]
 
 
 def _adjugate(jac: np.ndarray):
@@ -171,7 +162,7 @@ def _adjugate(jac: np.ndarray):
 
     In closed form from the cofactors for ``n`` = 2 and 3 (d = 1 and 2), each entry written in
     place as one row; larger ``n`` through LAPACK.  ``adj / det`` is the inverse.  Grid slabs
-    call it once per slab, the element path on transposed views."""
+    call it once per slab, the one-point calls on one column."""
     n, adj = jac.shape[0], np.empty(jac.shape)
     if n == 2:
         (a, b), (c, d) = jac
@@ -225,48 +216,6 @@ def _largest_eigenvalue(s: np.ndarray) -> np.ndarray:
     bad = ~np.isfinite(lam)
     lam[bad] = np.linalg.eigvalsh(np.moveaxis(s[:, :, bad], -1, 0))[..., -1]
     return lam
-
-
-def pullback_derivatives(jac, grads, hessians=None, hess_geom=None):
-    """Push parameter-space basis derivatives to physical coordinates.
-
-    Gradients are ``g = J^{-T} g_param``; Hessians use
-    ``H = J^{-T} (H_param - sum_k g_k H_geom[k]) J^{-1}`` with the
-    physical gradient ``g``.  A block of ``E`` elements with ``q``
-    points each is passed as ``E * q`` points.
-
-    The Jacobian is inverted by :func:`_adjugate` (in closed form for
-    d = 1 and 2), once per point, and a zero or non-finite determinant
-    raises ``SingularGeometryError``.  The gradients come back in
-    derivative-major memory (a transposed ``(n, dim, m)`` array), the
-    layout the element kernels use.
-
-    Parameters
-    ----------
-    jac : np.ndarray
-        Geometry Jacobians ``(n, dim, dim)`` at ``n`` points.
-    grads, hessians : np.ndarray
-        Parameter-space derivatives ``(n, m, dim)`` and optionally
-        ``(n, m, dim, dim)`` of ``m`` basis functions.
-    hess_geom : np.ndarray
-        Geometry second derivatives ``(n, dim, dim, dim)``; required
-        with ``hessians`` (zeros for an affine map).
-
-    Returns
-    -------
-    (grads_phys, hess_phys or None)
-    """
-    adj, det = _adjugate(jac.transpose(1, 2, 0))
-    bad = ~np.isfinite(det) | (det == 0.0)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise SingularGeometryError(f'singular Jacobian: determinant {det[k]:.6g} at point {k}')
-    Jinv = np.ascontiguousarray((adj / det).transpose(2, 0, 1))
-    g = np.matmul(np.transpose(Jinv, (0, 2, 1)), np.transpose(grads, (0, 2, 1))).transpose(0, 2, 1)
-    if hessians is None:
-        return g, None
-    corr = hessians - np.einsum('nmk,nkab->nmab', g, hess_geom)
-    return g, np.einsum('nia,nmij,njb->nmab', Jinv, corr, Jinv, optimize=True)
 
 
 def mesh_metrics(geom: GeometryMap, space: DiscreteSpace, orders=None) -> PhysicalMesh:

@@ -467,7 +467,7 @@ def _check_geometry_derivatives():
                 dm[a] -= e2
                 fd2 = (map_point(geom, dp) - 2 * map_point(geom, xi) + map_point(geom, dm)) / e2**2
                 worst = max(worst, float(np.abs(fd2 - H[:, a, a]).max()) * 1e-2)
-    return worst < 1e-8, f'max FD defect {worst:.2e}'
+    return worst < 1e-8, f'max FD defect {_roundoff(worst, 1e-8)}'
 
 
 def coercivity_identity_defect(name: str, degree: int, level: int,

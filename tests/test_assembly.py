@@ -683,19 +683,3 @@ def test_band_operator_is_the_coo_conversion_bit_for_bit(degree):
             assert got.shape == want.shape
             for name in ('indptr', 'indices', 'data'):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), (key, name)
-
-
-@pytest.mark.parametrize('degree', [1, 2, 3])
-def test_band_mask_is_the_band_operator_pattern(degree):
-    # the banded pattern read from ``first`` is the row pattern of the scipy operator,
-    # on the whole span list, on slabs of it and on a pinned face point, with repeated knots
-    rng = np.random.default_rng(degree)
-    inner = np.sort(np.concatenate((rng.uniform(0, 1, 6), [0.5] * degree)))
-    kv = KnotVector(np.concatenate(([0.0] * (degree + 1), inner, [1.0] * (degree + 1))), degree)
-    full = _batch._table(kv, _batch._span_rule(kv, degree + 1)[0])
-    tables = [full, _batch._Table(full.ders[2:5], full.first[2:5]),
-              _batch._table(kv, np.array([[1.0]]))]
-    for table in tables:
-        width = 2 * degree + 1
-        want = np.diff(_batch._band_operator(table, 0, 0).indptr).reshape(-1, width) > 0
-        assert np.array_equal(assembly._band_mask(table), want)

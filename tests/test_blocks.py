@@ -33,7 +33,7 @@ from spacetime_iga.postproc import (DiscreteField, error_energy, error_l2,
                                     estimate_inverse_constant)
 from spacetime_iga.quadrature import gauss_1d
 from spacetime_iga.splines import KnotVector, single_span
-from spacetime_iga.tensor_space import DiscreteSpace, classify_dirichlet
+from spacetime_iga.tensor_space import DiscreteSpace, active_dofs, classify_dirichlet
 
 CASES = [('moving-curvi-1d', 3), ('quarter-annulus', 1), ('fixed-2d', 1)]
 
@@ -100,6 +100,48 @@ def test_results_do_not_depend_on_block_size(monkeypatch, name, level, budget):
             scale = np.abs(ref).max()
             assert scale > 0.0
             assert np.abs(got - ref).max() <= 1e-13 * scale, key
+
+
+def element_view(grid: np.ndarray, multi) -> np.ndarray:
+    """The points of the element ``multi`` of a grid array ``(..., s_0, q_0, ..., s_last,
+    q_last)``, as ``(q, ...)`` with direction 0 slowest."""
+    lead = grid.ndim - 2 * len(multi)
+    view = grid[(Ellipsis, *(k for i in multi for k in (i, slice(None))))]
+    return view.reshape(*grid.shape[:lead], -1).T
+
+
+@pytest.mark.parametrize('name,level', [('moving-curvi-1d', 3), ('moving-curvi-2d', 1)])
+@pytest.mark.parametrize('budget', ['one-element', 'whole-level'])
+def test_blocks_cover_each_element_once(monkeypatch, name, level, budget):
+    # blocks are element views of the slabs: over the volume and every face, their indices
+    # are a permutation of the elements, their dofs the functions active on each, and their
+    # points and weights the slabs' values; a wrong slab offset shows here and in no sum
+    monkeypatch.setattr(batch, '_BLOCK_BYTES', 1 if budget == 'one-element' else 1 << 62)
+    case, geom, space = setup(name, level)
+    batcher = batch.ElementBatcher(space, geom)
+    nd = space.ndim
+    for face in [None, *((a, side) for a in range(nd) for side in (0, 1))]:
+        tables = batcher._tables_for(face)[0]
+        shape = tuple(t.first.size for t in tables)
+        slabs = list(batcher.grid_slabs(need=1, face=face))
+        if budget == 'one-element':
+            assert len(slabs) == shape[-1]
+        # the level's grid, the slabs joined along the time spans
+        grid = {key: np.concatenate([getattr(s, key).reshape(
+            *getattr(s, key).shape[:-1],
+            *(n for t in s.tables for n in (t.first.size, t.ders.shape[1]))) for s in slabs],
+            axis=-2) for key in ('x', 'w')}
+        blocks = list(batcher.blocks(need=1, face=face))
+        index = np.concatenate([blk.index for blk in blocks])
+        assert np.array_equal(np.sort(index), np.arange(np.prod(shape))), face
+        for blk in blocks:
+            assert blk.hess is None and blk.grad is not None
+            multi = np.unravel_index(blk.index, shape)
+            firsts = [t.first[i] for t, i in zip(tables, multi)]
+            assert np.array_equal(blk.dofs, active_dofs(space, firsts))
+            for k, element in enumerate(zip(*multi)):
+                assert np.array_equal(blk.x[k], element_view(grid['x'], element))
+                assert np.array_equal(blk.w[k], element_view(grid['w'], element))
 
 
 def test_is_identity_only_on_identity_maps():

@@ -201,3 +201,6 @@ def test_errors_refuse_a_folded_map():
             error_energy(field, case, params, moving=moving)
     with pytest.raises(SingularGeometryError, match='non-positive Jacobian determinant'):
         mesh_metrics(geom, space)
+    # element blocks are views of the slabs and refuse the map with them
+    with pytest.raises(SingularGeometryError, match='non-positive Jacobian determinant'):
+        next(ElementBatcher(space, geom).blocks(need=0))

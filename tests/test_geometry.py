@@ -1,4 +1,4 @@
-"""Geometry maps: derivatives, pullbacks, and mesh size bookkeeping."""
+"""Geometry maps: derivatives, the blocks' pullbacks, and mesh size bookkeeping."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +8,8 @@ from numpy.testing import assert_allclose
 import spacetime_iga.geometry as geometry
 from geometries import identity_geometry, quarter_annulus_cylinder
 from spacetime_iga._batch import ElementBatcher, _rows, _span_rule
-from spacetime_iga.geometry import (GeometryMap, SingularGeometryError, eval_geometry,
-                                    greville_grid, hessian, jacobian, map_point, mesh_metrics,
-                                    pullback_derivatives)
+from spacetime_iga.geometry import (GeometryMap, SingularGeometryError, greville_grid, hessian,
+                                    jacobian, map_point, mesh_metrics)
 from spacetime_iga.harness import builtin_cases, solution_space
 from spacetime_iga.splines import KnotVector, refine_uniform, single_span
 from spacetime_iga.tensor_space import DiscreteSpace, point_rows, tensor_basis
@@ -123,79 +122,36 @@ def test_singular_geometry_raises():
         jacobian(geom, np.array([0.5, 0.5]))
 
 
-def test_pullback_recovers_physical_derivatives():
-    """Analytic chain-rule oracle for the second-order pullback.
-
-    Build parameter-side derivatives of a quadratic u(Phi(xi)) by the
-    forward chain rule, push them back, and require the exact physical
-    gradient and Hessian; exercises the curvature correction term on a
-    map with a non-vanishing mixed second derivative, on the 2x2 (LAPACK)
-    and the 3x3 (closed-form) path.
-    """
-    # u(x) = x^T A x / 2 + b^T x, so grad u = A x + b and hess u = A
-    quadratics = {2: (np.array([[4.0, 3.0], [3.0, -2.0]]), np.array([1.0, -2.0])),
-                  3: (np.array([[4.0, 3.0, 1.0], [3.0, -2.0, 0.5], [1.0, 0.5, 3.0]]),
-                      np.array([1.0, -2.0, 0.5]))}
-
-    for name in ('moving-simple-1d', 'moving-curvi-1d', 'moving-curvi-2d'):
-        geom = builtin_cases()[name].geometry
-        A, b = quadratics[geom.ndim]
-        rng = np.random.default_rng(25)
-        J, Hg, g_param, h_param, g_exact, H_exact = [], [], [], [], [], []
-        for _ in range(10):
-            xi = rng.uniform(0.05, 0.95, geom.ndim)
-            x = map_point(geom, xi)
-            Jq, _ = jacobian(geom, xi)
-            Hq = hessian(geom, xi)
-            g, H = A @ x + b, A
-            J.append(Jq)
-            Hg.append(Hq)
-            g_param.append(Jq.T @ g)
-            h_param.append(Jq.T @ H @ Jq + np.einsum('k,kab->ab', g, Hq))
-            g_exact.append(g)
-            H_exact.append(H)
-        # one basis function at ten points: (q, m=1, dim[, dim])
-        g_back, h_back = pullback_derivatives(
-            np.array(J), np.array(g_param)[:, None], np.array(h_param)[:, None], np.array(Hg))
-        assert_allclose(g_back[:, 0], g_exact, atol=1e-12)
-        assert_allclose(h_back[:, 0], H_exact, atol=1e-11)
-
-
 @pytest.mark.parametrize('name', ['moving-curvi-2d', 'quarter-annulus'])
 def test_closed_form_pullback_matches_lapack(name):
-    """On every quadrature point of p2 L2, the closed-form 3x3 pullback
-    agrees with the LAPACK formulas (``solve`` for gradients, ``inv`` for
-    Hessians) and returns the gradients in derivative-major memory."""
+    """On every quadrature point of p2 L2, the blocks' Jacobians are the map's basis contracted
+    with its control points, and their closed-form 3x3 pullback agrees with the LAPACK formulas
+    (``solve`` for gradients, ``inv`` for Hessians) and returns the gradients in
+    derivative-major memory."""
     geom = quarter_annulus_cylinder() if name == 'quarter-annulus' else builtin_cases()[name].geometry
     space = solution_space(geom, 2, 2)
     batcher = ElementBatcher(space, geom)
     shape = tuple(kv.spans.shape[0] for kv in space.knot_vectors)
-    multi = np.unravel_index(np.arange(np.prod(shape)), shape)
-    _, _, grad, hess = tensor_basis(space, *_rows(batcher._tables, multi), 2)
-    _, J, _, Hg = eval_geometry(geom, *_rows(batcher._geo_tables, multi), need=2)
-    E, q, m, nd = grad.shape
-    J, grad = J.reshape(E * q, nd, nd), grad.reshape(E * q, m, nd)
-    hess, Hg = hess.reshape(E * q, m, nd, nd), Hg.reshape(E * q, nd, nd, nd)
+    for blk in batcher.blocks(need=2):
+        multi = np.unravel_index(blk.index, shape)
+        _, _, grad, hess = tensor_basis(space, *_rows(batcher._tables, multi), 2)
+        active, _, g_map, h_map = tensor_basis(geom.space, *_rows(batcher._geo_tables, multi), 2)
+        P = geom.control_points[active]
+        J = np.einsum('eqma,emk->eqka', g_map, P)
+        Hg = np.einsum('eqmab,emk->eqkab', h_map, P)
+        assert np.abs(blk.jac - J).max() <= 1e-14 * np.abs(J).max()
+        E, q, m, nd = grad.shape
+        J, grad = J.reshape(E * q, nd, nd), grad.reshape(E * q, m, nd)
+        hess, Hg = hess.reshape(E * q, m, nd, nd), Hg.reshape(E * q, nd, nd, nd)
 
-    g, h = pullback_derivatives(J, grad, hess, Hg)
-    g_ref = np.linalg.solve(J.transpose(0, 2, 1), grad.transpose(0, 2, 1)).transpose(0, 2, 1)
-    Jinv = np.linalg.inv(J)
-    corr = hess - np.einsum('nmk,nkab->nmab', g_ref, Hg)
-    h_ref = np.einsum('nia,nmij,njb->nmab', Jinv, corr, Jinv)
-    assert np.abs(g - g_ref).max() <= 1e-13 * np.abs(g_ref).max()
-    assert np.abs(h - h_ref).max() <= 1e-13 * np.abs(h_ref).max()
-    assert g.transpose(0, 2, 1).flags.c_contiguous
-
-
-def test_pullback_rejects_a_singular_3x3_jacobian():
-    J = np.tile(np.eye(3), (4, 1, 1))
-    J[2] = [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]       # rank 2
-    with pytest.raises(SingularGeometryError, match='point 2'):
-        pullback_derivatives(J, np.ones((4, 5, 3)))
-    J[2] = np.eye(3)
-    J[1, 0, 0] = np.nan
-    with pytest.raises(SingularGeometryError, match='point 1'):
-        pullback_derivatives(J, np.ones((4, 5, 3)))
+        g_ref = np.linalg.solve(J.transpose(0, 2, 1), grad.transpose(0, 2, 1)).transpose(0, 2, 1)
+        Jinv = np.linalg.inv(J)
+        corr = hess - np.einsum('nmk,nkab->nmab', g_ref, Hg)
+        h_ref = np.einsum('nia,nmij,njb->nmab', Jinv, corr, Jinv)
+        g, h = blk.grad.reshape(g_ref.shape), blk.hess.reshape(h_ref.shape)
+        assert np.abs(g - g_ref).max() <= 1e-13 * np.abs(g_ref).max()
+        assert np.abs(h - h_ref).max() <= 1e-13 * np.abs(h_ref).max()
+        assert blk.grad.transpose(0, 1, 3, 2).flags.c_contiguous
 
 
 def cofactor_adjugate(jac):
@@ -223,7 +179,7 @@ def test_adjugate_on_rows_is_the_cofactor_formula_bit_for_bit(n):
     rng = np.random.default_rng(40 + n)
     for jac in random_jacobians(rng, n):
         ref_adj, ref_det = cofactor_adjugate(jac)
-        # contiguous rows, as grid slabs hold them, and a transposed view, as the element path
+        # contiguous rows, as grid slabs hold them, and a transposed view
         for rows in (np.ascontiguousarray(np.moveaxis(jac, 0, -1)), jac.transpose(1, 2, 0)):
             adj, det = geometry._adjugate(rows)
             assert np.array_equal(adj, np.moveaxis(ref_adj, 0, -1))
@@ -233,28 +189,6 @@ def test_adjugate_on_rows_is_the_cofactor_formula_bit_for_bit(n):
     inv, ref = np.moveaxis(adj / det, -1, 0), np.linalg.inv(well)
     relative = np.abs(inv - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
     assert relative.max() <= 1e-14
-
-
-@pytest.mark.parametrize('n', [2, 3])
-def test_pullback_rejects_a_zero_or_non_finite_determinant(n):
-    for bad, where in ((np.zeros((n, n)), 'determinant 0 at point 1'),
-                       (np.full((n, n), np.inf), 'determinant nan at point 1'),
-                       (np.diag([np.nan] + [1.0] * (n - 1)), 'determinant nan at point 1')):
-        J = np.tile(np.eye(n), (3, 1, 1))
-        J[1] = bad
-        with np.errstate(invalid='ignore'), \
-                pytest.raises(SingularGeometryError, match=f'singular Jacobian: {where}'):
-            pullback_derivatives(J, np.ones((3, 4, n)))
-
-
-def test_pullback_gradient_only_path():
-    geom = builtin_cases()['moving-simple-1d'].geometry
-    xi = np.array([0.3, 0.6])
-    J, _ = jacobian(geom, xi)
-    grads = np.array([[1.0, 0.0], [0.0, 1.0]])
-    g, h = pullback_derivatives(J[None], grads[None])
-    assert h is None
-    assert_allclose(J.T @ g[0, 0], grads[0], atol=1e-14)
 
 
 @st.composite

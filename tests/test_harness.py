@@ -490,6 +490,13 @@ def test_cli_verify_fails_on_scaled_norms(monkeypatch, capsys):
     assert 'FAIL moving-coercivity' in capsys.readouterr().out
 
 
+def test_geometry_derivative_check_prints_its_roundoff_bucket():
+    # each built-in map has degree <= 2 per direction, so its central differences are exact up
+    # to round-off, and the line shows the bucket of that round-off, not its last digits
+    assert harness._check_geometry_derivatives() == (
+        True, 'max FD defect <= 1e-09 (threshold 1e-08)')
+
+
 def test_roundoff_text_does_not_move_with_the_last_bits():
     # the defects a passing verify printed before and after reordered sums: coercivity-identity
     # 5.56e-16, 5.65e-16, 5.69e-16 and fixed-forms-agree 1.11e-16, 5.55e-17
