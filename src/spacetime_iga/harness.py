@@ -52,11 +52,9 @@ __all__ = [
 ]
 
 CSV_HEADER = 'level,dofs,h,error_l2,rate_l2,error_energy,rate_energy,solver,iters,residual,time_s'
-DIRECT_DOF_LIMIT = 200_000
 # Free dofs from which ``auto`` leaves sparse LU for the fast diagonalization:
-# the exact solve on a fixed identity-geometry cylinder, the GMRES
-# preconditioner on a moving d >= 2 cylinder; below it sparse LU is as fast
-# or faster (see ``_solve``).
+# the exact solve where it inverts the form, the GMRES preconditioner
+# elsewhere; below it sparse LU is as fast or faster (see ``_plan``).
 FD_MIN_DOFS = 500
 _RUN_ERRORS = (SingularGeometryError, ConvergenceError, SingularSystemError)
 
@@ -280,54 +278,48 @@ def _setup_level(geom: GeometryMap, degree: int, level: int):
     return space, classify_dirichlet(space)
 
 
-def _solves_by_fd(config: CaseConfig, definition: CaseDefinition, n_free: int) -> bool:
-    """Whether ``auto`` solves a level of ``n_free`` free dofs by the exact fast
-    diagonalization: a fixed identity-geometry cylinder from ``FD_MIN_DOFS`` on."""
-    return config.solver == 'auto' and definition.fd_exact and n_free >= FD_MIN_DOFS
+def _plan(config: CaseConfig, definition: CaseDefinition, n_free: int) -> tuple[str, float]:
+    """``(method, tol)`` of a level of ``n_free`` free dofs, decided before assembly.
+
+    ``direct`` and ``gmres`` are taken as given, GMRES at ``config.solver_tol``.
+    ``auto`` solves by
+
+    - sparse LU below ``FD_MIN_DOFS`` free dofs;
+    - the exact fast diagonalization (``'fd'``) where it inverts the form
+      (``definition.fd_exact``), with the matrix-free operator of :func:`_level_system`;
+    - GMRES preconditioned by the fast diagonalization otherwise, at tolerance
+      ``min(config.solver_tol, 1e-12)``, which keeps the errors as exact as the LU's.
+    """
+    tol = config.solver_tol
+    if config.solver != 'auto':
+        return config.solver, tol
+    if n_free < FD_MIN_DOFS:
+        return 'direct', tol
+    if definition.fd_exact:
+        return 'fd', tol
+    return 'gmres', min(tol, 1e-12)
 
 
-def _level_system(space, geom, case, params: SchemeParams, fd: bool) -> LinearSystem:
-    """The full-space system of a level: on a level that :func:`_solves_by_fd`, the load
-    alone next to the matrix-free :func:`cylinder_operator`, else the assembled form."""
-    if fd:
+def _level_system(space, geom, case, params: SchemeParams, method: str) -> LinearSystem:
+    """The full-space system of a level: on an ``'fd'`` level the load alone next to the
+    matrix-free :func:`cylinder_operator`, else the assembled form."""
+    if method == 'fd':
         return LinearSystem(cylinder_operator(space, params.theta * params.h),
                             assemble_load(space, geom, case, params))
     return (assemble_moving if case.moving else assemble_fixed)(space, geom, case, params)
 
 
-def _solve(system: LinearSystem, config: CaseConfig, space, params: SchemeParams,
-           definition: CaseDefinition):
-    """Solve the reduced system of ``definition`` with ``config.solver``.
+def _solve(system: LinearSystem, method: str, tol: float, space, params: SchemeParams):
+    """Solve the reduced ``system`` by ``method`` of :func:`_plan`.
 
-    GMRES is always preconditioned by the fast diagonalization of the
-    parametric cylinder of ``space``, built inside the timed solve, and
-    runs with :func:`solve_gmres`'s default restart and budget.  Under
-    ``auto`` a system of fewer than ``FD_MIN_DOFS`` free dofs solves by
-    sparse LU, and a larger one by
-
-    - the exact fast diagonalization (method ``'fd'``, :func:`_solves_by_fd`) on
-      a fixed identity-geometry cylinder (``definition.fd_exact``), which it
-      inverts; ``run_case`` applies that rule before assembly and hands such a
-      level the matrix-free operator of :func:`_level_system`;
-    - GMRES at tolerance ``min(config.solver_tol, 1e-12)`` on a moving case
-      with d >= 2, where it beats the sparse LU of the whole space-time
-      matrix from the same size on.  The tighter stop keeps ``auto`` as
-      exact as the LU it replaces;
-    - sparse LU up to ``DIRECT_DOF_LIMIT`` free dofs and GMRES beyond
-      otherwise.
+    ``'fd'`` is the exact fast diagonalization of the parametric cylinder of
+    ``space``; ``'gmres'`` is preconditioned by it, runs to ``tol`` with
+    :func:`solve_gmres`'s default restart and budget, and builds the
+    preconditioner inside the timed solve; ``'direct'`` is sparse LU.
     """
-    n = system.rhs.size
     theta_h = params.theta * params.h
-    method, tol = config.solver, config.solver_tol
-    if _solves_by_fd(config, definition, n):
+    if method == 'fd':
         return solve_fd(system.matrix, system.rhs, space, theta_h)
-    if method == 'auto':
-        if n < FD_MIN_DOFS:
-            method = 'direct'
-        elif definition.case.moving and definition.case.d >= 2:
-            method, tol = 'gmres', min(tol, 1e-12)
-        else:
-            method = 'direct' if n <= DIRECT_DOF_LIMIT else 'gmres'
     if method == 'direct':
         return solve_direct(system.matrix, system.rhs)
     return solve_gmres(system.matrix, system.rhs, tol=tol,
@@ -347,10 +339,10 @@ def run_case(config: CaseConfig) -> ConvergenceReport:
     """Run the refinement sweep described by ``config``.
 
     Levels 0 .. levels-1 halve every knot span in turn; each level
-    assembles the scheme (on a level solved by the exact fast
-    diagonalization only its load; the form is applied matrix-free),
-    applies Dirichlet data by boundary projection, solves, and records
-    errors.  Rates are attached afterwards.  When a
+    decides its solver once (:func:`_plan`), assembles the scheme (on a
+    level solved by the exact fast diagonalization only its load; the form
+    is applied matrix-free), applies Dirichlet data by boundary projection,
+    solves, and records errors.  Rates are attached afterwards.  When a
     level raises ``SingularGeometryError``, ``ConvergenceError`` or
     ``SingularSystemError``, the error propagates with a ``report``
     attribute: the :class:`ConvergenceReport` of the levels before it.
@@ -369,11 +361,11 @@ def run_case(config: CaseConfig) -> ConvergenceReport:
                     c_inv = estimate_inverse_constant(space, geom, mesh)
                 theta_bound = a_priori_theta_bound(c_inv, mesh)
             params = SchemeParams(config.theta, space.h_hat, theta_bound)
-            fd = _solves_by_fd(config, definition, dofmap.free.size)
+            method, tol = _plan(config, definition, dofmap.free.size)
             # no name holds the full-space system, so it is freed once reduced, before the solve
-            reduced = apply_dirichlet(_level_system(space, geom, case, params, fd),
+            reduced = apply_dirichlet(_level_system(space, geom, case, params, method),
                                       dofmap, case, space, geom)
-            x, report = _solve(reduced, config, space, params, definition)
+            x, report = _solve(reduced, method, tol, space, params)
             coeffs = reduced.dirichlet_values.copy()
             coeffs[dofmap.free] = x
             field = DiscreteField(space, geom, coeffs)
@@ -559,7 +551,7 @@ def _check_solvers_agree():
     # the fixed cylinder (one iteration) and really iterates on the moving
     # case, and the two solvers ``auto`` picks from FD_MIN_DOFS free dofs on:
     # the exact fast diagonalization on a fixed identity cylinder and
-    # FD-preconditioned GMRES on a moving d = 2 cylinder
+    # FD-preconditioned GMRES on the moving d = 1 and d = 2 cylinders
     details = []
     worst = 0.0
     methods_ok = True
@@ -567,6 +559,7 @@ def _check_solvers_agree():
             ('fixed-1d', 1, 4, 'gmres', 'gmres'),
             ('moving-curvi-1d', 2, 3, 'gmres', 'gmres'),
             ('fixed-1d', 2, 5, 'auto', 'fd'),
+            ('moving-curvi-1d', 2, 5, 'auto', 'gmres'),
             ('moving-curvi-2d', 2, 3, 'auto', 'gmres')):
         definition = builtin_cases()[name]
         case, geom = definition.case, definition.geometry
@@ -575,7 +568,8 @@ def _check_solvers_agree():
         assemble = assemble_moving if case.moving else assemble_fixed
         system = apply_dirichlet(assemble(space, geom, case, params), dofmap, case, space, geom)
         xd, _ = solve_direct(system.matrix, system.rhs)
-        xs, report = _solve(system, CaseConfig(name, solver=solver), space, params, definition)
+        xs, report = _solve(system, *_plan(CaseConfig(name, solver=solver), definition,
+                                           system.rhs.size), space, params)
         gap = float(np.linalg.norm(xd - xs) / np.linalg.norm(xd))
         worst = max(worst, gap)
         methods_ok &= report.method == method

@@ -32,10 +32,10 @@ diagonalization needs no space-time matrix: the Dirichlet lifting and the
 residual of the refinement are products with it.  The univariate factors
 are integrated on their bands by the assembly's band operators.
 
-On a moving cylinder with d >= 2 the preconditioned GMRES replaces the
-sparse LU of the whole space-time matrix from 500 free dofs on
-(``harness.FD_MIN_DOFS``), stopping at a true residual of 1e-12 so that
-its errors stay within round-off of the LU's.
+On every cylinder it does not invert, moving or mapped, the preconditioned
+GMRES replaces the sparse LU of the whole space-time matrix from 500 free
+dofs on (``harness.FD_MIN_DOFS``), stopping at a true residual of 1e-12 so
+that its errors stay within round-off of the LU's.
 """
 from __future__ import annotations
 
@@ -58,7 +58,6 @@ __all__ = [
     'solve_direct',
     'solve_fd',
     'solve_gmres',
-    'cylinder_matrices',
     'cylinder_operator',
     'cylinder_preconditioner',
 ]
@@ -276,16 +275,16 @@ def _pencil_eigh(k: np.ndarray, m: np.ndarray, eigvals_only: bool = False):
     pencils ``(K, M)``, stacked on leading axes, by numpy's LAPACK.
 
     With ``M = L L^T`` the pencil has the eigenvalues of ``A = L^{-1} K L^{-T}``; the
-    eigenvectors ``W`` of ``A`` give ``U = L^{-T} W``, ``U^T M U = I``.  ``eigvals_only``
-    returns the eigenvalues alone.
+    eigenvectors ``W`` of ``A`` give ``U = L^{-T} W``, ``U^T M U = I``.  ``L^{-1}`` is
+    formed once and applied by products.  ``eigvals_only`` returns the eigenvalues alone.
     """
-    chol = np.linalg.cholesky(m)
-    half = np.linalg.solve(chol, k)
-    reduced = np.linalg.solve(chol, np.swapaxes(half, -1, -2))
+    inv = np.linalg.inv(np.linalg.cholesky(m))
+    inv_t = np.swapaxes(inv, -1, -2)
+    reduced = inv @ k @ inv_t
     if eigvals_only:
         return np.linalg.eigvalsh(reduced)
     lam, w = np.linalg.eigh(reduced)
-    return lam, np.linalg.solve(np.swapaxes(chol, -1, -2), w)
+    return lam, inv_t @ w
 
 
 def _mode_products(x: np.ndarray, matrices) -> np.ndarray:

@@ -6,6 +6,7 @@ import re
 import warnings
 import weakref
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -209,17 +210,30 @@ def test_exact_fast_diagonalization_levels_build_no_space_time_matrix(monkeypatc
     assert built == Counter(dofs)
 
 
-def test_auto_keeps_sparse_lu_off_the_identity_fixed_cylinder():
-    with warnings.catch_warnings():
-        warnings.simplefilter('ignore', StabilityWarning)
-        assert _methods(CaseConfig(case='moving-curvi-1d', degree=2, levels=6)) == ['direct'] * 6
-        assert _methods(CaseConfig(case='custom', degree=2, levels=6, geometry=IDENTITY_GEOMETRY,
-                                   moving=True)) == ['direct'] * 6
+def test_auto_solves_cylinders_the_fast_diagonalization_does_not_invert_by_gmres():
+    # moving cases, identity map or not, and fixed cases on a curved map: sparse LU
+    # below FD_MIN_DOFS, FD-preconditioned GMRES at 1e-12 from it on
+    gmres = []
+    for config in (CaseConfig(case='moving-curvi-1d', degree=2, levels=6),
+                   CaseConfig(case='custom', degree=2, levels=6, geometry=IDENTITY_GEOMETRY,
+                              moving=True)):
+        solves = _solves(config)
+        assert [s.method for s in solves] == ['direct'] * 5 + ['gmres']
+        gmres += solves[5:]
     annulus = quarter_annulus_cylinder()
-    # the NURBS quarter annulus has 576 free dofs at p2 L3, above FD_MIN_DOFS
-    assert classify_dirichlet(solution_space(annulus, 2, 3)).free.size >= harness.FD_MIN_DOFS
-    assert _methods(CaseConfig(case='custom', degree=2, levels=4, moving=False,
-                               geometry=_geometry_block(annulus))) == ['direct'] * 4
+    # the NURBS quarter annulus has 80 free dofs at p2 L2 and 576 at L3
+    free = [classify_dirichlet(solution_space(annulus, 2, k)).free.size for k in (2, 3)]
+    assert free[0] < harness.FD_MIN_DOFS <= free[1]
+    config = CaseConfig(case='custom', degree=2, levels=5, moving=False,
+                        geometry=_geometry_block(annulus))
+    report = run_case(config)
+    solves = [r.solve for r in report.records]
+    assert [s.method for s in solves] == ['direct'] * 3 + ['gmres'] * 2
+    for s in gmres + solves[3:]:
+        assert s.tol == 1e-12 and s.residual <= 1e-12
+    direct = run_case(replace(config, solver='direct'))
+    assert_allclose(report.errors_l2, direct.errors_l2, rtol=1e-8)
+    assert_allclose(report.errors_energy, direct.errors_energy, rtol=1e-8)
 
 
 def test_auto_solves_moving_2d_cylinders_by_preconditioned_gmres():

@@ -391,7 +391,7 @@ def test_preconditioned_gmres_reaches_level_8():
 
 
 def test_preconditioned_gmres_matches_lu_on_the_moving_2d_cylinder():
-    # the solve ``auto`` picks on moving d >= 2 cylinders from FD_MIN_DOFS on
+    # the solve ``auto`` picks on moving cylinders from FD_MIN_DOFS on
     iterations = []
     for degree in (1, 2, 3):
         for level in (3, 4):

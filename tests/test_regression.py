@@ -38,7 +38,7 @@ from numpy.testing import assert_allclose
 import spacetime_iga.harness as harness
 from spacetime_iga.assembly import (StabilityWarning, _restrict, assemble_fixed,
                                     assemble_norm_matrices)
-from spacetime_iga.harness import CaseConfig, builtin_cases, run_case
+from spacetime_iga.harness import CaseConfig, builtin_cases, resolve_case, run_case
 from spacetime_iga.tensor_space import classify_dirichlet
 
 DATA = os.path.join(os.path.dirname(__file__), 'data', 'regression.json')
@@ -85,9 +85,10 @@ def _regenerate(config: CaseConfig) -> dict:
     """:func:`_errors` plus each level's ``l2_floor`` and ``energy_floor``, from the systems
     ``run_case`` solves; a level solved matrix-free gets its reduced matrix assembled here."""
     floors, energy_floors, solve = [], [], harness._solve
+    definition = resolve_case(config)
 
-    def recording_solve(system, config, space, params, definition):
-        x, report = solve(system, config, space, params, definition)
+    def recording_solve(system, method, tol, space, params):
+        x, report = solve(system, method, tol, space, params)
         matrix = system.matrix
         if not sp.issparse(matrix):
             full = assemble_fixed(space, definition.geometry, definition.case, params)
