@@ -3,14 +3,12 @@
 The map ``Phi`` sends the open unit cube onto the space-time cylinder;
 its last component is the time coordinate.  Every evaluation of the map
 runs through the sum-factorized field kernel of the internal ``_batch``
-module: grid slabs on the global Gauss grid, and ``map_point``,
-``jacobian`` and ``hessian`` on the one-point tables of
-:func:`point_rows`.  The module also provides the physical element sizes
-that enter the moving-domain stability bound.  Every Jacobian is inverted
-by one closed-form :func:`_adjugate` on points-last rows ``(n, n, ...)``,
-once per grid slab; element blocks read the slab's.  The knot-mesh size
-that scales the scheme depends on the knots alone
-(:attr:`DiscreteSpace.h_hat`).
+module, on grid slabs of the global Gauss grid.  The module also
+provides the physical element sizes that enter the moving-domain
+stability bound.  Every Jacobian is inverted by one closed-form
+:func:`_adjugate` on points-last rows ``(n, n, ...)``, once per grid
+slab; element blocks read the slab's.  The knot-mesh size that scales
+the scheme depends on the knots alone (:attr:`DiscreteSpace.h_hat`).
 """
 from __future__ import annotations
 
@@ -18,15 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_space import DiscreteSpace, point_rows
+from .tensor_space import DiscreteSpace
 
 __all__ = [
     'GeometryMap',
     'PhysicalMesh',
     'SingularGeometryError',
-    'map_point',
-    'jacobian',
-    'hessian',
     'mesh_metrics',
     'greville_grid',
 ]
@@ -118,51 +113,12 @@ def _require_orientation(det: np.ndarray, x: np.ndarray):
             f'non-positive Jacobian determinant {det.ravel()[k]:.6g} at x = ({where})')
 
 
-def _at_point(geom: GeometryMap, xi, need: int):
-    """``(x, J, H, det)`` at the parameter point ``xi``, from the field kernel on the one-point
-    tables of :func:`point_rows`: ``J[k, a] = d Phi_k / d xi_a``, ``H[k, a, b] = d^2 Phi_k /
-    d xi_a d xi_b`` and ``det J`` ``(1,)``, None above ``need``.  Raises
-    ``SingularGeometryError`` unless ``det J > 0`` when ``need >= 1``."""
-    from ._batch import _grid_field, _Table
-
-    tables = [_Table(*rows) for rows in zip(*point_rows(geom.space, xi))]
-    x, J, H = (f if f is None else f[..., 0]
-               for f in _grid_field(geom.space, tables, geom.control_points, need))
-    det = None
-    if need >= 1:
-        det = _adjugate(J[..., None])[1]
-        _require_orientation(det, x[None])
-    return x, J, H, det
-
-
-def map_point(geom: GeometryMap, xi) -> np.ndarray:
-    """Physical image of the parameter point ``xi``."""
-    return _at_point(geom, xi, 0)[0]
-
-
-def jacobian(geom: GeometryMap, xi):
-    """Jacobian matrix ``J[k, a] = d Phi_k / d xi_a`` and its determinant.
-
-    Raises ``SingularGeometryError`` unless ``det J > 0``.
-    """
-    _, J, _, det = _at_point(geom, xi, 1)
-    return J, float(det[0])
-
-
-def hessian(geom: GeometryMap, xi) -> np.ndarray:
-    """Second derivatives ``H[k, a, b] = d^2 Phi_k / d xi_a d xi_b``.
-
-    Raises ``SingularGeometryError`` unless ``det J > 0`` at ``xi``.
-    """
-    return _at_point(geom, xi, 2)[2]
-
-
 def _adjugate(jac: np.ndarray):
     """Adjugates and determinants of square matrices ``jac`` ``(n, n, ...)``, points last.
 
     In closed form from the cofactors for ``n`` = 2 and 3 (d = 1 and 2), each entry written in
     place as one row; larger ``n`` through LAPACK.  ``adj / det`` is the inverse.  Grid slabs
-    call it once per slab, the one-point calls on one column."""
+    call it once per slab."""
     n, adj = jac.shape[0], np.empty(jac.shape)
     if n == 2:
         (a, b), (c, d) = jac

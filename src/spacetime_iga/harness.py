@@ -5,10 +5,11 @@ cylinders with a smooth exact solution), runs refinement sweeps that
 report errors in the L2 and discrete energy norms, writes CSV, and
 hosts the self-verification suite behind ``spacetime-iga verify``.
 Each structural identity of the scheme is coded once, and ``verify``
-and the acceptance tests both call it: the fixed-cylinder coercivity
-identity (:func:`coercivity_identity_defect`), the agreement of the
-fixed and moving forms (:func:`fixed_forms_gap`) and the moving-domain
-coercivity margin (:func:`moving_coercivity`).
+and the tests both call it: the map's Jacobian and Hessian against
+differences (:func:`geometry_derivatives_defect`), the fixed-cylinder
+coercivity identity (:func:`coercivity_identity_defect`), the agreement
+of the fixed and moving forms (:func:`fixed_forms_gap`) and the
+moving-domain coercivity margin (:func:`moving_coercivity`).
 """
 from __future__ import annotations
 
@@ -25,8 +26,7 @@ from ._batch import _grid_field, _span_rule, _table
 from .assembly import (LinearSystem, ManufacturedCase, SchemeParams, StabilityWarning,
                        _assemble_form, _assemble_grid, apply_dirichlet, assemble_fixed,
                        assemble_load, assemble_moving, assemble_norm_matrices)
-from .geometry import (GeometryMap, SingularGeometryError, hessian, jacobian, map_point,
-                       mesh_metrics)
+from .geometry import GeometryMap, SingularGeometryError, mesh_metrics
 from .linsolve import (ConvergenceError, SingularSystemError, cylinder_operator,
                        cylinder_preconditioner, solve_direct, solve_fd, solve_gmres)
 from .postproc import (ConvergenceReport, DiscreteField, LevelRecord, a_priori_theta_bound,
@@ -42,6 +42,7 @@ __all__ = [
     'load_config',
     'run_case',
     'emit_csv',
+    'geometry_derivatives_defect',
     'coercivity_identity_defect',
     'fixed_forms_gap',
     'moving_coercivity',
@@ -441,25 +442,42 @@ def _check_geometry_derivatives():
     worst = 0.0
     for name in ('moving-simple-1d', 'moving-curvi-1d', 'moving-curvi-2d'):
         geom = builtin_cases()[name].geometry
-        nd = geom.ndim
-        e1 = 1e-5   # first differences: truncation-limited
-        e2 = 1e-4   # second differences: roundoff grows as eps / e^2
-        for _ in range(10):
-            xi = rng.uniform(0.1, 0.9, nd)
-            J, _ = jacobian(geom, xi)
-            H = hessian(geom, xi)
-            for a in range(nd):
-                dp, dm = xi.copy(), xi.copy()
-                dp[a] += e1
-                dm[a] -= e1
-                fd = (map_point(geom, dp) - map_point(geom, dm)) / (2 * e1)
-                worst = max(worst, float(np.abs(fd - J[:, a]).max()))
-                dp, dm = xi.copy(), xi.copy()
-                dp[a] += e2
-                dm[a] -= e2
-                fd2 = (map_point(geom, dp) - 2 * map_point(geom, xi) + map_point(geom, dm)) / e2**2
-                worst = max(worst, float(np.abs(fd2 - H[:, a, a]).max()) * 1e-2)
+        jac, hess = geometry_derivatives_defect(geom, rng.uniform(0.1, 0.9, (10, geom.ndim)))
+        worst = max(worst, jac, 1e-2 * hess)
     return worst < 1e-8, f'max FD defect {_roundoff(worst, 1e-8)}'
+
+
+# the stencil's offsets, and its difference rows: the centre node, at +-1e-4 the first and the
+# second difference (round-off grows as eps / step^2), at +-1e-5 the first (truncation limits
+# it); rows (c == a) + (c == b) along the directions c give H[:, a, b], rows 3 (c == a) J[:, a]
+STEPS = (-1e-4, -1e-5, 0.0, 1e-5, 1e-4)
+_STENCIL = np.array([[0, 0, 1, 0, 0], [-1, 0, 0, 0, 1], [1, 0, -2, 0, 1], [0, -1, 0, 1, 0]]) / [
+    [1.0], [2 * STEPS[4]], [STEPS[4] ** 2], [2 * STEPS[3]]]
+
+
+def geometry_derivatives_defect(geom: GeometryMap, points) -> tuple[float, float]:
+    """Largest defects of the map's ``J`` and ``H`` at ``points`` against central differences.
+
+    One field-kernel call per point gives the map on the ``5^dim`` grid of :data:`STEPS` about
+    it, with ``J`` and ``H`` at its centre; a table row holds one node, so a stencil may cross
+    a breakpoint.  ``J[:, a]`` is compared with the difference at +-1e-5, ``H[:, a, a]`` with
+    the second and ``H[:, a, b]`` with the four-corner difference at +-1e-4."""
+    nd, jac, hess = geom.ndim, 0.0, 0.0
+    for xi in np.asarray(points, dtype=float):
+        tables = [_table(kv, (node + np.array(STEPS))[:, None])
+                  for kv, node in zip(geom.space.knot_vectors, xi)]
+        x, J, H = (f.reshape(*f.shape[:-1], *(len(STEPS),) * nd)
+                   for f in _grid_field(geom.space, tables, geom.control_points, 2))
+        for _ in range(nd):     # each direction, the last first: fd[k, row_0, ..., row_last]
+            x = np.moveaxis(x @ _STENCIL.T, -1, 1)
+        centre = (..., *[2] * nd)
+        for a, b in np.ndindex(nd, nd):
+            if a == b:
+                fd = x[(slice(None), *[3 * (c == a) for c in range(nd)])]
+                jac = max(jac, float(np.abs(fd - J[:, a][centre]).max()))
+            fd = x[(slice(None), *[(c == a) + (c == b) for c in range(nd)])]
+            hess = max(hess, float(np.abs(fd - H[:, a, b][centre]).max()))
+    return jac, hess
 
 
 def coercivity_identity_defect(name: str, degree: int, level: int,

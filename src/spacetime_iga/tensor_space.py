@@ -12,12 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .splines import KnotVector, eval_basis
-
 __all__ = [
     'DiscreteSpace',
     'DofMap',
-    'point_rows',
     'tensor_basis',
     'dirichlet_faces',
     'classify_dirichlet',
@@ -103,20 +100,6 @@ class DofMap:
 
     dirichlet_mask: np.ndarray
     free: np.ndarray
-
-
-def point_rows(space: DiscreteSpace, xi):
-    """Univariate rows of every direction at the single point ``xi``.
-
-    Returns ``(rows, firsts)`` in the form :func:`tensor_basis` takes, a
-    block of one element with one point: ``rows[a]`` has shape
-    ``(1, 1, 3, p_a + 1)`` and ``firsts[a]`` shape ``(1,)``.
-    """
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (space.ndim,):
-        raise ValueError(f'expected point of length {space.ndim}, got shape {xi.shape}')
-    evals = [eval_basis(kv, x[None, None]) for kv, x in zip(space.knot_vectors, xi)]
-    return [ders for _, ders in evals], [first[:, 0] for first, _ in evals]
 
 
 def _outer2(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,10 +1,31 @@
 """Geometry maps that only the tests build."""
 import numpy as np
 
+from spacetime_iga._batch import _grid_field, _table
 from spacetime_iga.geometry import GeometryMap, greville_grid
 from spacetime_iga.harness import builtin_cases
 from spacetime_iga.splines import single_span
-from spacetime_iga.tensor_space import DiscreteSpace
+from spacetime_iga.tensor_space import DiscreteSpace, tensor_basis
+
+
+def point_tables(space: DiscreteSpace, xi) -> list:
+    """One-node univariate tables of every direction of ``space`` at the parameter point
+    ``xi``: rows ``(1, 1, 3, p + 1)`` and first indices ``(1,)``, one element of one point."""
+    return [_table(kv, np.array([[x]], dtype=float)) for kv, x in zip(space.knot_vectors, xi)]
+
+
+def point_basis(space: DiscreteSpace, xi, need: int):
+    """:func:`tensor_basis` of ``space`` on :func:`point_tables` at ``xi``."""
+    tables = point_tables(space, xi)
+    return tensor_basis(space, [t.ders for t in tables], [t.first for t in tables], need)
+
+
+def at_point(geom: GeometryMap, xi, need: int = 0):
+    """``(x, J, H)`` of the map at the parameter point ``xi``, from the field kernel on
+    :func:`point_tables`: ``J[k, a] = d x_k / d xi_a`` and ``H[k, a, b]``, None above ``need``."""
+    return tuple(f if f is None else f[..., 0]
+                 for f in _grid_field(geom.space, point_tables(geom.space, xi),
+                                      geom.control_points, need))
 
 
 def identity_geometry(space: DiscreteSpace) -> GeometryMap:

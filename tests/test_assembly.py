@@ -35,7 +35,8 @@ from numpy.testing import assert_allclose
 
 import spacetime_iga._batch as _batch
 import spacetime_iga.assembly as assembly
-from geometries import identity_geometry, perturbed_nurbs_cylinder, quarter_annulus_cylinder
+from geometries import (identity_geometry, perturbed_nurbs_cylinder, point_basis,
+                        quarter_annulus_cylinder)
 from spacetime_iga._batch import ElementBatcher, at_points
 from spacetime_iga.assembly import (LinearSystem, ManufacturedCase, SchemeParams,
                                     StabilityWarning, apply_dirichlet, assemble_fixed,
@@ -47,8 +48,7 @@ from spacetime_iga.linsolve import SingularSystemError, solve_direct
 from spacetime_iga.postproc import (DiscreteField, a_priori_theta_bound, error_energy,
                                     estimate_inverse_constant, mesh_ratio)
 from spacetime_iga.splines import KnotVector
-from spacetime_iga.tensor_space import (DiscreteSpace, classify_dirichlet, dirichlet_faces,
-                                        point_rows, tensor_basis)
+from spacetime_iga.tensor_space import DiscreteSpace, classify_dirichlet, dirichlet_faces
 
 
 def setup(name, degree=2, level=2):
@@ -313,7 +313,7 @@ def test_boundary_projection_reproduces_trace_data():
     def g(x):
         out = np.empty(x.shape[0])
         for q, pt in enumerate(x):
-            active, val, _, _ = tensor_basis(space, *point_rows(space, pt), 0)
+            active, val, _, _ = point_basis(space, pt, 0)
             out[q] = val[0, 0] @ coeffs[active[0]]
         return out
 

@@ -15,12 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geometries import quarter_annulus_cylinder
+from geometries import at_point, quarter_annulus_cylinder
 from spacetime_iga._batch import (ElementBatcher, _grid_field, _rows, _span_rule, _table, _Table,
                                   at_points)
 from spacetime_iga.assembly import SchemeParams
-from spacetime_iga.geometry import (GeometryMap, SingularGeometryError, greville_grid,
-                                    map_point, mesh_metrics)
+from spacetime_iga.geometry import GeometryMap, SingularGeometryError, greville_grid, mesh_metrics
 from spacetime_iga.harness import builtin_cases, solution_space
 from spacetime_iga.postproc import DiscreteField, error_energy, error_l2
 from spacetime_iga.splines import KnotVector, single_span
@@ -175,7 +174,7 @@ def test_errors_match_the_basis_contraction(name):
     of the Greville points (so the errors are small against the solution)."""
     case, geom = cases()[name]
     space = solution_space(geom, 2, 2)
-    points = np.array([map_point(geom, xi) for xi in greville_grid(space)])
+    points = np.array([at_point(geom, xi)[0] for xi in greville_grid(space)])
     field = DiscreteField(space, geom, case.u(points))
     params = SchemeParams(0.1, space.h_hat)
     for moving in (True, False):

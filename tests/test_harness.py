@@ -1,7 +1,9 @@
 """Configuration, driver, CSV output and command line."""
 import functools
+import importlib
 import json
 import os
+import pkgutil
 import re
 import warnings
 import weakref
@@ -12,10 +14,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from geometries import quarter_annulus_cylinder
+import spacetime_iga
+from geometries import at_point, quarter_annulus_cylinder
 from spacetime_iga import assembly, harness
 from spacetime_iga.assembly import NormMatrices, StabilityWarning
-from spacetime_iga.geometry import map_point
 from spacetime_iga.harness import (CSV_HEADER, CaseConfig, builtin_cases,
                                    cli_main, coercivity_identity_defect, emit_csv,
                                    load_config, resolve_case, run_case, solution_space)
@@ -45,18 +47,18 @@ def test_builtin_geometries_map_key_points():
     cases = builtin_cases()
     # expanding interval: walls at -t/2 and 1 + t/2
     geom = cases['moving-simple-1d'].geometry
-    assert_allclose(map_point(geom, [0.0, 1.0]), [-0.5, 1.0], atol=1e-14)
-    assert_allclose(map_point(geom, [1.0, 1.0]), [1.5, 1.0], atol=1e-14)
+    assert_allclose(at_point(geom, [0.0, 1.0])[0], [-0.5, 1.0], atol=1e-14)
+    assert_allclose(at_point(geom, [1.0, 1.0])[0], [1.5, 1.0], atol=1e-14)
     # curvilinear walls reach quarter depth at mid-time
     geom = cases['moving-curvi-1d'].geometry
-    assert_allclose(map_point(geom, [0.0, 0.5]), [0.125, 0.5], atol=1e-14)
-    assert_allclose(map_point(geom, [1.0, 0.5]), [0.875, 0.5], atol=1e-14)
-    assert_allclose(map_point(geom, [0.0, 0.0]), [0.0, 0.0], atol=1e-14)
-    assert_allclose(map_point(geom, [0.0, 1.0]), [0.0, 1.0], atol=1e-14)
+    assert_allclose(at_point(geom, [0.0, 0.5])[0], [0.125, 0.5], atol=1e-14)
+    assert_allclose(at_point(geom, [1.0, 0.5])[0], [0.875, 0.5], atol=1e-14)
+    assert_allclose(at_point(geom, [0.0, 0.0])[0], [0.0, 0.0], atol=1e-14)
+    assert_allclose(at_point(geom, [0.0, 1.0])[0], [0.0, 1.0], atol=1e-14)
     # 2d variant moves only the first coordinate
     geom = cases['moving-curvi-2d'].geometry
-    assert_allclose(map_point(geom, [0.0, 0.7, 0.5]), [0.125, 0.7, 0.5], atol=1e-14)
-    assert_allclose(map_point(geom, [1.0, 0.3, 0.5]), [0.875, 0.3, 0.5], atol=1e-14)
+    assert_allclose(at_point(geom, [0.0, 0.7, 0.5])[0], [0.125, 0.7, 0.5], atol=1e-14)
+    assert_allclose(at_point(geom, [1.0, 0.3, 0.5])[0], [0.875, 0.3, 0.5], atol=1e-14)
 
 
 @pytest.mark.parametrize('degree,level', [(1, 0), (1, 3), (2, 2), (4, 1)])
@@ -509,6 +511,33 @@ def test_geometry_derivative_check_prints_its_roundoff_bucket():
     # to round-off, and the line shows the bucket of that round-off, not its last digits
     assert harness._check_geometry_derivatives() == (
         True, 'max FD defect <= 1e-09 (threshold 1e-08)')
+
+
+@pytest.mark.parametrize('slot,factor', [(2, 1 + 1e-4), (1, 1 + 1e-6)], ids=['hessian', 'jacobian'])
+def test_cli_verify_fails_on_scaled_map_derivatives(monkeypatch, capsys, slot, factor):
+    # negative control: the check's kernel returns H (or J) a little too large; on
+    # moving-simple-1d only the mixed entries of H are nonzero
+    kernel = harness._grid_field
+
+    def scaled(*args, **kwargs):
+        fields = list(kernel(*args, **kwargs))
+        if fields[slot] is not None:
+            fields[slot] = fields[slot] * factor
+        return tuple(fields)
+
+    monkeypatch.setattr(harness, '_grid_field', scaled)
+    assert cli_main(['verify']) == 1
+    assert 'FAIL geometry-derivatives' in capsys.readouterr().out
+
+
+def test_every_exported_name_resolves():
+    # a name left in ``__all__`` by a deletion fails here, not in a user's ``import *``
+    for info in pkgutil.iter_modules(spacetime_iga.__path__):
+        module = importlib.import_module(f'spacetime_iga.{info.name}')
+        if not info.name.startswith('_'):
+            assert hasattr(module, '__all__'), info.name
+        missing = [n for n in getattr(module, '__all__', ()) if not hasattr(module, n)]
+        assert not missing, (info.name, missing)
 
 
 def test_roundoff_text_does_not_move_with_the_last_bits():

@@ -5,12 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from geometries import identity_geometry
+from geometries import identity_geometry, point_basis
 from spacetime_iga._batch import ElementBatcher
 from spacetime_iga.linsolve import cylinder_matrices
 from spacetime_iga.splines import KnotVector, eval_basis, refine_uniform, single_span
-from spacetime_iga.tensor_space import (DiscreteSpace, classify_dirichlet, dirichlet_faces,
-                                        point_rows, tensor_basis)
+from spacetime_iga.tensor_space import DiscreteSpace, classify_dirichlet, dirichlet_faces
 
 
 def make_space(degrees=(2, 2), levels=(1, 1), weights=None):
@@ -28,7 +27,7 @@ def eval_point(space, xi, need=2):
 
     Derivatives above ``need`` come back zero-filled.
     """
-    active, val, grad, hess = tensor_basis(space, *point_rows(space, xi), need)
+    active, val, grad, hess = point_basis(space, xi, need)
     m, nd = active.shape[1], space.ndim
     grad = np.zeros((1, 1, m, nd)) if grad is None else grad
     hess = np.zeros((1, 1, m, nd, nd)) if hess is None else hess
@@ -245,5 +244,3 @@ def test_space_validation():
         DiscreteSpace(kvs, weights=np.ones(3))  # wrong length
     with pytest.raises(ValueError):
         DiscreteSpace(kvs, weights=np.array([1.0, 1.0, -1.0, 1.0]))  # nonpositive
-    with pytest.raises(ValueError):
-        point_rows(DiscreteSpace(kvs), np.array([0.5]))  # wrong point size
