@@ -29,13 +29,32 @@ def derivative_maps():
     return {**maps, 'arc': arc_geometry(), 'quarter-annulus': quarter_annulus_cylinder()}
 
 
-@pytest.mark.parametrize('name', sorted(derivative_maps()))
-def test_map_derivatives_match_finite_differences(name):
-    """J and every entry of H, the mixed space-time derivatives included, on the built-in maps
-    and two NURBS maps, the rational arc and the quarter annulus."""
+def map_and_points(name, seed):
+    """The named map and 8 random parameter points inside its cube."""
     geom = derivative_maps()[name]
-    points = np.random.default_rng(21).uniform(0.1, 0.9, (8, geom.ndim))
-    jac, hess = geometry_derivatives_defect(geom, points)
+    return geom, np.random.default_rng(seed).uniform(0.1, 0.9, (8, geom.ndim))
+
+
+@pytest.mark.parametrize('name', GEOMETRY_NAMES)
+def test_jacobian_matches_finite_differences(name):
+    """J on the built-in maps, with a positive determinant at every point checked."""
+    geom, points = map_and_points(name, 21)
+    jac, _ = geometry_derivatives_defect(geom, points)
+    assert jac < 1e-9
+    assert all(np.linalg.det(at_point(geom, xi, 1)[1]) > 0 for xi in points)
+
+
+@pytest.mark.parametrize('name', GEOMETRY_NAMES)
+def test_hessian_matches_finite_differences(name):
+    """Every entry of H on the built-in maps, the mixed space-time derivatives included."""
+    _, hess = geometry_derivatives_defect(*map_and_points(name, 22))
+    assert hess < 1e-6
+
+
+@pytest.mark.parametrize('name', ['arc', 'quarter-annulus'])
+def test_map_derivatives_match_finite_differences(name):
+    """J and every entry of H on two NURBS maps, the rational arc and the quarter annulus."""
+    jac, hess = geometry_derivatives_defect(*map_and_points(name, 21))
     assert jac < 1e-9
     assert hess < 1e-6
 
