@@ -298,11 +298,11 @@ def _assemble_grid(space, geom, case, params, orders, moving) -> LinearSystem:
 
 
 def assemble_load(space: DiscreteSpace, geom: GeometryMap, case: ManufacturedCase,
-                  params: SchemeParams, orders=None) -> np.ndarray:
+                  params: SchemeParams) -> np.ndarray:
     """The load vector alone, which both forms share: one grid pass of the load fields,
     with neither the map Hessian nor a band, bit for bit the ``rhs`` of :func:`assemble_fixed`."""
     th = params.theta * params.h
-    batcher = ElementBatcher(space, geom, orders)
+    batcher = ElementBatcher(space, geom)
     slabs = ((({}, _load_terms(s.x, s.w, s.adj[:, -1] / s.det, th, case.f)), s.tables)
              for s in batcher.grid_slabs(need=1))
     return _banded_system(batcher, list(range(space.ndim)), slabs)[1]
@@ -335,7 +335,7 @@ def assemble_moving(space: DiscreteSpace, geom: GeometryMap, case: ManufacturedC
 
 
 def assemble_norm_matrices(space: DiscreteSpace, geom: GeometryMap,
-                           params: SchemeParams, orders=None) -> NormMatrices:
+                           params: SchemeParams) -> NormMatrices:
     """Gram matrices of the discrete norms.
 
     ``n_fixed`` integrates ``|grad_x v|^2 + theta*h |dt v|^2`` over the
@@ -345,7 +345,7 @@ def assemble_norm_matrices(space: DiscreteSpace, geom: GeometryMap,
     pattern, ``face_gradient`` with explicit zeros off the rows of the terminal functions.
     """
     th, nd = params.theta * params.h, space.ndim
-    batcher = ElementBatcher(space, geom, orders)
+    batcher = ElementBatcher(space, geom)
     terminal = list(batcher.grid_slabs(need=1, face=(nd - 1, 1)))
 
     def system(slabs):                  # (matrix fields, slab) pairs; the norms bring no load

@@ -174,16 +174,16 @@ def _largest_eigenvalue(s: np.ndarray) -> np.ndarray:
     return lam
 
 
-def mesh_metrics(geom: GeometryMap, space: DiscreteSpace, orders=None) -> PhysicalMesh:
+def mesh_metrics(geom: GeometryMap, space: DiscreteSpace) -> PhysicalMesh:
     """Element and global mesh sizes of ``space`` under ``geom``.
 
     The solution space's spans must refine the geometry's spans in every
     direction so each element sees a smooth piece of the map.  The local
-    Jacobian norm is sampled at the element's Gauss points (``orders``
-    defaulting to ``degree + 1`` per direction): the sum-factorized field
-    kernel of the internal ``_batch`` module gives the Jacobians on the
-    global Gauss grid, slab by slab of time spans, and each element takes
-    the largest norm of its points by a reshape of the grid.  Raises
+    Jacobian norm is sampled at the element's ``degree + 1`` Gauss points
+    per direction: the sum-factorized field kernel of the internal
+    ``_batch`` module gives the Jacobians on the global Gauss grid, slab by
+    slab of time spans, and each element takes the largest norm of its
+    points by a reshape of the grid.  Raises
     ``SingularGeometryError`` unless ``det J > 0`` at every sample.
     """
     nd = space.ndim
@@ -199,7 +199,7 @@ def mesh_metrics(geom: GeometryMap, space: DiscreteSpace, orders=None) -> Physic
                         indexing='ij')
     h_param = np.sqrt(sum(s**2 for s in sides)).ravel()
     norms = []
-    for s in ElementBatcher(space, geom, orders).grid_slabs():
+    for s in ElementBatcher(space, geom).grid_slabs():
         # ||J||_2 is the root of the largest eigenvalue of J^T J, one row per entry
         norm = np.sqrt(_largest_eigenvalue(np.einsum('kap,kbp->abp', s.jac, s.jac)))
         grid = [n for t in s.tables for n in (t.first.size, t.ders.shape[1])]

@@ -247,11 +247,9 @@ def resolve_case(config: CaseConfig) -> CaseDefinition:
     try:
         kvs = [KnotVector(np.asarray(k, dtype=float), int(p))
                for k, p in zip(geo['knots'], geo['degrees'], strict=True)]
-        cp = geo['control_points']
-        weights = geo.get('weights')
+        gmap = GeometryMap(DiscreteSpace(kvs, geo.get('weights')), geo['control_points'])
     except (KeyError, TypeError) as exc:
         raise ValueError(f'bad custom geometry block: {exc}') from exc
-    gmap = GeometryMap(DiscreteSpace(kvs, weights), cp)
     _check_time_is_tau(gmap)
     case = _make_case('custom', gmap.ndim - 1, bool(config.moving))
     return CaseDefinition(case, gmap, 'user-supplied geometry, standard sine solution')
@@ -480,24 +478,22 @@ def geometry_derivatives_defect(geom: GeometryMap, points) -> tuple[float, float
     return jac, hess
 
 
-def coercivity_identity_defect(name: str, degree: int, level: int,
-                               theta_skew: float = 1.0) -> float | None:
+def coercivity_identity_defect(name: str, degree: int, level: int) -> float | None:
     """Largest defect of ``a_h(v, v) = |||v|||_h^2 + theta h/2 |grad_x v|^2_{Sigma_T}``.
 
     Relative to ``|||v|||_h^2``, over 20 random free vectors (seed 23) on a
-    fixed built-in case; ``theta_skew`` scales theta on the norm side only.
-    None when the level has no free dofs."""
+    fixed built-in case.  None when the level has no free dofs."""
     definition = builtin_cases()[name]
     geom = definition.geometry
     space, dofmap = _setup_level(geom, degree, level)
     free = dofmap.free
     if free.size == 0:
         return None
-    K = assemble_fixed(space, geom, definition.case, SchemeParams(0.1, space.h_hat)).matrix
-    norm_params = SchemeParams(0.1 * theta_skew, space.h_hat)
-    norms = assemble_norm_matrices(space, geom, norm_params)
+    params = SchemeParams(0.1, space.h_hat)
+    K = assemble_fixed(space, geom, definition.case, params).matrix
+    norms = assemble_norm_matrices(space, geom, params)
     K, N, G = (m[free][:, free] for m in (K, norms.n_fixed, norms.face_gradient))
-    th = norm_params.theta * norm_params.h
+    th = params.theta * params.h
     worst = 0.0
     for v in np.random.default_rng(23).standard_normal((20, free.size)):
         ref = float(v @ (N @ v))
@@ -553,8 +549,8 @@ def assembly_paths_gap(space, geom, case, params, orders=None, moving=False) -> 
                for a, b in ((ref.matrix.data, got.matrix.data), (ref.rhs, got.rhs)))
 
 
-def _check_coercivity_identity(theta_skew: float):
-    worst = max(coercivity_identity_defect(*combo, theta_skew)
+def _check_coercivity_identity():
+    worst = max(coercivity_identity_defect(*combo)
                 for combo in (('fixed-1d', 1, 2), ('fixed-1d', 2, 2), ('fixed-2d', 1, 1)))
     return worst < 1e-10, f'max relative defect {_roundoff(worst, 1e-10)}'
 
@@ -642,19 +638,14 @@ def _check_assembly_paths():
     return worst <= 1e-13, f'max relative gap {_roundoff(worst, 1e-13)}'
 
 
-def run_verification(theta_skew: float = 1.0, stream=None) -> bool:
-    """Run the consistency checks; print one PASS/FAIL line per check.
-
-    ``theta_skew`` scales theta on the norm side of the coercivity
-    identity only; any value other than 1 must make that check fail,
-    which is itself checked by the test suite.
-    """
+def run_verification(stream=None) -> bool:
+    """Run the consistency checks; print one PASS/FAIL line per check."""
     stream = stream or sys.stdout
     checks = [
         ('partition-of-unity', _check_partition_of_unity),
         ('quadrature-exactness', _check_quadrature),
         ('geometry-derivatives', _check_geometry_derivatives),
-        ('coercivity-identity', lambda: _check_coercivity_identity(theta_skew)),
+        ('coercivity-identity', _check_coercivity_identity),
         ('fixed-forms-agree', _check_forms_agree),
         ('solvers-agree', _check_solvers_agree),
         ('moving-coercivity', _check_moving_coercivity),
@@ -690,9 +681,7 @@ def cli_main(argv=None) -> int:
 
     sub.add_parser('list-cases', help='list built-in cases')
 
-    p_ver = sub.add_parser('verify', help='run the self-verification suite')
-    p_ver.add_argument('--theta-skew', type=float, default=1.0,
-                       help='fault-injection factor on the coercivity check (default 1.0)')
+    sub.add_parser('verify', help='run the self-verification suite')
 
     args = parser.parse_args(argv)
 
@@ -703,7 +692,7 @@ def cli_main(argv=None) -> int:
         return 0
 
     if args.command == 'verify':
-        return 0 if run_verification(theta_skew=args.theta_skew) else 1
+        return 0 if run_verification() else 1
 
     try:
         config = load_config(args.config)
@@ -716,13 +705,15 @@ def cli_main(argv=None) -> int:
             overrides['deterministic'] = True
         if overrides:
             config = replace(config, **overrides)
-        resolve_case(config)  # a malformed custom geometry is a config error
     except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
         print(f'error: {exc}', file=sys.stderr)
         return 2
 
     try:
         report = run_case(config)
+    except ValueError as exc:   # run_case resolves the case first: a malformed custom geometry
+        print(f'error: {exc}', file=sys.stderr)
+        return 2
     except _RUN_ERRORS as exc:
         if exc.report.records:
             _print_report(exc.report)

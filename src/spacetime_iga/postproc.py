@@ -48,15 +48,15 @@ class DiscreteField:
         object.__setattr__(self, 'coefficients', c)
 
 
-def _error_orders(space, orders):
+def _error_orders(space, orders=None):
     if orders is not None:
         return orders
     return [p + 2 for p in space.degrees]
 
 
-def error_l2(field: DiscreteField, case: ManufacturedCase, orders=None) -> float:
+def error_l2(field: DiscreteField, case: ManufacturedCase) -> float:
     """L2(Q) distance between the field and the exact solution."""
-    batcher = ElementBatcher(field.space, field.geom, _error_orders(field.space, orders))
+    batcher = ElementBatcher(field.space, field.geom, _error_orders(field.space))
     total = 0.0
     for s in batcher.grid_slabs(need=0, coefficients=field.coefficients):
         total += float(np.sum(s.w * (s.val - case.u(s.x.T)) ** 2))
@@ -106,7 +106,7 @@ def rates(errors) -> np.ndarray:
 
 
 def estimate_inverse_constant(space: DiscreteSpace, geom: GeometryMap,
-                              mesh: PhysicalMesh, orders=None) -> float:
+                              mesh: PhysicalMesh) -> float:
     """Estimate of the inverse-inequality constant of the space.
 
     For each element the largest generalized eigenvalue of the local
@@ -114,7 +114,7 @@ def estimate_inverse_constant(space: DiscreteSpace, geom: GeometryMap,
     ``||grad v|| / ||v||``; scaled by the element size it gives the
     sampled constant ``C`` with ``||grad v||_K <= C / h_K ||v||_K``.
     """
-    batcher = ElementBatcher(space, geom, _error_orders(space, orders))
+    batcher = ElementBatcher(space, geom, _error_orders(space))
     worst = 0.0
     for blk in batcher.blocks(need=1):
         E, q, m, nd = blk.grad.shape

@@ -35,6 +35,7 @@ from numpy.testing import assert_allclose
 
 import spacetime_iga._batch as _batch
 import spacetime_iga.assembly as assembly
+import spacetime_iga.harness as harness
 from geometries import (identity_geometry, perturbed_nurbs_cylinder, point_basis,
                         quarter_annulus_cylinder)
 from spacetime_iga._batch import ElementBatcher, at_points
@@ -381,6 +382,32 @@ def agreement_setup(name, degree, level):
         geom, case = cases[name].geometry, cases[name].case
     space = solution_space(geom, degree, level)
     return space, geom, case, SchemeParams(0.1, space.h_hat)
+
+
+def test_scheme_params_validation():
+    for theta in (0.0, -0.1, float('nan')):
+        with pytest.raises(ValueError, match='theta must be positive'):
+            SchemeParams(theta, 0.5)
+    for h in (0.0, -0.5, float('nan')):
+        with pytest.raises(ValueError, match='mesh size must be positive'):
+            SchemeParams(0.1, h)
+
+
+def test_assembly_paths_gap_is_infinite_on_differing_patterns(monkeypatch):
+    # negative control: the sum-factorized path loses one stored entry
+    space, geom, case, params = agreement_setup('fixed-1d', 1, 1)
+    assert assembly_paths_gap(space, geom, case, params) <= 1e-13
+    grid = harness._assemble_grid
+
+    def dropped(*args):
+        system = grid(*args)
+        matrix = system.matrix.copy()
+        matrix.data[0] = 0.0
+        matrix.eliminate_zeros()
+        return LinearSystem(matrix, system.rhs)
+
+    monkeypatch.setattr(harness, '_assemble_grid', dropped)
+    assert assembly_paths_gap(space, geom, case, params) == float('inf')
 
 
 @pytest.mark.parametrize('degree', [1, 2, 3])

@@ -167,6 +167,22 @@ def test_adjugate_on_rows_is_the_cofactor_formula_bit_for_bit(n):
     assert relative.max() <= 1e-14
 
 
+@pytest.mark.parametrize('n', [4, 5])
+def test_adjugate_of_four_or_more_directions_is_lapack(n):
+    # the only path for maps of 4 or more directions: det J times J^-1, on random
+    # well-conditioned stacks with two trailing point axes
+    rng = np.random.default_rng(50 + n)
+    jac = np.eye(n)[:, :, None, None] + 0.3 * rng.standard_normal((n, n, 3, 4))
+    adj, det = geometry._adjugate(jac)
+    assert adj.shape == jac.shape and det.shape == (3, 4)
+    for k in np.ndindex(3, 4):
+        m = jac[(..., *k)]
+        assert_allclose(det[k], np.linalg.det(m), rtol=1e-13)
+        assert_allclose(adj[(..., *k)], np.linalg.inv(m) * np.linalg.det(m), rtol=1e-12,
+                        atol=1e-13)
+        assert_allclose(adj[(..., *k)] @ m, det[k] * np.eye(n), atol=1e-12)
+
+
 @st.composite
 def perturbed_identity_maps(draw):
     """NURBS maps near the identity: random weights in [2/3, 3/2] and control
@@ -335,6 +351,16 @@ def test_mesh_metrics_halving():
         hs.append(mesh_metrics(geom, space).h)
     ratios = np.array(hs[:-1]) / np.array(hs[1:])
     assert np.all(ratios > 1.9) and np.all(ratios < 2.1)
+
+
+def test_dimension_mismatch_raises():
+    # a map of the (x, t) square against a solution space of (x, y, t)
+    geom = builtin_cases()['fixed-1d'].geometry
+    space = DiscreteSpace([single_span(1)] * 3)
+    with pytest.raises(ValueError, match='geometry and space dimensions differ'):
+        ElementBatcher(space, geom)
+    with pytest.raises(ValueError, match='geometry dimension 2 does not match space dimension 3'):
+        mesh_metrics(geom, space)
 
 
 def test_mesh_metrics_requires_nested_breakpoints():

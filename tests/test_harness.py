@@ -419,6 +419,27 @@ def test_cli_malformed_custom_geometry_is_one_line(tmp_path, capsys, geometry, m
     assert captured.out == ''
 
 
+def test_cli_resolves_a_custom_case_once(tmp_path, capsys, monkeypatch):
+    # the t = tau check of a custom map runs once per run, in run_case
+    calls = Counter()
+
+    def counted(config):
+        calls[config.case] += 1
+        return resolve(config)
+
+    resolve = harness.resolve_case
+    monkeypatch.setattr(harness, 'resolve_case', counted)
+    assert _run_custom(tmp_path, IDENTITY_GEOMETRY) == 0
+    assert calls == {'custom': 1}
+    assert capsys.readouterr().out.startswith('case custom, degree 2')
+
+
+def test_cli_bad_custom_geometry_block_is_a_config_error(tmp_path, capsys):
+    geometry = {k: v for k, v in IDENTITY_GEOMETRY.items() if k != 'control_points'}
+    assert _run_custom(tmp_path, geometry) == 2
+    assert capsys.readouterr() == ('', "error: bad custom geometry block: 'control_points'\n")
+
+
 def test_cli_rejects_a_custom_map_that_moves_time(tmp_path, capsys):
     # lifting one terminal control point makes t - tau = xi tau / 2, largest at
     # the last of the three Gauss points per direction, 0.887298
@@ -469,17 +490,24 @@ def test_cli_requires_subcommand():
         cli_main([])
 
 
-def test_coercivity_check_rejects_skewed_theta():
-    # fault injection: scaling theta on the norm side must be detected
-    honest = coercivity_identity_defect('fixed-1d', 1, 1)
-    skewed = coercivity_identity_defect('fixed-1d', 1, 1, theta_skew=1.5)
-    assert honest < 1e-10
-    assert skewed > 1e-3
+def _skew_norm_theta(monkeypatch, factor):
+    """Make ``harness`` build the norms with theta scaled by ``factor``, the form unchanged."""
+    assemble = harness.assemble_norm_matrices
+    monkeypatch.setattr(harness, 'assemble_norm_matrices', lambda space, geom, params: assemble(
+        space, geom, replace(params, theta=params.theta * factor)))
 
 
-def test_cli_verify_detects_fault_injection(capsys):
+def test_coercivity_check_rejects_skewed_theta(monkeypatch):
+    # negative control: theta scaled on the norm side must be detected
+    assert coercivity_identity_defect('fixed-1d', 1, 1) < 1e-10
+    _skew_norm_theta(monkeypatch, 1.5)
+    assert coercivity_identity_defect('fixed-1d', 1, 1) > 1e-3
+
+
+def test_cli_verify_detects_fault_injection(monkeypatch, capsys):
     # even a 1% theta perturbation on one side must fail the suite
-    assert cli_main(['verify', '--theta-skew', '1.01']) == 1
+    _skew_norm_theta(monkeypatch, 1.01)
+    assert cli_main(['verify']) == 1
     out = capsys.readouterr().out
     assert 'FAIL coercivity-identity' in out
 

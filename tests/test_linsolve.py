@@ -128,6 +128,46 @@ def test_gmres_builds_the_preconditioner_inside_the_timed_solve():
     assert report.tol == 1e-12
 
 
+def test_gmres_is_one_scipy_call(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return gmres(*args, **kwargs)
+
+    gmres = linsolve.spla.gmres
+    monkeypatch.setattr(linsolve.spla, 'gmres', counted)
+    A = random_nonsymmetric(80, 11)
+    b = np.random.default_rng(12).standard_normal(80)
+    solve_gmres(A, b, tol=1e-12, restart=50, max_iter=120)
+    assert len(calls) == 1
+    assert calls[0]['maxiter'] == 2 and calls[0]['restart'] == 50 and calls[0]['rtol'] == 1e-12
+    solve_gmres(A, b, tol=1e-12, restart=4, max_iter=80)
+    assert len(calls) == 2
+
+
+def test_gmres_counts_the_inner_iterations_of_every_cycle(monkeypatch):
+    # five-iteration cycles on the FD-preconditioned moving-simple-1d p2 L5 system
+    # (28 iterations in one cycle at the default restart)
+    space, system, theta_h = builtin_system('moving-simple-1d', 2, 5)
+    seen = []
+
+    def spied(*args, callback, **kwargs):
+        def count(r):
+            seen.append(r)
+            callback(r)
+        return gmres(*args, callback=count, **kwargs)
+
+    gmres = linsolve.spla.gmres
+    monkeypatch.setattr(linsolve.spla, 'gmres', spied)
+    x, report = solve_gmres(
+        system.matrix, system.rhs, tol=1e-12, restart=5,
+        preconditioner=lambda m: cylinder_preconditioner(space, m.shape[0], theta_h))
+    true = np.linalg.norm(system.rhs - system.matrix @ x) / np.linalg.norm(system.rhs)
+    assert true <= 1e-12 and report.residual == pytest.approx(true, rel=1e-12)
+    assert report.iterations == len(seen) > 5
+
+
 def test_report_is_frozen():
     report = SolveReport('direct', 0, 0.0, 0.0)
     with pytest.raises(Exception):

@@ -1,4 +1,6 @@
 """Tensor-product space: indexing, multivariate evaluation, dof classification."""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -178,6 +180,14 @@ def test_classify_dirichlet_hand_mask():
     assert dm.free.size == (n0 - 2) * (n1 - 1)
     # partition: free and dirichlet are complementary and consistent
     assert np.array_equal(np.flatnonzero(~dm.dirichlet_mask), dm.free)
+
+
+def test_classify_dirichlet_needs_two_functions_per_direction():
+    # an open knot vector of degree p >= 1 has at least p + 1 functions, so only a space
+    # that is not one of these reaches the check: it reads nothing before the dims
+    for dims in ((1, 3), (3, 1), (2, 2, 1)):
+        with pytest.raises(ValueError, match='at least two basis functions per direction'):
+            classify_dirichlet(SimpleNamespace(dims=dims, ndim=len(dims)))
 
 
 def test_classify_dirichlet_terminal_face_free():
