@@ -73,9 +73,10 @@ class GridSlab:
     grad: np.ndarray | None   # (dim, P) physical field gradient
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Table:
-    """Univariate rows of one direction, one table row per node row, read-only."""
+    """Univariate rows of one direction, one table row per node row, read-only; hashed by
+    identity, so a table keys the band operators built from it (:func:`_operator`)."""
 
     ders: np.ndarray         # (ns, q, 3, p+1)
     first: np.ndarray        # (ns,) first active univariate index
@@ -193,8 +194,8 @@ def _band_operator(table: _Table, test: int, trial: int | None = None) -> sp.csr
 
 def _operator(operators: dict, table: _Table, key) -> sp.csr_matrix:
     """:func:`_band_operator` of ``table`` for ``key = (test[, trial])``, kept for the stage in
-    ``operators`` by the table's id, with the table, so that no other table takes the id."""
-    return _memo(operators, (id(table), key), lambda: (table, _band_operator(table, *key)))[1]
+    ``operators`` by the table itself."""
+    return _memo(operators, (table, key), lambda: _band_operator(table, *key))
 
 
 def _contract(terms: dict, tables, operators: dict):

@@ -27,7 +27,6 @@ as the oracle the sum-factorized forms are checked against.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
@@ -38,6 +37,7 @@ import scipy.sparse.linalg as spla
 
 from ._batch import ElementBatcher, _contract, _operator, at_points
 from .geometry import GeometryMap
+from .linsolve import _solve_spd
 from .tensor_space import DiscreteSpace, DofMap, dirichlet_faces
 
 __all__ = [
@@ -65,15 +65,11 @@ class SchemeParams:
 
     ``h`` is the knot-mesh size of the parameter domain, the largest
     parameter-cell diameter (:attr:`DiscreteSpace.h_hat`); it scales the
-    upwind terms and the discrete norms uniformly.  ``theta_bound``, when supplied, is the
-    estimated admissible upper bound ``1 / (2 C_inv C_u)`` for the
-    moving-domain form; assembling with ``theta >= theta_bound`` emits
-    a :class:`StabilityWarning`.
+    upwind terms and the discrete norms uniformly.
     """
 
     theta: float
     h: float
-    theta_bound: float | None = None
 
     def __post_init__(self):
         if not self.theta > 0.0:
@@ -321,16 +317,7 @@ def assemble_fixed(space: DiscreteSpace, geom: GeometryMap, case: ManufacturedCa
 
 def assemble_moving(space: DiscreteSpace, geom: GeometryMap, case: ManufacturedCase,
                     params: SchemeParams, orders=None) -> LinearSystem:
-    """Assemble the moving-domain form ``b_h`` and its load vector.
-
-    Emits :class:`StabilityWarning` when ``params.theta_bound`` is set
-    and ``theta`` does not satisfy the coercivity threshold.
-    """
-    if params.theta_bound is not None and params.theta >= params.theta_bound:
-        warnings.warn(
-            f'theta = {params.theta} exceeds the estimated coercivity bound '
-            f'{params.theta_bound:.4g}; the moving-domain form may lose stability',
-            StabilityWarning, stacklevel=2)
+    """Assemble the moving-domain form ``b_h`` and its load vector."""
     return _assemble_grid(space, geom, case, params, orders, moving=True)
 
 
@@ -392,8 +379,6 @@ def boundary_l2_project(space: DiscreteSpace, geom: GeometryMap, g,
     system by symmetric-mode SuperLU.  Returns a full-length
     coefficient vector, zero on free dofs.
     """
-    from .linsolve import _solve_spd
-
     batcher = ElementBatcher(space, geom, orders)
     faces = [_face_system(batcher, g, face) for face in dirichlet_faces(space.ndim)]
     mass = sum((f.matrix for f in faces[1:]), faces[0].matrix)

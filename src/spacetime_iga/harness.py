@@ -22,11 +22,11 @@ from numbers import Real
 
 import numpy as np
 
-from ._batch import _grid_field, _span_rule, _table
+from ._batch import _face_measure, _grid_field, _span_rule, _table
 from .assembly import (LinearSystem, ManufacturedCase, SchemeParams, StabilityWarning,
                        _assemble_form, _assemble_grid, apply_dirichlet, assemble_fixed,
                        assemble_load, assemble_moving, assemble_norm_matrices)
-from .geometry import GeometryMap, SingularGeometryError, mesh_metrics
+from .geometry import GeometryMap, SingularGeometryError, _adjugate, mesh_metrics
 from .linsolve import (ConvergenceError, SingularSystemError, cylinder_operator,
                        cylinder_preconditioner, solve_direct, solve_fd, solve_gmres)
 from .postproc import (ConvergenceReport, DiscreteField, LevelRecord, a_priori_theta_bound,
@@ -104,12 +104,6 @@ class CaseDefinition:
     geometry: GeometryMap
     description: str
 
-    @property
-    def fd_exact(self) -> bool:
-        """Whether the fast diagonalization of the parametric cylinder inverts
-        the case's form exactly: a fixed case on an identity-geometry cylinder."""
-        return not self.case.moving and self.geometry.is_identity
-
 
 def _make_geometry(degrees, control_points) -> GeometryMap:
     return GeometryMap(DiscreteSpace([single_span(p) for p in degrees]), control_points)
@@ -159,7 +153,8 @@ def builtin_cases() -> dict:
 
 @dataclass(frozen=True)
 class CaseConfig:
-    """One convergence run: case, degree, refinement depth, scheme and solver."""
+    """One convergence run: case, degree, refinement depth, scheme and solver.  ``geometry``
+    goes with case ``'custom'`` alone; whether it moves is read from it (:func:`_admit_map`)."""
 
     case: str
     degree: int = 2
@@ -170,7 +165,6 @@ class CaseConfig:
     out: str | None = None
     deterministic: bool = False
     geometry: dict | None = None
-    moving: bool | None = None
 
     def __post_init__(self):
         for key in ('degree', 'levels'):
@@ -189,18 +183,15 @@ class CaseConfig:
             raise ValueError(f'theta must be positive, got {self.theta}')
         if not 0.0 < self.solver_tol < 1.0:
             raise ValueError(f'solver_tol must lie strictly between 0 and 1, got {self.solver_tol}')
-        for key, value in (('deterministic', self.deterministic), ('moving', self.moving)):
-            if not isinstance(value, (bool, np.bool_)) and (key, value) != ('moving', None):
-                raise ValueError(f'{key} must be true or false, got {value!r}')
+        if not isinstance(self.deterministic, (bool, np.bool_)):
+            raise ValueError(f'deterministic must be true or false, got {self.deterministic!r}')
         if self.solver not in ('auto', 'direct', 'gmres'):
             raise ValueError(f"solver must be 'auto', 'direct' or 'gmres', got {self.solver!r}")
         if self.case != 'custom' and self.case not in builtin_cases():
             raise ValueError(f'unknown case {self.case!r}; see list-cases')
-        if self.case == 'custom':
-            if self.geometry is None:
-                raise ValueError("case 'custom' needs a geometry block")
-            if self.moving is None:
-                raise ValueError("case 'custom' needs 'moving': true|false")
+        if (self.geometry is None) == (self.case == 'custom'):
+            verb = 'needs a' if self.geometry is None else 'takes no'
+            raise ValueError(f'case {self.case!r} {verb} geometry block')
 
 
 _CONFIG_KEYS = {f.name for f in fields(CaseConfig)}
@@ -220,17 +211,22 @@ def load_config(path: str) -> CaseConfig:
     return CaseConfig(**raw)
 
 
-def _check_time_is_tau(gmap: GeometryMap):
-    """Raise ``ValueError`` unless the time coordinate of ``gmap`` is ``tau``.
+def _admit_map(gmap: GeometryMap) -> bool:
+    """Raise ``ValueError`` unless ``t = tau`` on ``gmap``; return whether its lateral boundary
+    moves, which picks ``b_h`` over ``a_h``.  ``t - tau`` has degree ``p_a + 1`` per span in
+    direction ``a``, so ``p_a + 2`` points per span decide it.  A lateral face ``xi_a = 0, 1``
+    moves where its normal, row ``a`` of ``adj J``, has a time entry above 1e-12 of the
+    row's norm; the cofactor's numerator has degree ``2 d p_b`` in direction ``b``, decided by
+    ``2 d p_b + 1`` points per span.  It is the normal speed, not ``dx/dtau``: fixed walls
+    under a sliding parametrization stay fixed.  A folded map passes and fails at level 0."""
+    kvs, d = gmap.space.knot_vectors, gmap.ndim - 1
 
-    On a span the numerator of ``t - tau`` has degree at most ``p_a + 1`` in
-    direction ``a``, so a grid of ``p_a + 2`` points per span decides it.
-    Only the map's values are evaluated, so a folded map passes here and
-    fails at its first level."""
-    kvs = gmap.space.knot_vectors
+    def on_grid(nodes, need):      # the map on the tensor grid of one node array per direction
+        return _grid_field(gmap.space, [_table(kv, n) for kv, n in zip(kvs, nodes)],
+                           gmap.control_points, need)
+
     nodes = [_span_rule(kv, kv.degree + 2)[0] for kv in kvs]
-    t = _grid_field(gmap.space, [_table(kv, n) for kv, n in zip(kvs, nodes)],
-                    gmap.control_points, 0)[0][-1]
+    t = on_grid(nodes, 0)[0][-1]
     xi = np.meshgrid(*[n.ravel() for n in nodes], indexing='ij')     # one grid per direction
     gap = t - xi[-1].ravel()
     k = int(np.argmax(np.abs(gap)))
@@ -238,6 +234,13 @@ def _check_time_is_tau(gmap: GeometryMap):
         where = ', '.join(f'{c.flat[k]:.6g}' for c in xi)
         raise ValueError(f'custom geometry must keep t = tau, but t - tau = {gap[k]:.6g} '
                          f'at parameter point ({where})')
+    for a, side in np.ndindex(d, 2):
+        nodes = [np.array([[float(side)]]) if b == a else _span_rule(kv, 2 * d * kv.degree + 1)[0]
+                 for b, kv in enumerate(kvs)]
+        adj = _adjugate(on_grid(nodes, 1)[1])[0]
+        if np.any(np.abs(adj[a, d]) > 1e-12 * _face_measure(adj, a)):
+            return True
+    return False
 
 
 def resolve_case(config: CaseConfig) -> CaseDefinition:
@@ -250,8 +253,7 @@ def resolve_case(config: CaseConfig) -> CaseDefinition:
         gmap = GeometryMap(DiscreteSpace(kvs, geo.get('weights')), geo['control_points'])
     except (KeyError, TypeError) as exc:
         raise ValueError(f'bad custom geometry block: {exc}') from exc
-    _check_time_is_tau(gmap)
-    case = _make_case('custom', gmap.ndim - 1, bool(config.moving))
+    case = _make_case('custom', gmap.ndim - 1, _admit_map(gmap))
     return CaseDefinition(case, gmap, 'user-supplied geometry, standard sine solution')
 
 
@@ -284,8 +286,8 @@ def _plan(config: CaseConfig, definition: CaseDefinition, n_free: int) -> tuple[
     ``auto`` solves by
 
     - sparse LU below ``FD_MIN_DOFS`` free dofs;
-    - the exact fast diagonalization (``'fd'``) where it inverts the form
-      (``definition.fd_exact``), with the matrix-free operator of :func:`_level_system`;
+    - the exact fast diagonalization (``'fd'``) where it inverts the form, on an identity
+      map (which never moves), with the matrix-free operator of :func:`_level_system`;
     - GMRES preconditioned by the fast diagonalization otherwise, at tolerance
       ``min(config.solver_tol, 1e-12)``, which keeps the errors as exact as the LU's.
     """
@@ -294,7 +296,7 @@ def _plan(config: CaseConfig, definition: CaseDefinition, n_free: int) -> tuple[
         return config.solver, tol
     if n_free < FD_MIN_DOFS:
         return 'direct', tol
-    if definition.fd_exact:
+    if definition.geometry.is_identity:
         return 'fd', tol
     return 'gmres', min(tol, 1e-12)
 
@@ -334,14 +336,22 @@ def _report(config: CaseConfig, case, levels) -> ConvergenceReport:
     return ConvergenceReport(case.name, config.degree, config.theta, case.moving, records)
 
 
+def _warn_above_bound(theta: float, bound: float):
+    """Emit :class:`StabilityWarning` when ``theta`` is at or above the a-priori ``bound``
+    of the moving-domain form (:func:`~spacetime_iga.postproc.a_priori_theta_bound`)."""
+    if theta >= bound:
+        warnings.warn(f'theta = {theta} exceeds the estimated coercivity bound {bound:.4g}; '
+                      'the moving-domain form may lose stability', StabilityWarning, stacklevel=2)
+
+
 def run_case(config: CaseConfig) -> ConvergenceReport:
     """Run the refinement sweep described by ``config``.
 
-    Levels 0 .. levels-1 halve every knot span in turn; each level
-    decides its solver once (:func:`_plan`), assembles the scheme (on a
-    level solved by the exact fast diagonalization only its load; the form
-    is applied matrix-free), applies Dirichlet data by boundary projection,
-    solves, and records errors.  Rates are attached afterwards.  When a
+    Levels 0 .. levels-1 halve every knot span in turn; each level decides its solver once
+    (:func:`_plan`), checks theta on a moving case (:func:`_warn_above_bound`), assembles
+    the scheme (on a level solved by the exact fast diagonalization only its load; the form
+    is applied matrix-free), applies Dirichlet data by boundary projection, solves, and
+    records errors.  Rates are attached afterwards.  When a
     level raises ``SingularGeometryError``, ``ConvergenceError`` or
     ``SingularSystemError``, the error propagates with a ``report``
     attribute: the :class:`ConvergenceReport` of the levels before it.
@@ -353,13 +363,12 @@ def run_case(config: CaseConfig) -> ConvergenceReport:
     for level in range(config.levels):
         try:
             space, dofmap = _setup_level(geom, config.degree, level)
-            theta_bound = None
             if case.moving:
                 mesh = mesh_metrics(geom, space)
                 if c_inv is None or level <= 2:
                     c_inv = estimate_inverse_constant(space, geom, mesh)
-                theta_bound = a_priori_theta_bound(c_inv, mesh)
-            params = SchemeParams(config.theta, space.h_hat, theta_bound)
+                _warn_above_bound(config.theta, a_priori_theta_bound(c_inv, mesh))
+            params = SchemeParams(config.theta, space.h_hat)
             method, tol = _plan(config, definition, dofmap.free.size)
             # no name holds the full-space system, so it is freed once reduced, before the solve
             reduced = apply_dirichlet(_level_system(space, geom, case, params, method),
@@ -369,7 +378,7 @@ def run_case(config: CaseConfig) -> ConvergenceReport:
             coeffs[dofmap.free] = x
             field = DiscreteField(space, geom, coeffs)
             levels.append((level, space.dim, params.h, error_l2(field, case),
-                           error_energy(field, case, params, moving=case.moving), report))
+                           error_energy(field, case, params), report))
             del field   # the level's space, with the rules and tables it keeps, goes now
         except _RUN_ERRORS as exc:
             exc.report = _report(config, case, levels)
@@ -516,21 +525,21 @@ def fixed_forms_gap(name: str, degree: int, level: int) -> float:
 def moving_coercivity(name: str, degree: int, level: int) -> tuple[float, bool, float]:
     """``(bound, warned, margin)`` of ``b_h`` on a moving built-in case at theta = 0.1.
 
-    ``bound`` is the a-priori theta bound, ``warned`` whether assembly raised
-    :class:`StabilityWarning`, and ``margin`` the least ``vT B v / vT N v``
-    over 20 random free vectors (seed 5)."""
+    ``bound`` is the a-priori theta bound, ``warned`` whether :func:`_warn_above_bound`,
+    which ``run_case`` calls on each moving level, raised :class:`StabilityWarning` here,
+    and ``margin`` the least ``vT B v / vT N v`` over 20 random free vectors (seed 5)."""
     definition = builtin_cases()[name]
     case, geom = definition.case, definition.geometry
     space, dofmap = _setup_level(geom, degree, level)
     mesh = mesh_metrics(geom, space)
     bound = a_priori_theta_bound(estimate_inverse_constant(space, geom, mesh), mesh)
-    params = SchemeParams(0.1, space.h_hat, bound)
+    params = SchemeParams(0.1, space.h_hat)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter('always')
-        B = assemble_moving(space, geom, case, params).matrix
+        _warn_above_bound(params.theta, bound)
     warned = any(issubclass(w.category, StabilityWarning) for w in caught)
     free = dofmap.free
-    B = B[free][:, free]
+    B = assemble_moving(space, geom, case, params).matrix[free][:, free]
     N = assemble_norm_matrices(space, geom, params).n_moving[free][:, free]
     margin = min(float(v @ (B @ v)) / float(v @ (N @ v))
                  for v in np.random.default_rng(5).standard_normal((20, free.size)))

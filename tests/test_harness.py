@@ -80,10 +80,10 @@ def test_config_validation():
         CaseConfig(case='fixed-1d', solver='cg')
     with pytest.raises(ValueError):
         CaseConfig(case='nope')
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="case 'custom' needs a geometry block"):
         CaseConfig(case='custom')  # geometry block missing
-    with pytest.raises(ValueError):
-        CaseConfig(case='custom', geometry=IDENTITY_GEOMETRY)  # moving missing
+    with pytest.raises(ValueError, match="case 'fixed-1d' takes no geometry block"):
+        CaseConfig(case='fixed-1d', geometry=IDENTITY_GEOMETRY)  # a block a built-in ignores
 
 
 def test_load_config(tmp_path):
@@ -110,7 +110,7 @@ def test_load_config(tmp_path):
 def test_custom_geometry_reproduces_builtin():
     builtin = run_case(CaseConfig(case='fixed-1d', degree=1, levels=2))
     custom = run_case(CaseConfig(case='custom', degree=1, levels=2,
-                                 geometry=IDENTITY_GEOMETRY, moving=False))
+                                 geometry=IDENTITY_GEOMETRY))
     for rb, rc in zip(builtin.records, custom.records):
         assert rb.dofs == rc.dofs
         assert_allclose(rc.error_l2, rb.error_l2, rtol=1e-13)
@@ -181,8 +181,8 @@ def test_auto_solves_fixed_identity_cylinders_by_fast_diagonalization():
     free = [classify_dirichlet(solution_space(geom, 2, k)).free.size for k in (4, 5)]
     assert free[0] < harness.FD_MIN_DOFS <= free[1]
     assert _methods(CaseConfig(case='fixed-1d', degree=2, levels=6)) == ['direct'] * 5 + ['fd']
-    assert _methods(CaseConfig(case='custom', degree=2, levels=6, geometry=IDENTITY_GEOMETRY,
-                               moving=False)) == ['direct'] * 5 + ['fd']
+    assert _methods(CaseConfig(case='custom', degree=2, levels=6,
+                               geometry=IDENTITY_GEOMETRY)) == ['direct'] * 5 + ['fd']
     assert _methods(CaseConfig(case='fixed-1d', degree=2, levels=6,
                                solver='direct')) == ['direct'] * 6
 
@@ -213,12 +213,12 @@ def test_exact_fast_diagonalization_levels_build_no_space_time_matrix(monkeypatc
 
 
 def test_auto_solves_cylinders_the_fast_diagonalization_does_not_invert_by_gmres():
-    # moving cases, identity map or not, and fixed cases on a curved map: sparse LU
+    # moving cases, built-in or custom, and fixed cases on a curved map: sparse LU
     # below FD_MIN_DOFS, FD-preconditioned GMRES at 1e-12 from it on
     gmres = []
+    simple = _geometry_block(builtin_cases()['moving-simple-1d'].geometry)
     for config in (CaseConfig(case='moving-curvi-1d', degree=2, levels=6),
-                   CaseConfig(case='custom', degree=2, levels=6, geometry=IDENTITY_GEOMETRY,
-                              moving=True)):
+                   CaseConfig(case='custom', degree=2, levels=6, geometry=simple)):
         solves = _solves(config)
         assert [s.method for s in solves] == ['direct'] * 5 + ['gmres']
         gmres += solves[5:]
@@ -226,8 +226,7 @@ def test_auto_solves_cylinders_the_fast_diagonalization_does_not_invert_by_gmres
     # the NURBS quarter annulus has 80 free dofs at p2 L2 and 576 at L3
     free = [classify_dirichlet(solution_space(annulus, 2, k)).free.size for k in (2, 3)]
     assert free[0] < harness.FD_MIN_DOFS <= free[1]
-    config = CaseConfig(case='custom', degree=2, levels=5, moving=False,
-                        geometry=_geometry_block(annulus))
+    config = CaseConfig(case='custom', degree=2, levels=5, geometry=_geometry_block(annulus))
     report = run_case(config)
     solves = [r.solve for r in report.records]
     assert [s.method for s in solves] == ['direct'] * 3 + ['gmres'] * 2
@@ -346,17 +345,13 @@ def test_cli_config_errors(tmp_path, capsys):
      "unknown config keys: ['gmres_restart']"),
     ({'case': 'moving-curvi-1d', 'solver': 'gmres', 'gmres_max_iter': 2},
      "unknown config keys: ['gmres_max_iter']"),
-    ({'case': 'custom', 'moving': 'false', 'geometry': IDENTITY_GEOMETRY},
-     "moving must be true or false, got 'false'"),
-    ({'case': 'custom', 'moving': 0, 'geometry': IDENTITY_GEOMETRY},
-     'moving must be true or false, got 0'),
     ({'case': 'moving-curvi-1d', 'deterministic': 'no'},
      "deterministic must be true or false, got 'no'"),
     ({'case': 'moving-curvi-1d', 'deterministic': None},
      'deterministic must be true or false, got None'),
 ], ids=['tol-string', 'tol-bool', 'tol-nan', 'tol-zero', 'tol-negative', 'tol-one',
         'theta-bool', 'theta-string', 'theta-inf', 'gmres-restart', 'gmres-max-iter',
-        'moving-string', 'moving-int', 'deterministic-string', 'deterministic-null'])
+        'deterministic-string', 'deterministic-null'])
 def test_cli_bad_config_values_fail_before_any_level(tmp_path, capsys, monkeypatch,
                                                      entries, message):
     monkeypatch.setattr(harness, 'run_case', lambda config: pytest.fail('a level ran'))
@@ -370,8 +365,7 @@ def test_cli_singular_geometry_is_one_line(tmp_path, capsys):
     # swapping the last two control points folds the map
     geometry = dict(IDENTITY_GEOMETRY, control_points=[[0, 0], [1, 0], [1, 1], [0, 1]])
     cfg = tmp_path / 'folded.json'
-    cfg.write_text(json.dumps({'case': 'custom', 'moving': False, 'levels': 1,
-                               'geometry': geometry}))
+    cfg.write_text(json.dumps({'case': 'custom', 'levels': 1, 'geometry': geometry}))
     assert cli_main(['run', '--config', str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith('error: non-positive Jacobian determinant -')
@@ -389,8 +383,7 @@ def _geometry_block(geom):
 
 def _run_custom(tmp_path, geometry):
     cfg = tmp_path / 'custom.json'
-    cfg.write_text(json.dumps({'case': 'custom', 'moving': False, 'levels': 1,
-                               'geometry': geometry}))
+    cfg.write_text(json.dumps({'case': 'custom', 'levels': 1, 'geometry': geometry}))
     return cli_main(['run', '--config', str(cfg)])
 
 
@@ -456,9 +449,82 @@ def test_cli_rejects_a_custom_map_that_moves_time(tmp_path, capsys):
     IDENTITY_GEOMETRY,
 ], ids=[*builtin_cases(), 'quarter-annulus-nurbs', 'identity'])
 def test_custom_geometries_that_keep_time_pass(block):
-    definition = resolve_case(CaseConfig(case='custom', moving=True, geometry=block))
+    definition = resolve_case(CaseConfig(case='custom', geometry=block))
     assert definition.geometry.space.degrees == tuple(block['degrees'])
     assert_allclose(definition.geometry.control_points, block['control_points'])
+
+
+# the unit square with x_1 = xi_1 + 0.6 tau xi_1 (1 - xi_1): its walls stay at 0 and 1 while
+# the parametrization slides between them, so the normal speed is exactly 0
+SLIDING_SQUARE = {
+    'knots': [[0, 0, 0, 1, 1, 1], [0, 0, 1, 1]],
+    'degrees': [2, 1],
+    'control_points': [[0, 0], [0.5, 0], [1, 0], [0, 1], [0.8, 1], [1, 1]],
+}
+
+
+@pytest.mark.parametrize('block,moving', [
+    *((_geometry_block(d.geometry), d.case.moving) for d in builtin_cases().values()),
+    (_geometry_block(quarter_annulus_cylinder()), False),
+], ids=[*builtin_cases(), 'quarter-annulus-nurbs'])
+def test_custom_map_motion_is_read_from_the_map(block, moving):
+    # the rule holds each built-in's declared flag
+    assert resolve_case(CaseConfig(case='custom', geometry=block)).case.moving is moving
+
+
+def _custom_curvi_1d():
+    block = _geometry_block(builtin_cases()['moving-curvi-1d'].geometry)
+    with warnings.catch_warnings():
+        warnings.simplefilter('ignore', StabilityWarning)
+        return run_case(CaseConfig(case='custom', degree=2, levels=7, geometry=block))
+
+
+def test_custom_moving_map_runs_the_moving_form(monkeypatch):
+    # moving-curvi-1d's map as a custom case: b_h keeps energy rate 2 at p2 L6, and
+    # the fixed form a_h, inconsistent on a moving wall, loses it
+    report = _custom_curvi_1d()
+    assert report.moving and abs(report.records[-1].rate_energy - 2.0) <= 0.05
+    monkeypatch.setattr(harness, '_admit_map', lambda gmap: False)
+    report = _custom_curvi_1d()
+    assert not report.moving and report.records[-1].rate_energy < 1.0
+
+
+def test_sliding_parametrization_of_a_fixed_domain_stays_fixed():
+    definition = resolve_case(CaseConfig(case='custom', geometry=SLIDING_SQUARE))
+    assert not definition.case.moving
+    assert_allclose(at_point(definition.geometry, [0.5, 1.0])[0], [0.65, 1.0], atol=1e-14)
+    last = run_case(CaseConfig(case='custom', degree=2, levels=5,
+                               geometry=SLIDING_SQUARE)).records[-1]
+    assert last.rate_energy >= 1.95 and last.rate_l2 >= 2.9
+
+
+def test_cli_config_with_a_moving_key_is_rejected(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, 'run_case', lambda config: pytest.fail('a level ran'))
+    cfg = tmp_path / 'moving.json'
+    cfg.write_text(json.dumps({'case': 'custom', 'moving': True, 'geometry': IDENTITY_GEOMETRY}))
+    assert cli_main(['run', '--config', str(cfg)]) == 2
+    assert capsys.readouterr() == ('', "error: unknown config keys: ['moving']\n")
+
+
+def test_run_case_warns_once_per_moving_level():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter('always')
+        run_case(CaseConfig(case='moving-simple-1d', degree=2, levels=3, theta=0.1))
+        run_case(CaseConfig(case='fixed-1d', degree=2, levels=3, theta=0.1))
+    assert [w.category for w in caught] == [StabilityWarning] * 3
+
+
+def test_readme_configs_load(tmp_path):
+    # every JSON example of the README passes the config schema, the custom one resolves
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, 'README.md')) as fh:
+        blocks = re.findall(r'```json\n(.*?)```', fh.read(), re.DOTALL)
+    cases = []
+    for k, block in enumerate(blocks):
+        path = tmp_path / f'readme-{k}.json'
+        path.write_text(block)
+        config = load_config(str(path))
+        cases.append(resolve_case(config).case.name)
+    assert sorted(cases) == ['custom', 'moving-simple-1d']
 
 
 def test_cli_failed_level_keeps_finished_levels(tmp_path, capsys, monkeypatch):
