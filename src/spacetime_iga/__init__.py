@@ -14,7 +14,8 @@ from .harness import (CaseConfig, CaseDefinition, builtin_cases, emit_csv, load_
 from .linsolve import (ConvergenceError, SingularSystemError, SolveReport,
                        cylinder_preconditioner, solve_direct, solve_fd, solve_gmres)
 from .postproc import (ConvergenceReport, DiscreteField, LevelRecord, a_priori_theta_bound,
-                       error_energy, error_l2, estimate_inverse_constant, mesh_ratio, rates)
+                       error_energy, error_l2, error_norms, estimate_inverse_constant,
+                       mesh_ratio, rates)
 from .quadrature import gauss_1d
 from .splines import KnotVector, eval_basis, find_span, refine_uniform, single_span
 from .tensor_space import DiscreteSpace, DofMap, classify_dirichlet, tensor_basis

@@ -82,18 +82,17 @@ class SchemeParams:
 class ManufacturedCase:
     """Exact solution data of a model problem dt(u) - Lap(u) = f.
 
-    All callables take physical points as an ``(n, d+1)`` array (spatial
-    coordinates first, time last) and return ``(n,)`` arrays, except
-    ``grad_u`` which returns ``(n, d)``.  ``u`` doubles as the Dirichlet
-    and initial datum.
+    Both callables take physical points as an ``(n, d+1)`` array (spatial
+    coordinates first, time last).  ``solution`` returns ``(u, grad)`` from
+    one call: the values ``(n,)`` and the space-time gradient ``(n, d+1)``,
+    time last, as :class:`~spacetime_iga._batch.GridSlab` holds it.  ``f``
+    returns ``(n,)``.  ``u`` doubles as the Dirichlet and initial datum.
     """
 
     name: str
     d: int
     moving: bool
-    u: object
-    u_t: object
-    grad_u: object
+    solution: object
     f: object
 
 
@@ -197,7 +196,7 @@ def _energy_fields(w, inv, c: float):
     grad u``, the volume energy of the forms and of the norms (``c = 0`` on a face)."""
     d = inv.shape[0] - 1
     g = inv[:, d]
-    K = (inv[:, None, :d] * inv[None, :, :d]).sum(axis=2)
+    K = np.einsum('bcp,acp->bap', inv[:, :d], inv[:, :d])
     return w * (K + c * g[:, None] * g[None, :]), K, g
 
 
@@ -222,17 +221,20 @@ def _grid_terms(x, w, inv, hess, th: float, moving: bool, f=None):
     energy, K, g = _energy_fields(w, inv, th)
     matrix, load = {}, _load_terms(x, w, g, th, f)
     # S[e, m] = J^-1[e, c] J^-1[m, k] H[k, a, b] J^-1[a, c] g[b], summed over c, k, a, b
-    Hc = ((hess * g).sum(axis=2)[:, :, None] * inv[None, :, :d]).sum(axis=1)
-    S = th * w * (inv[:, None, :d] * (inv[:, :, None] * Hc).sum(axis=1)).sum(axis=2)
+    Hc = np.einsum('kap,acp->kcp', np.einsum('kabp,bp->kap', hess, g), inv[:, :d])
+    S = th * w * np.einsum('ecp,mcp->emp', inv[:, :d], np.einsum('mkp,kcp->mcp', inv, Hc))
     first = energy + (S if moving else -S.transpose(1, 0, 2))
-    mixed = (-th if moving else th) * w * K[:, :, None] * g
+    mixed = (-th if moving else th) * w
     for a in range(nd):
         _add(matrix, w * g[a], 0 * unit[0], unit[a])
     for b, a in np.ndindex(nd, nd):
         _add(matrix, first[b, a], unit[b], unit[a])
+        if not np.any(K[b, a]):
+            continue
+        scaled = mixed * K[b, a]
         for e in range(nd):                       # d_ae and d_ea share a key
             pair = (unit[b], unit[a] + unit[e])
-            _add(matrix, mixed[b, a, e], *(pair if moving else pair[::-1]))
+            _add(matrix, scaled * g[e], *(pair if moving else pair[::-1]))
     return matrix, load
 
 
@@ -398,7 +400,8 @@ def apply_dirichlet(system: LinearSystem, dofmap: DofMap, case: ManufacturedCase
     operator such as :func:`~spacetime_iga.linsolve.cylinder_operator`, whose
     restriction applies it to the zero extension of the free values.
     """
-    values = boundary_l2_project(space, geom, case.u, dofmap.dirichlet_mask, orders)
+    values = boundary_l2_project(space, geom, lambda x: case.solution(x)[0],
+                                 dofmap.dirichlet_mask, orders)
     free = dofmap.free
     lifted = system.rhs[free] - (system.matrix @ values)[free]
     return LinearSystem(_restrict(system.matrix, free), lifted, values)

@@ -18,6 +18,7 @@ import json
 import sys
 import warnings
 from dataclasses import dataclass, fields, replace
+from functools import reduce
 from numbers import Real
 
 import numpy as np
@@ -30,7 +31,7 @@ from .geometry import GeometryMap, SingularGeometryError, _adjugate, mesh_metric
 from .linsolve import (ConvergenceError, SingularSystemError, cylinder_operator,
                        cylinder_preconditioner, solve_direct, solve_fd, solve_gmres)
 from .postproc import (ConvergenceReport, DiscreteField, LevelRecord, a_priori_theta_bound,
-                       error_energy, error_l2, estimate_inverse_constant, rates)
+                       error_norms, estimate_inverse_constant, rates)
 from .quadrature import gauss_1d
 from .splines import KnotVector, eval_basis, refine_uniform, single_span
 from .tensor_space import DiscreteSpace, classify_dirichlet
@@ -64,36 +65,29 @@ _RUN_ERRORS = (SingularGeometryError, ConvergenceError, SingularSystemError)
 # built-in cases
 
 def _sin_solution(d: int):
-    """Manufactured family u = sin(pi x_1) ... sin(pi x_d) sin(pi t)."""
+    """Manufactured family u = sin(pi x_1) ... sin(pi x_d) sin(pi t): ``(solution, f)``.
 
-    def space_factor(x):
-        out = np.ones(x.shape[0])
+    ``solution`` takes the sine and cosine of each coordinate once and returns ``u`` with
+    its gradient, time last (:class:`~spacetime_iga.assembly.ManufacturedCase`)."""
+
+    def trig(x, fn):
+        return [fn(np.pi * x[:, a]) for a in range(d + 1)]
+
+    def solution(x):
+        s, c = trig(x, np.sin), trig(x, np.cos)
+        space = reduce(np.multiply, s[:d])
+        grad = np.empty((x.shape[0], d + 1))
         for a in range(d):
-            out *= np.sin(np.pi * x[:, a])
-        return out
-
-    def u(x):
-        return space_factor(x) * np.sin(np.pi * x[:, d])
-
-    def u_t(x):
-        return space_factor(x) * np.pi * np.cos(np.pi * x[:, d])
-
-    def grad_u(x):
-        out = np.empty((x.shape[0], d))
-        st = np.sin(np.pi * x[:, d])
-        for a in range(d):
-            g = np.pi * np.cos(np.pi * x[:, a]) * st
-            for b in range(d):
-                if b != a:
-                    g *= np.sin(np.pi * x[:, b])
-            out[:, a] = g
-        return out
+            grad[:, a] = reduce(np.multiply, [s[b] for b in range(d) if b != a],
+                                np.pi * c[a] * s[d])
+        grad[:, d] = space * np.pi * c[d]
+        return space * s[d], grad
 
     def f(x):
-        return space_factor(x) * np.pi * (np.cos(np.pi * x[:, d])
-                                          + d * np.pi * np.sin(np.pi * x[:, d]))
+        s = trig(x, np.sin)
+        return reduce(np.multiply, s[:d]) * np.pi * (np.cos(np.pi * x[:, d]) + d * np.pi * s[d])
 
-    return u, u_t, grad_u, f
+    return solution, f
 
 
 @dataclass(frozen=True)
@@ -110,8 +104,7 @@ def _make_geometry(degrees, control_points) -> GeometryMap:
 
 
 def _make_case(name, d, moving) -> ManufacturedCase:
-    u, u_t, grad_u, f = _sin_solution(d)
-    return ManufacturedCase(name, d, moving, u, u_t, grad_u, f)
+    return ManufacturedCase(name, d, moving, *_sin_solution(d))
 
 
 def builtin_cases() -> dict:
@@ -289,7 +282,8 @@ def _plan(config: CaseConfig, definition: CaseDefinition, n_free: int) -> tuple[
     - the exact fast diagonalization (``'fd'``) where it inverts the form, on an identity
       map (which never moves), with the matrix-free operator of :func:`_level_system`;
     - GMRES preconditioned by the fast diagonalization otherwise, at tolerance
-      ``min(config.solver_tol, 1e-12)``, which keeps the errors as exact as the LU's.
+      ``min(config.solver_tol, 1e-12)``: a true relative residual at or below it, not an
+      error as small as the LU's (at moving-curvi-1d p4 L8 the energy error is 28% above).
     """
     tol = config.solver_tol
     if config.solver != 'auto':
@@ -377,8 +371,7 @@ def run_case(config: CaseConfig) -> ConvergenceReport:
             coeffs = reduced.dirichlet_values.copy()
             coeffs[dofmap.free] = x
             field = DiscreteField(space, geom, coeffs)
-            levels.append((level, space.dim, params.h, error_l2(field, case),
-                           error_energy(field, case, params), report))
+            levels.append((level, space.dim, params.h, *error_norms(field, case, params), report))
             del field   # the level's space, with the rules and tables it keeps, goes now
         except _RUN_ERRORS as exc:
             exc.report = _report(config, case, levels)
@@ -614,27 +607,25 @@ def _check_moving_coercivity():
 
 
 def _check_manufactured_residuals():
+    # each built-in case's f against the PDE, and its solution's gradient (time last) against
+    # central differences of the solution's value, at 100 random points per case
     rng = np.random.default_rng(3)
-    worst = 0.0
-    for name, definition in builtin_cases().items():
-        case = definition.case
-        d = case.d
-        e = 1e-5
+    pde, slope, e = 0.0, 0.0, 1e-5
+    for definition in builtin_cases().values():
+        case, d = definition.case, definition.case.d
         pts = rng.uniform(0.1, 0.9, size=(100, d + 1))
         f_ref = case.f(pts)
-        lap = np.zeros(100)
-        for a in range(d):
-            dp, dm = pts.copy(), pts.copy()
-            dp[:, a] += e
-            dm[:, a] -= e
-            lap += (case.u(dp) - 2 * case.u(pts) + case.u(dm)) / e**2
-        dp, dm = pts.copy(), pts.copy()
-        dp[:, d] += e
-        dm[:, d] -= e
-        ut = (case.u(dp) - case.u(dm)) / (2 * e)
-        defect = np.abs(f_ref - (ut - lap)).max() / max(1.0, np.abs(f_ref).max())
-        worst = max(worst, float(defect))
-    return worst < 1e-5, f'max PDE residual {worst:.2e}'
+        u, grad = case.solution(pts)
+        lap, fd = np.zeros(100), np.empty((100, d + 1))
+        for a in range(d + 1):
+            up, um = (case.solution(pts + sign * e * np.eye(d + 1)[a])[0] for sign in (1, -1))
+            fd[:, a] = (up - um) / (2 * e)
+            if a < d:
+                lap += (up - 2 * u + um) / e**2
+        pde = max(pde, float(np.abs(f_ref - (fd[:, d] - lap)).max() / max(1.0, np.abs(f_ref).max())))
+        slope = max(slope, float(np.abs(grad - fd).max() / np.abs(grad).max()))
+    return (pde < 1e-5 and slope < 1e-8,
+            f'max PDE residual {pde:.2e}, max gradient defect {_roundoff(slope, 1e-8)}')
 
 
 def _check_assembly_paths():

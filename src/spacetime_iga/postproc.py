@@ -2,11 +2,12 @@
 
 Errors against a manufactured solution are integrated with a Gauss rule one
 point per direction richer than assembly, so the reported norms are not
-polluted by the integration of the scheme itself.  The discrete solution
-and the map are evaluated on the global Gauss grid, slab by slab of time
-spans, by the one sum-factorized field kernel of the internal ``_batch``
-module (``ElementBatcher.grid_slabs``); only the inverse-constant estimate
-builds the full basis blocks.
+polluted by the integration of the scheme itself.  Both norms come from one
+pass (:func:`error_norms`): the discrete solution and the map are evaluated
+on the global Gauss grid, slab by slab of time spans, by the one
+sum-factorized field kernel of the internal ``_batch`` module
+(``ElementBatcher.grid_slabs``); only the inverse-constant estimate builds
+the full basis blocks.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ __all__ = [
     'DiscreteField',
     'LevelRecord',
     'ConvergenceReport',
+    'error_norms',
     'error_l2',
     'error_energy',
     'rates',
@@ -49,45 +51,47 @@ class DiscreteField:
 
 
 def _error_orders(space, orders=None):
-    if orders is not None:
-        return orders
-    return [p + 2 for p in space.degrees]
+    return [p + 2 for p in space.degrees] if orders is None else orders
+
+
+def error_norms(field: DiscreteField, case: ManufacturedCase, params: SchemeParams,
+                moving: bool | None = None, orders=None) -> tuple[float, float]:
+    """``(L2, energy)`` norms of the error from one pass over the volume's Gauss grid and one
+    over the terminal face, each slab bringing ``u_h`` with its gradient and the exact
+    solution from one ``case.solution`` call.
+
+    The L2 norm is taken over the cylinder.  The fixed-domain energy norm integrates
+    ``|grad_x e|^2 + theta*h (dt e)^2`` over the cylinder plus ``e^2 / 2`` on the terminal
+    face; the moving variant (default when the case moves) adds ``theta*h |grad_x e|^2`` on
+    the terminal face.
+    """
+    moving = case.moving if moving is None else moving
+    th, d, c = params.theta * params.h, field.space.ndim - 1, field.coefficients
+    batcher = ElementBatcher(field.space, field.geom, _error_orders(field.space, orders))
+    l2 = energy = 0.0
+    for s in batcher.grid_slabs(need=1, coefficients=c):
+        u, grad = case.solution(s.x.T)
+        l2 += float(np.sum(s.w * (s.val - u) ** 2))
+        e_gx, e_t = s.grad[:d] - grad[:, :d].T, s.grad[d] - grad[:, d]
+        energy += float(np.sum(s.w * ((e_gx**2).sum(axis=0) + th * e_t**2)))
+    for s in batcher.grid_slabs(need=1 if moving else 0, coefficients=c, face=(d, 1)):
+        u, grad = case.solution(s.x.T)
+        energy += 0.5 * float(np.sum(s.w * (s.val - u) ** 2))
+        if moving:
+            e_gx = s.grad[:d] - grad[:, :d].T
+            energy += th * float(np.sum(s.w * (e_gx**2).sum(axis=0)))
+    return np.sqrt(l2), np.sqrt(energy)
 
 
 def error_l2(field: DiscreteField, case: ManufacturedCase) -> float:
-    """L2(Q) distance between the field and the exact solution."""
-    batcher = ElementBatcher(field.space, field.geom, _error_orders(field.space))
-    total = 0.0
-    for s in batcher.grid_slabs(need=0, coefficients=field.coefficients):
-        total += float(np.sum(s.w * (s.val - case.u(s.x.T)) ** 2))
-    return np.sqrt(total)
+    """L2(Q) distance between the field and the exact solution: :func:`error_norms`'s first."""
+    return error_norms(field, case, SchemeParams(1.0, 1.0), moving=False)[0]
 
 
 def error_energy(field: DiscreteField, case: ManufacturedCase, params: SchemeParams,
                  moving: bool | None = None, orders=None) -> float:
-    """Discrete energy norm of the error.
-
-    The fixed-domain norm integrates ``|grad_x e|^2 + theta*h (dt e)^2``
-    over the cylinder plus ``e^2 / 2`` on the terminal face; the moving
-    variant (default when the case moves) adds ``theta*h |grad_x e|^2``
-    on the terminal face.
-    """
-    if moving is None:
-        moving = case.moving
-    th = params.theta * params.h
-    d = field.space.ndim - 1
-    c = field.coefficients
-    batcher = ElementBatcher(field.space, field.geom, _error_orders(field.space, orders))
-    total = 0.0
-    for s in batcher.grid_slabs(coefficients=c):
-        e_gx, e_t = s.grad[:d] - case.grad_u(s.x.T).T, s.grad[d] - case.u_t(s.x.T)
-        total += float(np.sum(s.w * ((e_gx**2).sum(axis=0) + th * e_t**2)))
-    for s in batcher.grid_slabs(need=1 if moving else 0, coefficients=c, face=(d, 1)):
-        total += 0.5 * float(np.sum(s.w * (s.val - case.u(s.x.T)) ** 2))
-        if moving:
-            e_gx = s.grad[:d] - case.grad_u(s.x.T).T
-            total += th * float(np.sum(s.w * (e_gx**2).sum(axis=0)))
-    return np.sqrt(total)
+    """Discrete energy norm of the error: :func:`error_norms`'s second."""
+    return error_norms(field, case, params, moving, orders)[1]
 
 
 def rates(errors) -> np.ndarray:

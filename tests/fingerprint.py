@@ -63,7 +63,7 @@ def fingerprint(key: str) -> list:
     """One line per level of sweep ``key``."""
     lines, level = [], {}
     apply_dirichlet, solve = harness.apply_dirichlet, harness._solve
-    error_l2, error_energy = harness.error_l2, harness.error_energy
+    error_norms = harness.error_norms
 
     def traced_apply_dirichlet(system, *args, **kwargs):
         reduced = apply_dirichlet(system, *args, **kwargs)
@@ -77,19 +77,15 @@ def fingerprint(key: str) -> list:
         level['solution'] = _digest(x)
         return x, report
 
-    def traced_error_l2(*args, **kwargs):
-        level['_l2'] = error_l2(*args, **kwargs)
-        return level['_l2']
-
-    def traced_error_energy(*args, **kwargs):
-        energy = error_energy(*args, **kwargs)
-        level.update(l2=repr(float(level.pop('_l2'))), energy=repr(float(energy)))
+    def traced_error_norms(*args, **kwargs):
+        l2, energy = error_norms(*args, **kwargs)
+        level.update(l2=repr(float(l2)), energy=repr(float(energy)))
         lines.append(f'{key} L{len(lines)} ' + ' '.join(f'{k}={v}' for k, v in level.items()))
         level.clear()
-        return energy
+        return l2, energy
 
     patches = {'apply_dirichlet': traced_apply_dirichlet, '_solve': traced_solve,
-               'error_l2': traced_error_l2, 'error_energy': traced_error_energy}
+               'error_norms': traced_error_norms}
     originals = {name: getattr(harness, name) for name in patches}
     try:
         for name, fn in patches.items():

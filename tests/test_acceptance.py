@@ -19,6 +19,7 @@ of the documented problem (theta, inner wall position, norm terms)
 brings it to the old number; see ``CHANGES.md``.
 """
 import io
+import math
 import warnings
 
 from spacetime_iga.assembly import StabilityWarning
@@ -173,16 +174,27 @@ def test_08_fixed_coercivity_identity(capsys):
     assert worst <= 1e-10, f'coercivity identity defect {worst:.2e}'
 
 
+# The a-priori theta bounds of gate 09, pinned: ``warned`` is decided from the bound that
+# ``moving_coercivity`` returns, so only a reference from outside it lets the warning half
+# fail (an inverse-constant estimate of 1e-6 gives bounds near 1e4 and no warning).
+BOUNDS_09 = {'moving-simple-1d': 0.012018535824083524, 'moving-curvi-1d': 0.01967033168916316,
+             'moving-curvi-2d': 0.016730572600027412}
+
+
 def test_09_moving_coercivity(capsys):
     results = {name: moving_coercivity(name, 2, level)
                for name, level in (('moving-simple-1d', 2), ('moving-curvi-1d', 2),
                                    ('moving-curvi-2d', 1))}
-    ok = all(margin >= 0.5 - 1e-12 and warned == (0.1 >= bound)
-             for bound, warned, margin in results.values())
+    pinned = all(math.isclose(results[name][0], bound, rel_tol=1e-9)
+                 for name, bound in BOUNDS_09.items())
+    ok = pinned and all(margin >= 0.5 - 1e-12 and warned == (0.1 >= bound)
+                        for bound, warned, margin in results.values())
     announce(capsys, 9, ok, '; '.join(
         f'{name}: bound {bound:.3f}, {"warned" if warned else "quiet"}, min margin {margin:.3f}'
         for name, (bound, warned, margin) in results.items()))
     for name, (bound, warned, margin) in results.items():
+        assert math.isclose(bound, BOUNDS_09[name], rel_tol=1e-9), \
+            f'{name}: bound {bound!r} moved from {BOUNDS_09[name]!r}'
         assert margin >= 0.5 - 1e-12, f'{name}: margin {margin:.4f} below 1/2'
         assert warned == (0.1 >= bound), \
             f'{name}: warning contract broken (bound {bound:.3f})'

@@ -131,11 +131,13 @@ def ramp_solution(d):
     Unlike the shipped sine family its spatial gradient does not vanish
     at ``t = 1``, so the terminal-face term of ``b_h`` carries weight.
     """
+    def solution(x):
+        grad_x = space_factor_gradient(x, d) * (1.0 + x[:, d])[:, None]
+        return (space_factor(x, d) * (1.0 + x[:, d]),
+                np.column_stack((grad_x, space_factor(x, d))))
+
     case = ManufacturedCase(
-        'ramp', d, True,
-        u=lambda x: space_factor(x, d) * (1.0 + x[:, d]),
-        u_t=lambda x: space_factor(x, d),
-        grad_u=lambda x: space_factor_gradient(x, d) * (1.0 + x[:, d])[:, None],
+        'ramp', d, True, solution=solution,
         f=lambda x: space_factor(x, d) * (1.0 + d * np.pi**2 * (1.0 + x[:, d])))
     return case, lambda x: space_factor_gradient(x, d)
 
@@ -167,9 +169,16 @@ def moving_form_rows(space, geom, params, trial, orders, terminal_face=True):
     return rows
 
 
+def exact_value(case):
+    """The value half of ``case.solution``, as the boundary projection takes its data."""
+    return lambda x: case.solution(x)[0]
+
+
 def analytic_trial(case, grad_u_t):
-    return lambda blk: (at_points(case.u_t, blk.x), at_points(case.grad_u, blk.x),
-                        at_points(grad_u_t, blk.x))
+    def trial(blk):
+        grad = at_points(lambda x: case.solution(x)[1], blk.x)
+        return grad[..., -1], grad[..., :-1], at_points(grad_u_t, blk.x)
+    return trial
 
 
 def discrete_trial(coeffs, d):
@@ -252,8 +261,8 @@ def test_no_warning_below_threshold():
 
 def test_rhs_linear_in_source():
     case, geom, space, mesh, params = setup('fixed-1d', 2, 2)
-    doubled = ManufacturedCase(case.name, case.d, case.moving, case.u, case.u_t,
-                               case.grad_u, lambda x: 2.0 * case.f(x))
+    doubled = ManufacturedCase(case.name, case.d, case.moving, case.solution,
+                               lambda x: 2.0 * case.f(x))
     s1 = assemble_fixed(space, geom, case, params)
     s2 = assemble_fixed(space, geom, doubled, params)
     assert_allclose(s2.rhs, 2.0 * s1.rhs, atol=1e-13)
@@ -349,7 +358,7 @@ def test_boundary_values_interpolate_exact_solution():
         for side in (0, 1):
             for blk in batcher.blocks(need=0, face=(0, side)):
                 vals = np.einsum('eqm,em->eq', blk.val, reduced.dirichlet_values[blk.dofs])
-                worst = max(worst, float(np.abs(vals - at_points(case.u, blk.x)).max()))
+                worst = max(worst, float(np.abs(vals - at_points(exact_value(case), blk.x)).max()))
         return worst
 
     coarse, fine = trace_error(3), trace_error(4)
@@ -657,7 +666,7 @@ def test_boundary_projection_memory_is_bounded():
     mask = classify_dirichlet(space).dirichlet_mask
     tracemalloc.start()
     try:
-        boundary_l2_project(space, geom, case.u, mask)
+        boundary_l2_project(space, geom, exact_value(case), mask)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -672,7 +681,7 @@ def test_grid_path_rejects_a_nurbs_solution_space():
         case, geom, plain, mesh, params = setup(name, 2, 1)
         space = DiscreteSpace(plain.knot_vectors, rng.uniform(0.5, 1.5, plain.dim))
         mask = classify_dirichlet(space).dirichlet_mask
-        for call in (lambda: boundary_l2_project(space, geom, case.u, mask),
+        for call in (lambda: boundary_l2_project(space, geom, exact_value(case), mask),
                      lambda: assemble_fixed(space, geom, case, params),
                      lambda: assemble_moving(space, geom, case, params),
                      lambda: assemble_norm_matrices(space, geom, params)):

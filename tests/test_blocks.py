@@ -63,7 +63,8 @@ def stage_results(name, level):
         'assemble_moving': (moving.matrix.toarray(), moving.rhs),
         'assemble_norm_matrices': (norms.n_fixed.toarray(), norms.n_moving.toarray(),
                                    norms.face_gradient.toarray()),
-        'boundary_l2_project': (boundary_l2_project(space, geom, case.u, mask),),
+        'boundary_l2_project': (boundary_l2_project(space, geom, lambda x: case.solution(x)[0],
+                                                     mask),),
         'error_l2': (error_l2(field, case),),
         'error_energy': (error_energy(field, case, params, moving=True),
                          error_energy(field, case, params, moving=False)),

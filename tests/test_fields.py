@@ -8,7 +8,9 @@ contracted with the same coefficients, on the volume and with one
 direction pinned to a point, and a grid cut into slabs of spans must give
 the whole grid's values.  The error integrals built on it must agree with
 the basis-contraction formulas they replaced, which are kept below as the
-oracle, and must still refuse a folded map.
+oracle, and must still refuse a folded map.  Both norms come from one pass
+(``error_norms``), bit for bit the two passes it replaced, and ``error_l2``
+and ``error_energy`` are its components.
 """
 import numpy as np
 import pytest
@@ -21,7 +23,8 @@ from spacetime_iga._batch import (ElementBatcher, _grid_field, _rows, _span_rule
 from spacetime_iga.assembly import SchemeParams
 from spacetime_iga.geometry import GeometryMap, SingularGeometryError, greville_grid, mesh_metrics
 from spacetime_iga.harness import builtin_cases, solution_space
-from spacetime_iga.postproc import DiscreteField, error_energy, error_l2
+import spacetime_iga.postproc as postproc
+from spacetime_iga.postproc import DiscreteField, error_energy, error_l2, error_norms
 from spacetime_iga.splines import KnotVector, single_span
 from spacetime_iga.tensor_space import DiscreteSpace, tensor_basis
 
@@ -144,20 +147,20 @@ def reference_errors(field, case, params, moving):
     c = field.coefficients
     batcher = ElementBatcher(field.space, field.geom, [p + 2 for p in field.space.degrees])
     l2 = energy = 0.0
+    def exact(x, k):
+        return at_points(lambda y: case.solution(y)[k], x)
     for blk in batcher.blocks(need=1):
-        diff = np.einsum('eqm,em->eq', blk.val, c[blk.dofs]) - at_points(case.u, blk.x)
+        diff = np.einsum('eqm,em->eq', blk.val, c[blk.dofs]) - exact(blk.x, 0)
         l2 += float(np.sum(blk.w * diff**2))
-        e_grad = np.einsum('eqma,em->eqa', blk.grad, c[blk.dofs])
-        e_grad[..., :d] -= at_points(case.grad_u, blk.x)
-        e_grad[..., d] -= at_points(case.u_t, blk.x)
+        e_grad = np.einsum('eqma,em->eqa', blk.grad, c[blk.dofs]) - exact(blk.x, 1)
         density = (e_grad[..., :d] ** 2).sum(axis=2) + th * e_grad[..., d] ** 2
         energy += float(np.sum(blk.w * density))
     for blk in batcher.blocks(need=1, face=(d, 1)):
         ca = c[blk.dofs]
-        diff = np.einsum('eqm,em->eq', blk.val, ca) - at_points(case.u, blk.x)
+        diff = np.einsum('eqm,em->eq', blk.val, ca) - exact(blk.x, 0)
         energy += 0.5 * float(np.sum(blk.w * diff**2))
         if moving:
-            e_gx = np.einsum('eqma,em->eqa', blk.grad[..., :d], ca) - at_points(case.grad_u, blk.x)
+            e_gx = np.einsum('eqma,em->eqa', blk.grad[..., :d], ca) - exact(blk.x, 1)[..., :d]
             energy += th * float(np.sum(blk.w * (e_gx**2).sum(axis=2)))
     return np.sqrt(l2), np.sqrt(energy)
 
@@ -175,7 +178,7 @@ def test_errors_match_the_basis_contraction(name):
     case, geom = cases()[name]
     space = solution_space(geom, 2, 2)
     points = np.array([at_point(geom, xi)[0] for xi in greville_grid(space)])
-    field = DiscreteField(space, geom, case.u(points))
+    field = DiscreteField(space, geom, case.solution(points)[0])
     params = SchemeParams(0.1, space.h_hat)
     for moving in (True, False):
         ref_l2, ref_energy = reference_errors(field, case, params, moving)
@@ -198,8 +201,67 @@ def test_errors_refuse_a_folded_map():
     for moving in (True, False):
         with pytest.raises(SingularGeometryError, match='non-positive Jacobian determinant'):
             error_energy(field, case, params, moving=moving)
+        with pytest.raises(SingularGeometryError, match='non-positive Jacobian determinant'):
+            error_norms(field, case, params, moving=moving)
     with pytest.raises(SingularGeometryError, match='non-positive Jacobian determinant'):
         mesh_metrics(geom, space)
     # element blocks are views of the slabs and refuse the map with them
     with pytest.raises(SingularGeometryError, match='non-positive Jacobian determinant'):
         next(ElementBatcher(space, geom).blocks(need=0))
+
+
+def two_pass_errors(field, case, params, moving, orders):
+    """``(L2, energy)`` by one ``grid_slabs`` pass per norm and the exact solution's value,
+    time derivative and spatial gradient taken apart: the passes :func:`error_norms`
+    fused, in their order of sums."""
+    d, th, c = field.space.ndim - 1, params.theta * params.h, field.coefficients
+    l2 = energy = 0.0
+    for s in ElementBatcher(field.space, field.geom, orders).grid_slabs(need=0, coefficients=c):
+        l2 += float(np.sum(s.w * (s.val - case.solution(s.x.T)[0]) ** 2))
+    batcher = ElementBatcher(field.space, field.geom, orders)
+    for s in batcher.grid_slabs(coefficients=c):
+        grad = case.solution(s.x.T)[1]
+        e_gx, e_t = s.grad[:d] - grad[:, :d].T, s.grad[d] - grad[:, d]
+        energy += float(np.sum(s.w * ((e_gx**2).sum(axis=0) + th * e_t**2)))
+    for s in batcher.grid_slabs(need=1 if moving else 0, coefficients=c, face=(d, 1)):
+        u, grad = case.solution(s.x.T)
+        energy += 0.5 * float(np.sum(s.w * (s.val - u) ** 2))
+        if moving:
+            energy += th * float(np.sum(s.w * ((s.grad[:d] - grad[:, :d].T) ** 2).sum(axis=0)))
+    return np.sqrt(l2), np.sqrt(energy)
+
+
+@pytest.mark.parametrize('degree', [1, 2, 3])
+@pytest.mark.parametrize('name', sorted(cases()))
+def test_one_error_pass_is_bit_for_bit_the_two(name, degree):
+    case, geom = cases()[name]
+    space = solution_space(geom, degree, 1)
+    field = DiscreteField(space, geom, np.random.default_rng(degree).standard_normal(space.dim))
+    params = SchemeParams(0.1, space.h_hat)
+    default = [p + 2 for p in space.degrees]
+    for moving, orders in ((True, None), (False, None), (case.moving, [p + 3 for p in space.degrees])):
+        l2, energy = error_norms(field, case, params, moving, orders)
+        assert (l2, energy) == two_pass_errors(field, case, params, moving, orders or default)
+        assert energy == error_energy(field, case, params, moving=moving, orders=orders)
+        if orders is None:
+            assert l2 == error_l2(field, case)
+
+
+def test_one_error_pass_opens_one_batcher_and_two_slab_streams(monkeypatch):
+    counts = {'batchers': 0, 'streams': 0}
+
+    class Counted(ElementBatcher):
+        def __init__(self, *args, **kwargs):
+            counts['batchers'] += 1
+            super().__init__(*args, **kwargs)
+
+        def grid_slabs(self, *args, **kwargs):
+            counts['streams'] += 1
+            return super().grid_slabs(*args, **kwargs)
+
+    monkeypatch.setattr(postproc, 'ElementBatcher', Counted)
+    definition = builtin_cases()['moving-curvi-2d']
+    space = solution_space(definition.geometry, 2, 1)
+    field = DiscreteField(space, definition.geometry, np.ones(space.dim))
+    error_norms(field, definition.case, SchemeParams(0.1, space.h_hat))
+    assert counts == {'batchers': 1, 'streams': 2}

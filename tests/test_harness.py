@@ -607,6 +607,28 @@ def test_geometry_derivative_check_prints_its_roundoff_bucket():
         True, 'max FD defect <= 1e-09 (threshold 1e-08)')
 
 
+@pytest.mark.parametrize('component', [0, -1], ids=['space', 'time'])
+def test_manufactured_check_fails_on_a_flipped_gradient_component(monkeypatch, component):
+    # negative control: the built-in solutions' gradient with one component of the wrong sign;
+    # their values, and with them the PDE residual, stay as they are
+    sin_solution = harness._sin_solution
+
+    def flipped(d):
+        solution, f = sin_solution(d)
+
+        def wrong(x):
+            u, grad = solution(x)
+            grad[:, component] *= -1.0
+            return u, grad
+        return wrong, f
+
+    ok, detail = harness._check_manufactured_residuals()
+    assert ok and detail.endswith('max gradient defect <= 1e-09 (threshold 1e-08)'), detail
+    monkeypatch.setattr(harness, '_sin_solution', flipped)
+    ok, detail = harness._check_manufactured_residuals()
+    assert not ok and detail.startswith('max PDE residual 4.55e-07, max gradient defect 2'), detail
+
+
 @pytest.mark.parametrize('slot,factor', [(2, 1 + 1e-4), (1, 1 + 1e-6)], ids=['hessian', 'jacobian'])
 def test_cli_verify_fails_on_scaled_map_derivatives(monkeypatch, capsys, slot, factor):
     # negative control: the check's kernel returns H (or J) a little too large; on

@@ -27,9 +27,8 @@ def linear_case(a, b, c):
     # u(x, t) = a x + b t + c on one spatial dimension
     return ManufacturedCase(
         'linear', 1, False,
-        u=lambda x: a * x[:, 0] + b * x[:, 1] + c,
-        u_t=lambda x: np.full(x.shape[0], float(b)),
-        grad_u=lambda x: np.full((x.shape[0], 1), float(a)),
+        solution=lambda x: (a * x[:, 0] + b * x[:, 1] + c,
+                            np.tile([float(a), float(b)], (x.shape[0], 1))),
         f=lambda x: np.full(x.shape[0], float(b)))
 
 
@@ -58,9 +57,7 @@ def test_constant_error_integrates_exactly():
     geom = identity_geometry(space)
     case = ManufacturedCase(
         'one', 1, False,
-        u=lambda x: np.ones(x.shape[0]),
-        u_t=lambda x: np.zeros(x.shape[0]),
-        grad_u=lambda x: np.zeros((x.shape[0], 1)),
+        solution=lambda x: (np.ones(x.shape[0]), np.zeros((x.shape[0], 2))),
         f=lambda x: np.zeros(x.shape[0]))
     field = DiscreteField(space, geom, np.zeros(space.dim))
     params = SchemeParams(0.1, space.h_hat)
