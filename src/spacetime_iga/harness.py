@@ -622,7 +622,8 @@ def _check_manufactured_residuals():
             fd[:, a] = (up - um) / (2 * e)
             if a < d:
                 lap += (up - 2 * u + um) / e**2
-        pde = max(pde, float(np.abs(f_ref - (fd[:, d] - lap)).max() / max(1.0, np.abs(f_ref).max())))
+        scale = max(1.0, np.abs(f_ref).max())
+        pde = max(pde, float(np.abs(f_ref - (fd[:, d] - lap)).max() / scale))
         slope = max(slope, float(np.abs(grad - fd).max() / np.abs(grad).max()))
     return (pde < 1e-5 and slope < 1e-8,
             f'max PDE residual {pde:.2e}, max gradient defect {_roundoff(slope, 1e-8)}')

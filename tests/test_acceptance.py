@@ -176,7 +176,7 @@ def test_08_fixed_coercivity_identity(capsys):
 
 # The a-priori theta bounds of gate 09, pinned: ``warned`` is decided from the bound that
 # ``moving_coercivity`` returns, so only a reference from outside it lets the warning half
-# fail (an inverse-constant estimate of 1e-6 gives bounds near 1e4 and no warning).
+# fail (an inverse-constant estimate of 1e-6 gives bounds above 1e5 and no warning).
 BOUNDS_09 = {'moving-simple-1d': 0.012018535824083524, 'moving-curvi-1d': 0.01967033168916316,
              'moving-curvi-2d': 0.016730572600027412}
 

@@ -299,6 +299,7 @@ def test_matrix_free_fast_diagonalization_solve_matches_lu(name, degree, level):
     # Dirichlet data are nonzero, unlike the built-in solutions', so the lifting counts
     definition = builtin_cases()[name]
     geom = definition.geometry
+
     def solution(x):
         u = np.exp(0.3 * x.sum(axis=1))
         return u, 0.3 * np.repeat(u[:, None], x.shape[1], axis=1)
